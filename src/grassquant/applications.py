@@ -20,7 +20,7 @@ from .manifold import FieldKind, GrassmannSpec
 from .quantization import (
     MAX_CODEBOOK,
     Codebook,
-    _sq_overlaps,
+    _nearest,
     design_maxmin,
     distortion_mc,
     drf_bounds,
@@ -252,8 +252,7 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
             f"channel shape {h.shape} does not match (l_r, l_t) = ({src.p}, {src.n})"
         )
     v = right_singular_plane_bases(h[None, :, :])
-    ov = _sq_overlaps(v, codebook.stacked_bases)[0]
-    return int(np.argmax(ov))
+    return int(_nearest(v, codebook.stacked_bases)[0][0])
 
 
 def _log_det_throughput(
@@ -313,9 +312,7 @@ def beamforming_throughput_experiment(
             + 1j * rng_h.standard_normal((cfg.trials, cfg.l_r, cfg.l_t))
         ) / math.sqrt(2.0)
         v = right_singular_plane_bases(h)
-        ov = _sq_overlaps(v, codebook.stacked_bases)
-        sel = np.argmax(ov, axis=1)
-        trace_samples = ov[np.arange(cfg.trials), sel]
+        sel, trace_samples = _nearest(v, codebook.stacked_bases)
         q_sel = codebook.stacked_bases[sel]
         throughput_nats = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
 

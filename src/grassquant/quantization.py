@@ -11,19 +11,19 @@ large-``n`` asymptote, and the random-code optimality experiment.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpecMismatch
+from .errors import DomainError, OrthonormalityError, SpecMismatch
 from .manifold import (
     TOL_EQ,
     TOL_ORTHO,
     FieldKind,
     GrassmannSpec,
     Plane,
+    chordal_distance_sq,
     sample_isotropic_bases,
 )
 from .reports import ExperimentReport, Stopwatch
@@ -38,8 +38,13 @@ DUPLICATE_CHECK_MAX = 4096
 # Candidate pool per greedy farthest-point step.
 DESIGN_POOL = 256
 
-# Entry budget for chunked overlap computations (~128 MB complex blocks).
-_OVERLAP_BUDGET = 1 << 23
+# Overlap block size: about this many sample-entry pairs (2 MB of float64),
+# so a block's GEMM outputs and its reduction stay in cache.
+_BLOCK_PAIRS = 1 << 18
+# Fewest sample rows per block, so large codebooks still get matrix GEMMs.
+_BLOCK_MIN_ROWS = 8
+# GEMM outputs (K * p * q per draw) per chunk of Monte-Carlo source draws.
+_DRAW_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -63,47 +68,71 @@ class Provenance:
 
 
 def _sq_overlaps(samples: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """``out[s, k] = ||samples[s]^H entries[k]||_F^2`` via chunked GEMMs."""
+    """``out[s, k] = ||samples[s]^H entries[k]||_F^2`` for one block of samples.
+
+    Entries from :func:`_gemm_layout` are used in place; others are copied.
+    """
     n_s, _, p_a = samples.shape
     n_k, _, p_b = entries.shape
     out = np.zeros((n_s, n_k))
-    step = max(1, _OVERLAP_BUDGET // max(1, n_k * p_a * p_b))
     cols_b = [np.ascontiguousarray(entries[:, :, j].T) for j in range(p_b)]
-    for lo in range(0, n_s, step):
-        hi = min(lo + step, n_s)
-        block = np.zeros((hi - lo, n_k))
-        for i in range(p_a):
-            a_i = samples[lo:hi, :, i].conj()
-            for j in range(p_b):
-                m = a_i @ cols_b[j]
-                if np.iscomplexobj(m):
-                    block += m.real**2 + m.imag**2
-                else:
-                    block += m**2
-        out[lo:hi] = block
+    for i in range(p_a):
+        a_i = samples[:, :, i].conj()
+        for j in range(p_b):
+            m = a_i @ cols_b[j]
+            if np.iscomplexobj(m):
+                out += m.real**2 + m.imag**2
+            else:
+                out += m**2
     return out
 
 
-def _pairwise_min_dsq(bases: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Smallest off-diagonal squared distance among equal-dimensional planes."""
-    k, _, q = bases.shape
-    if k < 2:
-        return math.inf, (-1, -1)
-    best = math.inf
-    pair = (-1, -1)
-    step = max(1, _OVERLAP_BUDGET // max(1, k * q * q))
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        ov = _sq_overlaps(bases[lo:hi], bases)
+def _gemm_layout(entries: np.ndarray) -> np.ndarray:
+    """``entries`` as a ``(K, n, q)`` view whose column blocks ``entries[:, :, j].T``
+    are contiguous, the GEMM operand layout of :func:`_sq_overlaps`."""
+    return np.ascontiguousarray(entries.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
+def _overlap_blocks(samples: np.ndarray, entries: np.ndarray):
+    """Yield ``(lo, overlaps)`` for consecutive row blocks of ``samples``.
+
+    ``overlaps`` is :func:`_sq_overlaps` of rows ``lo : lo + len(overlaps)``.
+    """
+    n_s = len(samples)
+    entries = _gemm_layout(entries)
+    step = max(_BLOCK_MIN_ROWS, _BLOCK_PAIRS // len(entries))
+    lo = 0
+    while lo < n_s:
+        hi = lo + step
+        # A one-row block would take numpy's matrix-vector path, which
+        # rounds differently; the last row joins the block before it.
+        if hi >= n_s - 1:
+            hi = n_s
+        yield lo, _sq_overlaps(samples[lo:hi], entries)
+        lo = hi
+
+
+def _nearest(samples: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the index of the entry with the largest squared overlap
+    (the nearest entry; ties break to the lowest index) and that overlap."""
+    idx = np.empty(len(samples), dtype=np.intp)
+    best = np.empty(len(samples))
+    for lo, ov in _overlap_blocks(samples, entries):
+        i = ov.argmax(axis=1)
+        idx[lo : lo + len(ov)] = i
+        best[lo : lo + len(ov)] = ov[np.arange(len(ov)), i]
+    return idx, best
+
+
+def _entry_dsq_blocks(bases: np.ndarray):
+    """Yield ``(lo, dsq)``: squared distances from row block ``lo`` of
+    equal-dimensional ``bases`` to every entry, with self-pairs at +inf."""
+    q = bases.shape[2]
+    for lo, ov in _overlap_blocks(bases, bases):
         dsq = np.clip(q - ov, 0.0, None)
-        for r in range(lo, hi):
-            dsq[r - lo, r] = math.inf
-        idx = np.unravel_index(np.argmin(dsq), dsq.shape)
-        v = float(dsq[idx])
-        if v < best:
-            best = v
-            pair = (lo + int(idx[0]), int(idx[1]))
-    return best, pair
+        rows = np.arange(len(dsq))
+        dsq[rows, lo + rows] = math.inf
+        yield lo, dsq
 
 
 # Squared-distance screen for duplicate detection; the fast overlap form
@@ -114,17 +143,8 @@ _DUP_SCREEN = 1e-12
 
 def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
     """Entry pairs at chordal distance < TOL_EQ among equal-dimensional planes."""
-    k, _, q = bases.shape
-    if k < 2:
-        return []
     dups = []
-    step = max(1, _OVERLAP_BUDGET // max(1, k * q * q))
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        ov = _sq_overlaps(bases[lo:hi], bases)
-        dsq = q - ov
-        for r in range(lo, hi):
-            dsq[r - lo, r] = math.inf
+    for lo, dsq in _entry_dsq_blocks(bases):
         for r, c in np.argwhere(dsq <= _DUP_SCREEN):
             i, j = lo + int(r), int(c)
             if i > j:
@@ -134,6 +154,14 @@ def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
             if float(np.sum(np.abs(resid) ** 2)) < TOL_EQ**2:
                 dups.append((i, j))
     return dups
+
+
+class _DuplicateEntries(DomainError):
+    """Codebook entries that coincide; ``pairs`` lists every pair ``(i, j)``, i < j."""
+
+    def __init__(self, pairs: list[tuple[int, int]]) -> None:
+        super().__init__(f"duplicate codebook entries: {pairs[:4]}")
+        self.pairs = pairs
 
 
 class Codebook:
@@ -178,7 +206,7 @@ class Codebook:
         resid = np.abs(gram - np.eye(code_spec.p))
         worst = float(np.sqrt(np.sum(resid**2, axis=(1, 2))).max()) if len(bases) else 0.0
         if worst > TOL_ORTHO:
-            raise DomainError(
+            raise OrthonormalityError(
                 f"entry basis is not orthonormal (residual {worst:.3e} > {TOL_ORTHO})"
             )
         cb._init_common(source_spec, code_spec, bases, provenance)
@@ -207,7 +235,7 @@ class Codebook:
         if len(bases) <= DUPLICATE_CHECK_MAX:
             dups = _duplicate_pairs(bases)
             if dups:
-                raise DomainError(f"duplicate codebook entries: {dups[:4]}")
+                raise _DuplicateEntries(dups)
 
     @property
     def size(self) -> int:
@@ -234,8 +262,7 @@ class Codebook:
 
     def min_pairwise_distance(self) -> float:
         """Smallest chordal distance between two entries (inf for K = 1)."""
-        dsq, _ = _pairwise_min_dsq(self._bases)
-        return math.sqrt(dsq) if math.isfinite(dsq) else math.inf
+        return math.sqrt(min(float(dsq.min()) for _, dsq in _entry_dsq_blocks(self._bases)))
 
 
 @dataclass(frozen=True)
@@ -259,35 +286,36 @@ class BoundPair:
 def quantize(P: Plane, codebook: Codebook) -> tuple[int, float]:
     """Index and distance of the codebook entry nearest to ``P``.
 
-    Ties break to the lowest index.
+    Ties break to the lowest index.  The distance is that of
+    :func:`chordal_distance_sq`, accurate near zero.
     """
     if P.spec != codebook.source_spec:
         raise SpecMismatch(
             f"plane spec {P.spec} does not match codebook source {codebook.source_spec}"
         )
-    ov = _sq_overlaps(P.basis[None, :, :], codebook.stacked_bases)[0]
-    dsq = np.clip(codebook.min_dim - ov, 0.0, None)
-    idx = int(np.argmin(dsq))
-    return idx, math.sqrt(float(dsq[idx]))
+    idx = int(_nearest(P.basis[None, :, :], codebook.stacked_bases)[0][0])
+    entry = Plane(codebook.code_spec, codebook.stacked_bases[idx])
+    small, large = (P, entry) if P.spec.p <= entry.spec.p else (entry, P)
+    return idx, math.sqrt(chordal_distance_sq(small, large))
 
 
 def _distortion_moments(
     codebook: Codebook, samples: int, rng: np.random.Generator
 ) -> tuple[int, float, float]:
     """(count, sum, sum of squares) of min squared distances over fresh draws."""
-    entry_cols = codebook.stacked_bases
-    k = codebook.size
+    entries = _gemm_layout(codebook.stacked_bases)
     min_dim = codebook.min_dim
-    pa = codebook.source_spec.p
-    pb = codebook.code_spec.p
-    step = max(64, _OVERLAP_BUDGET // max(1, k * pa * pb))
+    # Kept as is: the draw chunk fixes how the complex normal stream splits
+    # into bases, so changing it changes the estimates and the CSV bytes.
+    per_draw = codebook.size * codebook.source_spec.p * codebook.code_spec.p
+    step = max(64, _DRAW_BUDGET // per_draw)
     total = 0
     acc = 0.0
     acc_sq = 0.0
     while total < samples:
         m = min(step, samples - total)
         draws = sample_isotropic_bases(codebook.source_spec, m, rng)
-        best = _sq_overlaps(draws, entry_cols).max(axis=1)
+        _, best = _nearest(draws, entries)
         dsq = np.clip(min_dim - best, 0.0, None)
         acc += float(dsq.sum())
         acc_sq += float((dsq**2).sum())
@@ -296,31 +324,12 @@ def _distortion_moments(
 
 
 def distortion_mc(
-    codebook: Codebook, samples: int, rng: np.random.Generator, threads: int = 1
+    codebook: Codebook, samples: int, rng: np.random.Generator
 ) -> DistortionEstimate:
-    """Monte-Carlo distortion: mean min squared distance over isotropic sources.
-
-    With ``threads > 1``, samples are partitioned over sub-seeded streams
-    and merged by count weighting.
-    """
+    """Monte-Carlo distortion: mean min squared distance over isotropic sources."""
     if samples < 1000:
         raise DomainError(f"samples must be >= 1000, got {samples}")
-    if threads <= 1:
-        parts = [_distortion_moments(codebook, samples, rng)]
-    else:
-        counts = [samples // threads] * threads
-        counts[0] += samples - sum(counts)
-        streams = rng.spawn(threads)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda args: _distortion_moments(codebook, args[0], args[1]),
-                    zip(counts, streams),
-                )
-            )
-    count = sum(p[0] for p in parts)
-    total = sum(p[1] for p in parts)
-    total_sq = sum(p[2] for p in parts)
+    count, total, total_sq = _distortion_moments(codebook, samples, rng)
     mean = total / count
     var = max(total_sq / count - mean**2, 0.0)
     return DistortionEstimate(
@@ -345,29 +354,24 @@ def random_codebook(
     rng: "np.random.Generator | None" = None,
     *,
     seed: "int | None" = None,
-    check_duplicates: "bool | None" = None,
 ) -> Codebook:
     """Codebook of ``size`` independent Haar draws from ``G_{n,q}``.
 
-    Collisions (probability zero) are re-drawn when checking is on;
-    checking defaults to on for ``size <= DUPLICATE_CHECK_MAX``.
+    Collisions (probability zero) found by the construction-time duplicate
+    check (``size <= DUPLICATE_CHECK_MAX``) are re-drawn.
     """
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
     rng = _resolve_rng(rng, seed)
-    if check_duplicates is None:
-        check_duplicates = size <= DUPLICATE_CHECK_MAX
     bases = sample_isotropic_bases(code_spec, size, rng)
-    if check_duplicates and size > 1:
-        while True:
-            dups = _duplicate_pairs(bases)
-            if not dups:
-                break
-            rows = np.unique([j for _, j in dups])
+    while True:
+        try:
+            return Codebook.from_bases(
+                source_spec, code_spec, bases, Provenance(kind="random", seed=seed)
+            )
+        except _DuplicateEntries as exc:
+            rows = np.unique([j for _, j in exc.pairs])
             bases[rows] = sample_isotropic_bases(code_spec, rows.size, rng)
-    return Codebook.from_bases(
-        source_spec, code_spec, bases, Provenance(kind="random", seed=seed)
-    )
 
 
 def design_maxmin(
@@ -404,9 +408,8 @@ def design_maxmin(
     bases[0] = sample_isotropic_bases(code_spec, 1, rng)[0]
     for k in range(1, size):
         cands = sample_isotropic_bases(code_spec, pool, rng)
-        ov = _sq_overlaps(cands, bases[:k])
-        min_dsq = np.clip(q - ov, 0.0, None).min(axis=1)
-        bases[k] = cands[int(np.argmax(min_dsq))]
+        _, best = _nearest(cands, bases[:k])
+        bases[k] = cands[int(np.argmax(np.clip(q - best, 0.0, None)))]
 
     train = sample_isotropic_bases(source_spec, train_samples, rng)
     min_dim = min(source_spec.p, q)
@@ -415,14 +418,9 @@ def design_maxmin(
     best_distortion = math.inf
     best_iter = -1
 
-    def training_distortion(current: np.ndarray) -> tuple[float, np.ndarray]:
-        ov = _sq_overlaps(train, current)
-        assign = np.argmax(ov, axis=1)
-        dsq = np.clip(min_dim - ov[np.arange(len(train)), assign], 0.0, None)
-        return float(dsq.mean()), assign
-
     for it in range(iters + 1):
-        distortion, assign = training_distortion(bases)
+        assign, best = _nearest(train, bases)
+        distortion = float(np.clip(min_dim - best, 0.0, None).mean())
         history.append(distortion)
         if distortion < best_distortion:
             best_distortion = distortion
@@ -629,10 +627,7 @@ def random_code_optimality_experiment(
             code = GrassmannSpec(n, q, field)
             values = []
             for t in range(trials):
-                cb = random_codebook(
-                    source, code, size, derive_rng(seed, i, t, 0),
-                    check_duplicates=size <= DUPLICATE_CHECK_MAX,
-                )
+                cb = random_codebook(source, code, size, derive_rng(seed, i, t, 0))
                 est = distortion_mc(cb, samples, derive_rng(seed, i, t, 1))
                 values.append(est.mean)
             if values:

@@ -14,8 +14,3 @@ import numpy as np
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Child generator for stream ``key`` of ``seed``; stable across runs."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
-def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``count`` independent child generators off ``rng``."""
-    return rng.spawn(count)

@@ -18,7 +18,6 @@ All gamma-ratio products are accumulated as log-gamma sums so that large
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import math
 from dataclasses import dataclass
@@ -286,32 +285,12 @@ def ball_volume_mc_grid(
     return estimates
 
 
-def ball_volume_mc(
-    spec: BallSpec, samples: int, rng: np.random.Generator, threads: int = 1
-) -> VolumeEstimate:
-    """Monte-Carlo volume: the fraction of isotropic planes within the radius.
-
-    With ``threads > 1`` the samples are partitioned across sub-seeded
-    streams and merged by count weighting; the result depends only on the
-    injected generator, not on scheduling.
-    """
+def ball_volume_mc(spec: BallSpec, samples: int, rng: np.random.Generator) -> VolumeEstimate:
+    """Monte-Carlo volume: the fraction of isotropic planes within the radius."""
     if samples < 1000:
         raise DomainError(f"samples must be >= 1000, got {samples}")
-    if threads <= 1:
-        dsq = chordal_sq_to_canonical(spec.n, spec.p, spec.q, spec.beta, samples, rng)
-        hits = int(np.count_nonzero(dsq <= spec.radius**2))
-    else:
-        counts = [samples // threads] * threads
-        counts[0] += samples - sum(counts)
-        streams = rng.spawn(threads)
-
-        def task(args: tuple[int, np.random.Generator]) -> int:
-            m, child = args
-            d = chordal_sq_to_canonical(spec.n, spec.p, spec.q, spec.beta, m, child)
-            return int(np.count_nonzero(d <= spec.radius**2))
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(task, zip(counts, streams)))
+    dsq = chordal_sq_to_canonical(spec.n, spec.p, spec.q, spec.beta, samples, rng)
+    hits = int(np.count_nonzero(dsq <= spec.radius**2))
     value, stderr = _binomial_estimate(hits, samples)
     return VolumeEstimate(
         value=value, stderr=stderr, method=VolumeMethod.MONTE_CARLO, samples=samples

@@ -41,6 +41,21 @@ def test_volume_run_and_determinism(tmp_path):
     assert run("volume", "--config", cfg, "--out", str(out3), "--threads", "3") == 0
     assert (out3 / "volume.csv").read_bytes() == csv1  # threading never changes rows
 
+    kernel_runs = {
+        "distortion": {"n": 4, "p": 1, "q": 2, "beta": 2, "k_values": [2, 8, 64],
+                       "samples": 2000, "seed": 3},
+        "design": {"n": 3, "p": 1, "q": 1, "beta": 2, "k_values": [4, 8], "iters": 2,
+                   "train_samples": 2000, "eval_samples": 2000, "seed": 5},
+    }
+    for name, payload in kernel_runs.items():
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        csvs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"{name}-t{threads}"
+            assert run(name, "--config", cfg, "--out", str(out), "--threads", threads) == 0
+            csvs.append((out / f"{name}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
 
 def test_volume_rows_regenerate_from_embedded_seed(tmp_path):
     cfg = write_config(tmp_path, "vol.json", VOLUME_CFG)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import grassquant as gq
 from grassquant import Codebook, FieldKind, GrassmannSpec, Plane, Provenance
+from grassquant import quantization as qz
 
 
 def specs(n, p, q, beta=2):
@@ -34,14 +37,62 @@ def test_codebook_validation():
     mixed = GrassmannSpec(5, 1)
     with pytest.raises(gq.SpecMismatch):
         Codebook(mixed, code, [entry], Provenance(kind="loaded"))
+    skewed = np.stack([entry.basis, 1.01 * entry.basis])
+    with pytest.raises(gq.OrthonormalityError):
+        Codebook.from_bases(source, code, skewed, Provenance(kind="loaded"))
 
 
 def test_quantize_returns_matching_entry():
-    source, code = specs(4, 1, 1)
-    cb = gq.random_codebook(source, code, 5, np.random.default_rng(7))
-    idx, dist = gq.quantize(cb.entries[3], cb)
-    assert idx == 3
-    assert dist < 1e-7
+    # A query on entry 3's plane (or containing it, for p > q) is at distance 0.
+    rng = np.random.default_rng(8)
+    for n, p, q, beta in [(4, 1, 1, 2), (16, 4, 4, 2), (6, 2, 3, 1), (6, 3, 2, 2)]:
+        source, code = specs(n, p, q, beta)
+        cb = gq.random_codebook(source, code, 5, np.random.default_rng(7))
+        basis = cb.stacked_bases[3]
+        if p > q:
+            basis = np.linalg.qr(np.hstack([basis, rng.standard_normal((n, p - q))]))[0]
+        idx, dist = gq.quantize(Plane(source, basis[:, :p]), cb)
+        assert idx == 3
+        assert dist <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nearest_matches_brute_force_across_blocks(data):
+    n = data.draw(st.integers(2, 7))
+    p = data.draw(st.integers(1, n - 1))
+    q = data.draw(st.integers(1, n - 1))
+    beta = data.draw(st.sampled_from([1, 2]))
+    k = data.draw(st.integers(1, 12))
+    count = data.draw(st.integers(1, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    source, code = specs(n, p, q, beta)
+    samples = gq.sample_isotropic_bases(source, count, rng)
+    entries = gq.sample_isotropic_bases(code, k, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qz, "_BLOCK_PAIRS", 1)  # blocks of the minimum row count
+        idx, best = qz._nearest(samples, entries)
+    for s, a in enumerate(samples):
+        brute = []
+        for b in entries:
+            pa, pb = Plane(source, a), Plane(code, b)
+            brute.append(gq.chordal_distance_sq(*((pa, pb) if p <= q else (pb, pa))))
+        assert idx[s] == int(np.argmin(brute))
+        assert min(p, q) - best[s] == pytest.approx(min(brute), abs=1e-12)
+
+
+def test_duplicate_found_across_blocks(monkeypatch):
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 8-row blocks: rows 2 and 17 apart
+    source, code = specs(5, 2, 2)
+    rng = np.random.default_rng(3)
+    bases = gq.sample_isotropic_bases(code, 20, rng)
+    bases[17] = bases[2] @ gq.haar_unitary(2, FieldKind.COMPLEX, rng)  # same plane
+    assert qz._duplicate_pairs(bases) == [(2, 17)]
+    with pytest.raises(gq.DomainError):
+        Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+    monkeypatch.setattr(qz, "DUPLICATE_CHECK_MAX", 0)  # construct without the screen
+    cb = Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+    assert cb.min_pairwise_distance() < 1e-7
 
 
 def test_quantize_singleton_and_spec_mismatch():
@@ -150,8 +201,8 @@ def test_distortion_monotone_in_nested_codebooks():
 def test_distortion_threads_deterministic():
     source, code = specs(4, 1, 1)
     cb = gq.random_codebook(source, code, 8, np.random.default_rng(30))
-    a = gq.distortion_mc(cb, 4000, np.random.default_rng(31), threads=2)
-    b = gq.distortion_mc(cb, 4000, np.random.default_rng(31), threads=2)
+    a = gq.distortion_mc(cb, 4000, np.random.default_rng(31))
+    b = gq.distortion_mc(cb, 4000, np.random.default_rng(31))
     assert a.mean == b.mean
     with pytest.raises(gq.DomainError):
         gq.distortion_mc(cb, 100, np.random.default_rng(31))
@@ -171,6 +222,24 @@ def test_random_codebook_basics():
     assert min(dists) > 1e-3  # different seeds differ everywhere a.s.
     with pytest.raises(gq.DomainError):
         gq.random_codebook(source, code, 0, seed=1)
+
+
+def test_random_codebook_redraws_duplicates(monkeypatch):
+    source, code = specs(4, 1, 1)
+    draw = gq.sample_isotropic_bases
+
+    def draw_with_collision(spec, count, rng):
+        out = draw(spec, count, rng)
+        if count == 6:
+            out[4] = out[1]
+        return out
+
+    monkeypatch.setattr(qz, "sample_isotropic_bases", draw_with_collision)
+    cb = gq.random_codebook(source, code, 6, np.random.default_rng(0))
+    first = draw(code, 6, np.random.default_rng(0))
+    keep = [0, 1, 2, 3, 5]
+    assert np.array_equal(cb.stacked_bases[keep], first[keep])  # only the later copy redrawn
+    assert cb.min_pairwise_distance() > 1e-3
 
 
 def test_random_codebook_average_matches_order_statistics():

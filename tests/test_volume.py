@@ -174,8 +174,8 @@ def test_mc_grid_shares_samples_and_is_monotone():
 
 def test_mc_threads_deterministic():
     spec = BallSpec(4, 1, 2, 2, 0.6)
-    a = gq.ball_volume_mc(spec, 10_000, np.random.default_rng(5), threads=2)
-    b = gq.ball_volume_mc(spec, 10_000, np.random.default_rng(5), threads=2)
+    a = gq.ball_volume_mc(spec, 10_000, np.random.default_rng(5))
+    b = gq.ball_volume_mc(spec, 10_000, np.random.default_rng(5))
     assert a.value == b.value
     exact = 3 * 0.6**4 - 2 * 0.6**6
     assert abs(a.value - exact) <= 4 * math.sqrt(exact * (1 - exact) / 10_000)
