@@ -21,6 +21,7 @@ from .quantization import (
     MAX_CODEBOOK,
     Codebook,
     _nearest,
+    _size_at_rate,
     design_maxmin,
     distortion_mc,
     drf_bounds,
@@ -75,10 +76,11 @@ class AwgnConfig:
             )
 
     @property
-    def nominal_size(self) -> int:
+    def nominal_size(self) -> "int | float":
+        """``codebook_size``, or ``round(2^(n rate))``: ``inf`` where that overflows."""
         if self.codebook_size is not None:
             return self.codebook_size
-        return round(2.0 ** (self.n * self.rate))
+        return _size_at_rate(self.n * self.rate)
 
     @property
     def effective_size(self) -> int:

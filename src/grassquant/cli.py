@@ -2,12 +2,14 @@
 
 Subcommands: ``volume``, ``distortion``, ``design``, ``random-opt``,
 ``awgn``, ``beamforming``, and ``codebook {save,load,verify}``.  Each
-experiment reads a JSON config, validates every numeric parameter against
-the target module's preconditions before dispatch, and writes a CSV of
-sweep rows plus a JSON report into the output directory.  The CSV is
-byte-identical across runs for the same config and seed (wall time lives
-only in the JSON report); rows are sub-seeded from ``(seed, row_index)``
-so parallelism never changes results.
+experiment reads the JSON types of its config fields (numbers must be
+finite), builds the library objects of every sweep row before any row
+runs, and writes a CSV of sweep rows plus a JSON report into the output
+directory.  The range checks are the library's own: a ``DomainError`` or
+``CapExceeded`` raised by a config-driven command is reported as a
+config error.  The CSV is byte-identical across runs for the same config
+and seed (wall time lives only in the JSON report); rows are sub-seeded
+from ``(seed, row_index)`` so parallelism never changes results.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -20,6 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -118,78 +121,46 @@ CSV_COLUMNS = {
 
 
 # ---------------------------------------------------------------------------
-# config access helpers
+# config fields
+
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
 
-def _get(params: dict, name: str, kind, default=None, required: bool = False):
+def _checked(name: str, value, kind):
+    # bool is not an int here, an int is a float, and a float must be finite.
+    ok = type(value) is kind or (kind is float and type(value) is int)
+    if not ok or (kind is float and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _get(params: dict, name: str, kind, default=None):
+    """Field ``name`` of JSON type ``kind`` (int, float, bool, str, or a one-kind
+    list such as ``[int]``, which must be non-empty); required when ``default``
+    is None."""
     if name not in params:
-        if required:
+        if default is None:
             raise ConfigError(f"{name}: required field is missing")
         return default
     value = params[name]
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name}: expected a number, got {value!r}")
-        return float(value)
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name}: expected a boolean, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{name}: expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list) or not value:
+    if isinstance(kind, list):
+        if type(value) is not list or not value:
             raise ConfigError(f"{name}: expected a non-empty list, got {value!r}")
-        return value
-    raise AssertionError(kind)
+        return [_checked(name, v, kind[0]) for v in value]
+    return _checked(name, value, kind)
 
 
-def _num_list(params: dict, name: str, default=None) -> list[float]:
-    raw = _get(params, name, list, default, required=default is None)
-    if raw is default:
-        return list(default)
-    out = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{name}: expected numbers, got {v!r}")
-        out.append(float(v))
-    return out
+def _config(params: dict, *fields: tuple) -> dict:
+    """The ``(name, kind[, default])`` fields read by :func:`_get`; also the JSON echo."""
+    return {field[0]: _get(params, *field) for field in fields}
 
 
-def _int_list(params: dict, name: str) -> list[int]:
-    raw = _get(params, name, list, required=True)
-    out = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{name}: expected integers, got {v!r}")
-        out.append(v)
-    return out
+_DIMS = (("n", int), ("p", int), ("q", int), ("beta", int))
 
 
-def _dims(params: dict, require_order: bool = True) -> tuple[int, int, int, int]:
-    n = _get(params, "n", int, required=True)
-    p = _get(params, "p", int, required=True)
-    q = _get(params, "q", int, required=True)
-    beta = _get(params, "beta", int, required=True)
-    if beta not in (1, 2):
-        raise ConfigError(f"beta: must be 1 or 2, got {beta}")
-    if n < 2:
-        raise ConfigError(f"n: must be >= 2, got {n}")
-    if not 1 <= p <= n - 1:
-        raise ConfigError(f"p: must satisfy 1 <= p <= n - 1, got p={p}, n={n}")
-    if not 1 <= q <= n - 1:
-        raise ConfigError(f"q: must satisfy 1 <= q <= n - 1, got q={q}, n={n}")
-    if require_order and p > q:
-        raise ConfigError(
-            f"p, q: source dimension p must not exceed code dimension q, got p={p}, q={q}"
-        )
-    return n, p, q, beta
+def _specs(c: dict) -> tuple[GrassmannSpec, GrassmannSpec]:
+    field = FieldKind.from_beta(c["beta"])
+    return GrassmannSpec(c["n"], c["p"], field), GrassmannSpec(c["n"], c["q"], field)
 
 
 def _row_seed_int(seed: int, index: int) -> int:
@@ -205,310 +176,219 @@ def _run_rows(fns: list, threads: int) -> list:
         return [f.result() for f in futures]
 
 
-# ---------------------------------------------------------------------------
-# experiment runners
+def _experiment(name: str, prepare, row):
+    """Runner of a sweep experiment.
 
+    ``prepare(params, seed, out_dir) -> (config, items)`` reads the fields
+    and builds each row's library objects, whose checks reject bad ranges
+    before any row runs; ``row(config, seed, i, item) -> dict`` computes
+    row ``i``.
+    """
 
-def run_volume(params: dict, seed: int, threads: int) -> ExperimentReport:
-    n, p, q, beta = _dims(params)
-    deltas = _num_list(params, "deltas", DEFAULT_DELTAS)
-    samples = _get(params, "samples", int, 100_000)
-    if samples < 1000:
-        raise ConfigError(f"samples: must be >= 1000, got {samples}")
-    for d in deltas:
-        if not 0.0 <= d <= math.sqrt(p) + 1e-12:
-            raise ConfigError(f"deltas: radius {d} outside [0, sqrt(p)]")
-
-    def make_row(i: int, delta: float):
-        def row() -> dict:
-            spec = BallSpec(n, p, q, beta, delta)
-            mc = ball_volume_mc(spec, samples, derive_rng(seed, i))
-            out = {
-                "delta": delta,
-                "mc": mc.value,
-                "stderr": mc.stderr,
-                "closed_form": math.nan,
-                "lower": math.nan,
-                "upper": math.nan,
-                "barg_nogin": math.nan,
-                "row_seed": [seed, i],
-            }
-            if delta <= 1.0:
-                out["closed_form"] = ball_volume_approx(spec).value
-                lo, hi = ball_volume_bounds(spec)
-                out["lower"] = lo.value
-                out["upper"] = hi.value
-            if p == q:
-                out["barg_nogin"] = barg_nogin_approx(n, p, beta, delta).value
-            return out
-
-        return row
-
-    with Stopwatch() as sw:
-        rows = _run_rows([make_row(i, d) for i, d in enumerate(deltas)], threads)
-    report = ExperimentReport(
-        experiment="volume",
-        config={"n": n, "p": p, "q": q, "beta": beta, "deltas": deltas, "samples": samples},
-        seed=seed,
-        rows=rows,
-        wall_time_s=sw.elapsed,
-    )
-    return report
-
-
-def _specs(n: int, p: int, q: int, beta: int) -> tuple[GrassmannSpec, GrassmannSpec]:
-    field = FieldKind.from_beta(beta)
-    return GrassmannSpec(n, p, field), GrassmannSpec(n, q, field)
-
-
-def run_distortion(params: dict, seed: int, threads: int) -> ExperimentReport:
-    n, p, q, beta = _dims(params)
-    k_values = _int_list(params, "k_values")
-    samples = _get(params, "samples", int, 10_000)
-    if samples < 1000:
-        raise ConfigError(f"samples: must be >= 1000, got {samples}")
-    for k in k_values:
-        if k < 1:
-            raise ConfigError(f"k_values: sizes must be >= 1, got {k}")
-    source, code = _specs(n, p, q, beta)
-
-    def make_row(i: int, k: int):
-        def row() -> dict:
-            cb = random_codebook(source, code, k, derive_rng(seed, i, 0))
-            est = distortion_mc(cb, samples, derive_rng(seed, i, 1))
-            bounds = drf_bounds(n, p, q, beta, k)
-            return {
-                "K": k,
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "samples": est.samples,
-                "drf_lower": bounds.lower,
-                "drf_upper": bounds.upper,
-                "regime_ok": bounds.regime_ok,
-                "row_seed": [seed, i],
-            }
-
-        return row
-
-    with Stopwatch() as sw:
-        rows = _run_rows([make_row(i, k) for i, k in enumerate(k_values)], threads)
-    return ExperimentReport(
-        experiment="distortion",
-        config={"n": n, "p": p, "q": q, "beta": beta, "k_values": k_values, "samples": samples},
-        seed=seed,
-        rows=rows,
-        wall_time_s=sw.elapsed,
-    )
-
-
-def run_design(params: dict, seed: int, threads: int, out_dir: str | None = None) -> ExperimentReport:
-    n, p, q, beta = _dims(params)
-    k_values = _int_list(params, "k_values")
-    iters = _get(params, "iters", int, 8)
-    train_samples = _get(params, "train_samples", int, 10_000)
-    eval_samples = _get(params, "eval_samples", int, 20_000)
-    save_codebooks = _get(params, "save_codebooks", bool, False)
-    if iters < 0:
-        raise ConfigError(f"iters: must be >= 0, got {iters}")
-    if eval_samples < 1000:
-        raise ConfigError(f"eval_samples: must be >= 1000, got {eval_samples}")
-    for k in k_values:
-        if k < 2:
-            raise ConfigError(f"k_values: designed sizes must be >= 2, got {k}")
-    source, code = _specs(n, p, q, beta)
-    if save_codebooks and out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    def make_row(i: int, k: int):
-        def row() -> dict:
-            cb = design_maxmin(
-                source,
-                code,
-                k,
-                derive_rng(seed, i, 0),
-                iters=iters,
-                train_samples=train_samples,
-                seed=_row_seed_int(seed, i),
+    def run(params: dict, seed: int, threads: int, out_dir: str) -> ExperimentReport:
+        config, items = prepare(params, seed, out_dir)
+        with Stopwatch() as sw:
+            rows = _run_rows(
+                [partial(row, config, seed, i, item) for i, item in enumerate(items)], threads
             )
-            est = distortion_mc(cb, eval_samples, derive_rng(seed, i, 1))
-            bounds = drf_bounds(n, p, q, beta, k)
-            if save_codebooks and out_dir is not None:
-                codebook_io.save_codebook(
-                    cb, os.path.join(out_dir, f"design_K{k}.json")
-                )
-            return {
-                "K": k,
-                "train_distortion": cb.provenance.trace["best_training_distortion"],
-                "eval_mean": est.mean,
-                "eval_stderr": est.stderr,
-                "drf_lower": bounds.lower,
-                "drf_upper": bounds.upper,
-                "regime_ok": bounds.regime_ok,
-                "row_seed": [seed, i],
-            }
-
-        return row
-
-    with Stopwatch() as sw:
-        rows = _run_rows([make_row(i, k) for i, k in enumerate(k_values)], threads)
-    return ExperimentReport(
-        experiment="design",
-        config={
-            "n": n,
-            "p": p,
-            "q": q,
-            "beta": beta,
-            "k_values": k_values,
-            "iters": iters,
-            "train_samples": train_samples,
-            "eval_samples": eval_samples,
-        },
-        seed=seed,
-        rows=rows,
-        wall_time_s=sw.elapsed,
-    )
-
-
-def run_random_opt(params: dict, seed: int, threads: int) -> ExperimentReport:
-    p = _get(params, "p", int, required=True)
-    q = _get(params, "q", int, required=True)
-    beta = _get(params, "beta", int, required=True)
-    rbar = _get(params, "rbar", float, required=True)
-    n_list = _int_list(params, "n_list")
-    trials = _get(params, "trials", int, 20)
-    epsilon = _get(params, "epsilon", float, 0.05)
-    samples = _get(params, "samples", int, 2000)
-    try:
-        report = random_code_optimality_experiment(
-            p,
-            q,
-            beta,
-            rbar,
-            n_list,
-            trials,
-            seed=seed,
-            epsilon=epsilon,
-            samples=samples,
+        return ExperimentReport(
+            experiment=name, config=config, seed=seed, rows=rows, wall_time_s=sw.elapsed
         )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+
+    return run
+
+
+# ---------------------------------------------------------------------------
+# experiments
+
+
+def _volume(params: dict, seed: int, out_dir: str):
+    c = _config(params, *_DIMS, ("deltas", [float], DEFAULT_DELTAS), ("samples", int, 100_000))
+    return c, [BallSpec(c["n"], c["p"], c["q"], c["beta"], d) for d in c["deltas"]]
+
+
+def _volume_row(c: dict, seed: int, i: int, spec: BallSpec) -> dict:
+    mc = ball_volume_mc(spec, c["samples"], derive_rng(seed, i))
+    out = {
+        "delta": spec.radius,
+        "mc": mc.value,
+        "stderr": mc.stderr,
+        "closed_form": math.nan,
+        "lower": math.nan,
+        "upper": math.nan,
+        "barg_nogin": math.nan,
+        "row_seed": [seed, i],
+    }
+    if spec.radius <= 1.0:
+        out["closed_form"] = ball_volume_approx(spec).value
+        lo, hi = ball_volume_bounds(spec)
+        out["lower"] = lo.value
+        out["upper"] = hi.value
+    if spec.p == spec.q:
+        out["barg_nogin"] = barg_nogin_approx(spec.n, spec.p, spec.beta, spec.radius).value
+    return out
+
+
+def _sizes(c: dict) -> list[tuple]:
+    """``(source, code, K, drf_bounds)`` per entry of ``k_values``."""
+    source, code = _specs(c)
+    return [
+        (source, code, k, drf_bounds(c["n"], c["p"], c["q"], c["beta"], k))
+        for k in c["k_values"]
+    ]
+
+
+def _distortion(params: dict, seed: int, out_dir: str):
+    c = _config(params, *_DIMS, ("k_values", [int]), ("samples", int, 10_000))
+    return c, _sizes(c)
+
+
+def _distortion_row(c: dict, seed: int, i: int, item: tuple) -> dict:
+    source, code, k, bounds = item
+    cb = random_codebook(source, code, k, derive_rng(seed, i, 0))
+    est = distortion_mc(cb, c["samples"], derive_rng(seed, i, 1))
+    return {
+        "K": k,
+        "mean": est.mean,
+        "stderr": est.stderr,
+        "samples": est.samples,
+        "drf_lower": bounds.lower,
+        "drf_upper": bounds.upper,
+        "regime_ok": bounds.regime_ok,
+        "row_seed": [seed, i],
+    }
+
+
+def _design(params: dict, seed: int, out_dir: str):
+    c = _config(
+        params,
+        *_DIMS,
+        ("k_values", [int]),
+        ("iters", int, 8),
+        ("train_samples", int, 10_000),
+        ("eval_samples", int, 20_000),
+    )
+    save = _get(params, "save_codebooks", bool, False)
+    items = _sizes(c)
+    if save:
+        os.makedirs(out_dir, exist_ok=True)
+    return c, [
+        (*item, os.path.join(out_dir, f"design_K{item[2]}.json") if save else None)
+        for item in items
+    ]
+
+
+def _design_row(c: dict, seed: int, i: int, item: tuple) -> dict:
+    source, code, k, bounds, path = item
+    cb = design_maxmin(
+        source,
+        code,
+        k,
+        derive_rng(seed, i, 0),
+        iters=c["iters"],
+        train_samples=c["train_samples"],
+        seed=_row_seed_int(seed, i),
+    )
+    est = distortion_mc(cb, c["eval_samples"], derive_rng(seed, i, 1))
+    if path is not None:
+        codebook_io.save_codebook(cb, path)
+    return {
+        "K": k,
+        "train_distortion": cb.provenance.trace["best_training_distortion"],
+        "eval_mean": est.mean,
+        "eval_stderr": est.stderr,
+        "drf_lower": bounds.lower,
+        "drf_upper": bounds.upper,
+        "regime_ok": bounds.regime_ok,
+        "row_seed": [seed, i],
+    }
+
+
+def run_random_opt(params: dict, seed: int, threads: int, out_dir: str) -> ExperimentReport:
+    # Rows run in the library, which derives their seeds.
+    c = _config(
+        params,
+        ("p", int),
+        ("q", int),
+        ("beta", int),
+        ("rbar", float),
+        ("n_list", [int]),
+        ("trials", int, 20),
+        ("epsilon", float, 0.05),
+        ("samples", int, 2000),
+    )
+    report = random_code_optimality_experiment(**c, seed=seed)
     report.experiment = "random_opt"
     return report
 
 
-def run_awgn(params: dict, seed: int, threads: int) -> ExperimentReport:
-    n = _get(params, "n", int, required=True)
-    sigma_sq = _get(params, "sigma_sq", float, required=True)
-    epsilon = _get(params, "epsilon", float, required=True)
-    trials = _get(params, "trials", int, 200)
-    beta = _get(params, "beta", int, 2)
-    clamp = _get(params, "clamp_to_cap", bool, False)
-    if beta not in (1, 2):
-        raise ConfigError(f"beta: must be 1 or 2, got {beta}")
-    rates = _num_list(params, "rates", []) if "rates" in params else []
-    k_values = _int_list(params, "k_values") if "k_values" in params else []
-    if bool(rates) == bool(k_values):
+def _awgn(params: dict, seed: int, out_dir: str):
+    c = _config(
+        params,
+        ("n", int),
+        ("sigma_sq", float),
+        ("epsilon", float),
+        ("beta", int, 2),
+        ("trials", int, 200),
+        ("rates", [float], []),
+        ("k_values", [int], []),
+        ("clamp_to_cap", bool, False),
+    )
+    if bool(c["rates"]) == bool(c["k_values"]):
         raise ConfigError("rates / k_values: give exactly one sweep list")
-    sweep = [("rate", r) for r in rates] + [("codebook_size", k) for k in k_values]
-
-    configs = []
-    for i, (kind, value) in enumerate(sweep):
-        kwargs = {
-            "n": n,
-            "sigma_sq": sigma_sq,
-            "epsilon": epsilon,
-            "field": FieldKind.from_beta(beta),
-            "trials": trials,
-            "seed": _row_seed_int(seed, i),
-            "clamp_to_cap": clamp,
-            kind: value,
-        }
-        try:
-            configs.append(AwgnConfig(**kwargs))
-        except (DomainError, CapExceeded) as exc:
-            raise ConfigError(f"{kind}={value}: {exc}") from exc
-
-    with Stopwatch() as sw:
-        reports = _run_rows(
-            [lambda cfg=cfg: awgn_grassmann_decode_experiment(cfg) for cfg in configs],
-            threads,
+    field = FieldKind.from_beta(c["beta"])
+    sweep = [("rate", r) for r in c["rates"]] + [("codebook_size", k) for k in c["k_values"]]
+    return c, [
+        AwgnConfig(
+            n=c["n"],
+            sigma_sq=c["sigma_sq"],
+            epsilon=c["epsilon"],
+            field=field,
+            trials=c["trials"],
+            seed=_row_seed_int(seed, i),
+            clamp_to_cap=c["clamp_to_cap"],
+            **{kind: value},
         )
-    rows = [r.rows[0] for r in reports]
-    return ExperimentReport(
-        experiment="awgn",
-        config={
-            "n": n,
-            "sigma_sq": sigma_sq,
-            "epsilon": epsilon,
-            "beta": beta,
-            "trials": trials,
-            "rates": rates,
-            "k_values": k_values,
-            "clamp_to_cap": clamp,
-        },
-        seed=seed,
-        rows=rows,
-        wall_time_s=sw.elapsed,
+        for i, (kind, value) in enumerate(sweep)
+    ]
+
+
+def _beamforming(params: dict, seed: int, out_dir: str):
+    if "r_fb_values" not in params:  # a single r_fb is a one-row sweep
+        params = dict(params, r_fb_values=[_get(params, "r_fb", int)])
+    c = _config(
+        params,
+        ("l_t", int),
+        ("l_r", int),
+        ("s", int),
+        ("rho", float),
+        ("r_fb_values", [int]),
+        ("trials", int, 10_000),
+        ("codebook_kind", str, "maxmin"),
+        ("design_iters", int, 8),
+        ("log_base", str, "bits"),
     )
+    shared = {k: v for k, v in c.items() if k != "r_fb_values"}
+    return c, [
+        BeamformingConfig(r_fb=r_fb, seed=_row_seed_int(seed, i), **shared)
+        for i, r_fb in enumerate(c["r_fb_values"])
+    ]
 
 
-def run_beamforming(params: dict, seed: int, threads: int) -> ExperimentReport:
-    l_t = _get(params, "l_t", int, required=True)
-    l_r = _get(params, "l_r", int, required=True)
-    s = _get(params, "s", int, required=True)
-    rho = _get(params, "rho", float, required=True)
-    trials = _get(params, "trials", int, 10_000)
-    kind = _get(params, "codebook_kind", str, "maxmin")
-    design_iters = _get(params, "design_iters", int, 8)
-    log_base = _get(params, "log_base", str, "bits")
-    if "r_fb_values" in params:
-        r_fbs = _int_list(params, "r_fb_values")
-    else:
-        r_fbs = [_get(params, "r_fb", int, required=True)]
-
-    configs = []
-    for i, r_fb in enumerate(r_fbs):
-        try:
-            configs.append(
-                BeamformingConfig(
-                    l_t=l_t,
-                    l_r=l_r,
-                    s=s,
-                    rho=rho,
-                    r_fb=r_fb,
-                    trials=trials,
-                    seed=_row_seed_int(seed, i),
-                    codebook_kind=kind,
-                    design_iters=design_iters,
-                    log_base=log_base,
-                )
-            )
-        except DomainError as exc:
-            raise ConfigError(f"r_fb={r_fb}: {exc}") from exc
-
-    with Stopwatch() as sw:
-        reports = _run_rows(
-            [lambda cfg=cfg: beamforming_throughput_experiment(cfg) for cfg in configs],
-            threads,
-        )
-    rows = [r.rows[0] for r in reports]
-    return ExperimentReport(
-        experiment="beamforming",
-        config={
-            "l_t": l_t,
-            "l_r": l_r,
-            "s": s,
-            "rho": rho,
-            "r_fb_values": r_fbs,
-            "trials": trials,
-            "codebook_kind": kind,
-            "design_iters": design_iters,
-            "log_base": log_base,
-        },
-        seed=seed,
-        rows=rows,
-        wall_time_s=sw.elapsed,
-    )
+RUNNERS = {
+    "volume": _experiment("volume", _volume, _volume_row),
+    "distortion": _experiment("distortion", _distortion, _distortion_row),
+    "design": _experiment("design", _design, _design_row),
+    "random-opt": run_random_opt,
+    "awgn": _experiment(
+        "awgn", _awgn, lambda c, seed, i, cfg: awgn_grassmann_decode_experiment(cfg).rows[0]
+    ),
+    "beamforming": _experiment(
+        "beamforming",
+        _beamforming,
+        lambda c, seed, i, cfg: beamforming_throughput_experiment(cfg).rows[0],
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +435,18 @@ def write_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
 
 
 def _codebook_save(params: dict, seed: int, out_dir: str) -> str:
-    n, p, q, beta = _dims(params, require_order=False)
-    k = _get(params, "K", int, required=True)
-    kind = _get(params, "kind", str, "random")
-    if k < 1:
-        raise ConfigError(f"K: must be >= 1, got {k}")
-    if kind not in ("random", "maxmin"):
-        raise ConfigError(f"kind: must be random or maxmin, got {kind!r}")
-    name = _get(params, "name", str, f"codebook_n{n}_p{p}_q{q}_b{beta}_K{k}")
-    source, code = _specs(n, p, q, beta)
-    if kind == "random":
-        cb = random_codebook(source, code, k, seed=seed)
+    c = _config(params, *_DIMS, ("K", int), ("kind", str, "random"))
+    if c["kind"] not in ("random", "maxmin"):
+        raise ConfigError(f"kind: must be random or maxmin, got {c['kind']!r}")
+    name = _get(params, "name", str, "codebook_n{n}_p{p}_q{q}_b{beta}_K{K}".format(**c))
+    source, code = _specs(c)
+    if c["kind"] == "random":
+        cb = random_codebook(source, code, c["K"], seed=seed)
     else:
-        if k < 2:
-            raise ConfigError(f"K: maxmin design needs K >= 2, got {k}")
         iters = _get(params, "iters", int, 8)
         train_samples = _get(params, "train_samples", int, 10_000)
         cb = design_maxmin(
-            source, code, k, seed=seed, iters=iters, train_samples=train_samples
+            source, code, c["K"], seed=seed, iters=iters, train_samples=train_samples
         )
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name + ".json")
@@ -609,16 +483,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
     return doc
-
-
-RUNNERS = {
-    "volume": run_volume,
-    "distortion": run_distortion,
-    "design": run_design,
-    "random-opt": run_random_opt,
-    "awgn": run_awgn,
-    "beamforming": run_beamforming,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,30 +524,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "codebook":
-            if args.cb_command == "save":
-                params = _load_config(args.config)
-                seed = args.seed if args.seed is not None else _get(params, "seed", int, 0)
-                path = _codebook_save(params, seed, args.out)
-                print(path)
-            else:
-                print(_codebook_summary(args.path))
-                if args.cb_command == "verify":
-                    print("OK")
+        if args.command == "codebook" and args.cb_command != "save":
+            # A bad codebook file is a runtime error, whatever its type.
+            print(_codebook_summary(args.path))
+            if args.cb_command == "verify":
+                print("OK")
             return 0
 
         params = _load_config(args.config)
         seed = args.seed if args.seed is not None else _get(params, "seed", int, 0)
-        threads = args.threads
-        if threads is None:
-            threads = _get(params, "threads", int, os.cpu_count() or 1)
-        if threads < 1:
-            raise ConfigError(f"threads: must be >= 1, got {threads}")
-        runner = RUNNERS[args.command]
-        if args.command == "design":
-            report = runner(params, seed, threads, out_dir=args.out)
-        else:
-            report = runner(params, seed, threads)
+        try:
+            if args.command == "codebook":
+                print(_codebook_save(params, seed, args.out))
+                return 0
+            threads = args.threads
+            if threads is None:
+                threads = _get(params, "threads", int, os.cpu_count() or 1)
+            if threads < 1:
+                raise ConfigError(f"threads: must be >= 1, got {threads}")
+            report = RUNNERS[args.command](params, seed, threads, args.out)
+        except (DomainError, CapExceeded) as exc:
+            raise ConfigError(str(exc)) from exc
         csv_path, json_path = write_report(report, args.out)
         print(csv_path)
         print(json_path)

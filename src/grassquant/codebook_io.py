@@ -14,8 +14,8 @@ import os
 
 import numpy as np
 
-from .errors import FormatError, OrthonormalityError
-from .manifold import TOL_ORTHO, FieldKind, GrassmannSpec
+from .errors import FormatError
+from .manifold import FieldKind, GrassmannSpec
 from .quantization import Codebook, Provenance
 
 FORMAT_NAME = "grassquant-codebook"
@@ -62,7 +62,8 @@ def load_codebook(path: str) -> Codebook:
     """Read and re-validate a codebook file.
 
     Structural problems raise :class:`FormatError`; bases failing the
-    orthonormality tolerance raise :class:`OrthonormalityError`.
+    orthonormality tolerance raise :class:`OrthonormalityError` from
+    :meth:`Codebook.from_bases`.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -101,13 +102,6 @@ def load_codebook(path: str) -> Codebook:
         if np.abs(bases.imag).max(initial=0.0) != 0.0:
             raise FormatError(f"{path}: non-zero imaginary parts in a real-field codebook")
         bases = bases.real.copy()
-    gram = np.einsum("knp,knq->kpq", bases.conj(), bases)
-    resid = np.sqrt(np.sum(np.abs(gram - np.eye(q)) ** 2, axis=(1, 2)))
-    worst = int(np.argmax(resid)) if k else 0
-    if k and resid[worst] > TOL_ORTHO:
-        raise OrthonormalityError(
-            f"{path}: entry {worst} fails orthonormality (residual {resid[worst]:.3e} > {TOL_ORTHO})"
-        )
     provenance = Provenance(
         kind=str(prov_doc.get("kind", "loaded")),
         seed=prov_doc.get("seed"),

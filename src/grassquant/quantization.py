@@ -93,14 +93,10 @@ def _gemm_layout(entries: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(entries.transpose(2, 1, 0)).transpose(2, 1, 0)
 
 
-def _overlap_blocks(samples: np.ndarray, entries: np.ndarray):
-    """Yield ``(lo, overlaps)`` for consecutive row blocks of ``samples``.
-
-    ``overlaps`` is :func:`_sq_overlaps` of rows ``lo : lo + len(overlaps)``.
-    """
-    n_s = len(samples)
-    entries = _gemm_layout(entries)
-    step = max(_BLOCK_MIN_ROWS, _BLOCK_PAIRS // len(entries))
+def _row_blocks(n_s: int, n_k: int):
+    """Yield ``(lo, hi)`` bounds of consecutive blocks of ``n_s`` sample rows
+    against ``n_k`` entries."""
+    step = max(_BLOCK_MIN_ROWS, _BLOCK_PAIRS // n_k)
     lo = 0
     while lo < n_s:
         hi = lo + step
@@ -108,8 +104,18 @@ def _overlap_blocks(samples: np.ndarray, entries: np.ndarray):
         # rounds differently; the last row joins the block before it.
         if hi >= n_s - 1:
             hi = n_s
-        yield lo, _sq_overlaps(samples[lo:hi], entries)
+        yield lo, hi
         lo = hi
+
+
+def _overlap_blocks(samples: np.ndarray, entries: np.ndarray):
+    """Yield ``(lo, overlaps)`` for consecutive row blocks of ``samples``.
+
+    ``overlaps`` is :func:`_sq_overlaps` of rows ``lo : lo + len(overlaps)``.
+    """
+    entries = _gemm_layout(entries)
+    for lo, hi in _row_blocks(len(samples), len(entries)):
+        yield lo, _sq_overlaps(samples[lo:hi], entries)
 
 
 def _nearest(samples: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,13 +131,18 @@ def _nearest(samples: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _entry_dsq_blocks(bases: np.ndarray):
-    """Yield ``(lo, dsq)``: squared distances from row block ``lo`` of
-    equal-dimensional ``bases`` to every entry, with self-pairs at +inf."""
+    """Yield ``(lo, dsq)``: squared distances between equal-dimensional
+    ``bases``, ``dsq[r, c]`` for entries ``lo + r`` and ``lo + c``.
+
+    Each block holds the rows ``lo : lo + len(dsq)`` against the entries
+    ``lo:`` only, and entries at or below the diagonal are +inf, so each
+    pair ``i < j`` appears once.
+    """
     q = bases.shape[2]
-    for lo, ov in _overlap_blocks(bases, bases):
-        dsq = np.clip(q - ov, 0.0, None)
-        rows = np.arange(len(dsq))
-        dsq[rows, lo + rows] = math.inf
+    entries = _gemm_layout(bases)
+    for lo, hi in _row_blocks(len(bases), len(bases)):
+        dsq = np.clip(q - _sq_overlaps(bases[lo:hi], entries[lo:]), 0.0, None)
+        dsq[np.tril_indices(hi - lo, 0, dsq.shape[1])] = math.inf
         yield lo, dsq
 
 
@@ -146,9 +157,7 @@ def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
     dups = []
     for lo, dsq in _entry_dsq_blocks(bases):
         for r, c in np.argwhere(dsq <= _DUP_SCREEN):
-            i, j = lo + int(r), int(c)
-            if i > j:
-                continue
+            i, j = lo + int(r), lo + int(c)
             cross = bases[j].conj().T @ bases[i]
             resid = bases[i] - bases[j] @ cross
             if float(np.sum(np.abs(resid) ** 2)) < TOL_EQ**2:
@@ -203,11 +212,12 @@ class Codebook:
                 f"bases shape {bases.shape} does not match (K, {code_spec.n}, {code_spec.p})"
             )
         gram = np.einsum("knp,knq->kpq", bases.conj(), bases)
-        resid = np.abs(gram - np.eye(code_spec.p))
-        worst = float(np.sqrt(np.sum(resid**2, axis=(1, 2))).max()) if len(bases) else 0.0
-        if worst > TOL_ORTHO:
+        resid = np.sqrt(np.sum(np.abs(gram - np.eye(code_spec.p)) ** 2, axis=(1, 2)))
+        worst = int(np.argmax(resid)) if len(bases) else 0
+        if len(bases) and resid[worst] > TOL_ORTHO:
             raise OrthonormalityError(
-                f"entry basis is not orthonormal (residual {worst:.3e} > {TOL_ORTHO})"
+                f"entry {worst} basis is not orthonormal "
+                f"(residual {resid[worst]:.3e} > {TOL_ORTHO})"
             )
         cb._init_common(source_spec, code_spec, bases, provenance)
         cb._entries = None
@@ -400,6 +410,8 @@ def design_maxmin(
         raise DomainError(f"size must be >= 2, got {size}")
     if iters < 0:
         raise DomainError(f"iters must be >= 0, got {iters}")
+    if train_samples < 1:
+        raise DomainError(f"train_samples must be >= 1, got {train_samples}")
     rng = _resolve_rng(rng, seed)
     n = code_spec.n
     q = code_spec.p
@@ -453,6 +465,12 @@ def design_maxmin(
         best_bases,
         Provenance(kind="maxmin", seed=seed, trace=trace),
     )
+
+
+def _size_at_rate(bits: float) -> "int | float":
+    """Codebook size ``round(2^bits)``; ``inf`` where ``2^bits`` overflows a
+    float, far above any size cap."""
+    return round(2.0**bits) if bits < 1024 else math.inf
 
 
 def _degree(n: int, p: int, q: int, beta: int) -> int:
@@ -568,10 +586,11 @@ def random_code_optimality_experiment(
     """Fraction of random codebooks whose distortion exceeds the asymptote.
 
     For each ``n`` the codebook size is ``round(2^(rbar n))``; points whose
-    size exceeds ``max_codebook`` are skipped and flagged.  Each trial
-    draws a fresh random codebook and estimates its distortion with
-    ``samples`` Monte-Carlo draws on a disjoint stream; the reported
-    fraction counts trials with distortion above ``asymptote + epsilon``.
+    size exceeds ``max_codebook`` (``inf`` where ``2^(rbar n)`` overflows a
+    float) are skipped and flagged.  Each trial draws a fresh random
+    codebook and estimates its distortion with ``samples`` Monte-Carlo
+    draws on a disjoint stream; the reported fraction counts trials with
+    distortion above ``asymptote + epsilon``.
     """
     if beta not in (1, 2):
         raise DomainError(f"beta must be 1 or 2, got {beta}")
@@ -603,7 +622,7 @@ def random_code_optimality_experiment(
     )
     with Stopwatch() as sw:
         for i, n in enumerate(n_list):
-            size = round(2.0 ** (rbar * n))
+            size = _size_at_rate(rbar * n)
             row = {
                 "n": n,
                 "K": size,

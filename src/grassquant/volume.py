@@ -102,7 +102,8 @@ def _check_dims(n: int, p: int, q: int, beta: int) -> None:
         raise DomainError(f"beta must be 1 or 2, got {beta}")
     if not 1 <= p <= q <= n - 1:
         raise DomainError(
-            f"dimensions must satisfy 1 <= p <= q <= n - 1, got n={n}, p={p}, q={q}"
+            "dimensions must satisfy 1 <= p <= q <= n - 1 (source dimension p must not "
+            f"exceed code dimension q), got n={n}, p={p}, q={q}"
         )
 
 

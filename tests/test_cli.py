@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import grassquant as gq
 from grassquant import cli
 from grassquant.rng import derive_rng
@@ -234,3 +236,67 @@ def test_codebook_save_maxmin(tmp_path, capsys):
     cb = gq.load_codebook(path)
     assert cb.min_pairwise_distance() > 0.99
     assert cb.provenance.kind == "maxmin"
+
+
+DISTORTION_CFG = {"n": 4, "p": 1, "q": 1, "beta": 2, "k_values": [2], "samples": 2000}
+DESIGN_CFG = {"n": 3, "p": 1, "q": 1, "beta": 2, "k_values": [4], "iters": 1,
+              "train_samples": 1000, "eval_samples": 1000}
+AWGN_CFG = {"n": 8, "sigma_sq": 1.0, "epsilon": 0.05, "rates": [0.25], "trials": 5}
+BEAM_CFG = {"l_t": 3, "l_r": 1, "s": 1, "rho": 10.0, "r_fb": 2, "trials": 1000,
+            "design_iters": 1}
+OPT_CFG = {"p": 1, "q": 1, "beta": 2, "rbar": 1.0, "n_list": [4], "trials": 2, "samples": 1000}
+SAVE_CFG = {"n": 4, "p": 1, "q": 2, "beta": 2, "K": 4, "kind": "random"}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, base, change, shown",
+    [
+        ("volume", VOLUME_CFG, {"n": 1}, "n=1"),
+        ("volume", VOLUME_CFG, {"beta": 3}, "got 3"),
+        ("volume", VOLUME_CFG, {"p": 2, "q": 1}, "p=2, q=1"),
+        ("volume", VOLUME_CFG, {"deltas": [3.0]}, "got 3.0"),
+        ("volume", VOLUME_CFG, {"samples": 10}, "got 10"),
+        ("distortion", DISTORTION_CFG, {"k_values": [0]}, "got 0"),
+        ("distortion", DISTORTION_CFG, {"samples": 10}, "got 10"),
+        ("design", DESIGN_CFG, {"k_values": [1]}, "got 1"),
+        ("design", DESIGN_CFG, {"iters": -1}, "got -1"),
+        ("design", DESIGN_CFG, {"eval_samples": 10}, "got 10"),
+        ("design", DESIGN_CFG, {"train_samples": 0}, "train_samples must be >= 1, got 0"),
+        ("awgn", AWGN_CFG, {"beta": 3}, "got 3"),
+        ("awgn", AWGN_CFG, {"n": 2}, "got 2"),
+        ("awgn", AWGN_CFG, {"rates": [3.0]}, "16777216"),
+        ("awgn", AWGN_CFG, {"sigma_sq": NAN}, "sigma_sq: expected a finite number, got nan"),
+        ("beamforming", BEAM_CFG, {"r_fb": 17}, "got 17"),
+        ("beamforming", BEAM_CFG, {"trials": 10}, "got 10"),
+        ("beamforming", BEAM_CFG, {"codebook_kind": "x"}, "'x'"),
+        ("beamforming", BEAM_CFG, {"rho": INF}, "rho: expected a finite number, got inf"),
+        ("random-opt", OPT_CFG, {"rbar": 0}, "got 0.0"),
+        ("random-opt", OPT_CFG, {"rbar": NAN}, "rbar: expected a finite number, got nan"),
+        ("codebook", SAVE_CFG, {"K": 0}, "got 0"),
+        ("codebook", SAVE_CFG, {"n": 1}, "got 1"),
+        ("codebook", SAVE_CFG, {"kind": "maxmin", "K": 1}, "got 1"),
+        ("codebook", SAVE_CFG, {"kind": "zz"}, "'zz'"),
+    ],
+)
+def test_bad_config_is_a_config_error(tmp_path, capsys, command, base, change, shown):
+    cfg = write_config(tmp_path, "bad.json", dict(base, **change))
+    argv = ["codebook", "save"] if command == "codebook" else [command, "--threads", "1"]
+    assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and shown in err and "Traceback" not in err
+
+
+def test_sizes_beyond_float_range_are_capped(tmp_path):
+    # 2^(n * rate) overflows a float: clamped to the cap, or skipped.
+    awgn = dict(AWGN_CFG, n=4, rates=[256.0], trials=1, clamp_to_cap=True)
+    out = tmp_path / "awgn"
+    assert run("awgn", "--config", write_config(tmp_path, "a.json", awgn), "--out", str(out)) == 0
+    row = json.loads((out / "awgn.json").read_text())["rows"][0]
+    assert row["K"] == 1 << 16 and row["capped"] is True
+
+    opt = dict(OPT_CFG, rbar=100.0, n_list=[12])
+    out = tmp_path / "opt"
+    assert run("random-opt", "--config", write_config(tmp_path, "o.json", opt), "--out", str(out)) == 0
+    row = json.loads((out / "random_opt.json").read_text())["rows"][0]
+    assert row["skipped"] is True and row["skip_reason"] == "cap_exceeded"

@@ -95,6 +95,25 @@ def test_duplicate_found_across_blocks(monkeypatch):
     assert cb.min_pairwise_distance() < 1e-7
 
 
+def test_min_pairwise_distance_matches_brute_force(monkeypatch):
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 8-row blocks: [0, 8), [8, 16), [16, 20)
+    for beta in (1, 2):
+        source, code = specs(6, 2, 3, beta)
+        rng = np.random.default_rng(beta)
+        # Each planted close pair is the nearest in turn: across blocks,
+        # inside a middle block and inside the last block.
+        for (i, j), eps in (((2, 17), 1e-2), ((9, 12), 1e-3), ((18, 19), 1e-4)):
+            bases = gq.sample_isotropic_bases(code, 20, rng)
+            bases[j] = np.linalg.qr(bases[i] + eps * rng.standard_normal(bases[i].shape))[0]
+            cb = Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+            planes = cb.entries
+            brute = min(
+                gq.chordal_distance(a, b) for k, a in enumerate(planes) for b in planes[k + 1 :]
+            )
+            assert brute == gq.chordal_distance(planes[i], planes[j])
+            assert cb.min_pairwise_distance() == pytest.approx(brute, abs=1e-12)
+
+
 def test_quantize_singleton_and_spec_mismatch():
     source, code = specs(4, 1, 1)
     cb = gq.random_codebook(source, code, 1, np.random.default_rng(3))
