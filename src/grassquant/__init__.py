@@ -43,7 +43,6 @@ from .manifold import (
     sample_isotropic_bases,
 )
 from .quantization import (
-    DUPLICATE_CHECK_MAX,
     MAX_CODEBOOK,
     BoundPair,
     Codebook,
@@ -120,7 +119,6 @@ __all__ = [
     "chordal_sq_to_canonical",
     # quantization
     "MAX_CODEBOOK",
-    "DUPLICATE_CHECK_MAX",
     "Provenance",
     "Codebook",
     "DistortionEstimate",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DomainError, SpecMismatch
-from .manifold import FieldKind, GrassmannSpec
+from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
 from .quantization import (
     MAX_CODEBOOK,
     Codebook,
@@ -210,8 +210,7 @@ class BeamformingConfig:
             raise DomainError(f"rho must be positive, got {self.rho}")
         if not 1 <= self.r_fb <= 16:
             raise DomainError(f"r_fb must lie in [1, 16], got {self.r_fb}")
-        if self.trials < 1000:
-            raise DomainError(f"trials must be >= 1000, got {self.trials}")
+        _check_mc_samples("trials", self.trials)
         if self.codebook_kind not in ("maxmin", "random"):
             raise DomainError(f"codebook_kind must be maxmin or random, got {self.codebook_kind!r}")
         if self.log_base not in ("bits", "nats"):
@@ -318,7 +317,7 @@ def beamforming_throughput_experiment(
         q_sel = codebook.stacked_bases[sel]
         throughput_nats = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
 
-        dist_samples = cfg.distortion_samples or max(cfg.trials, 1000)
+        dist_samples = cfg.distortion_samples or cfg.trials
         dist = distortion_mc(codebook, dist_samples, derive_rng(cfg.seed, 2))
 
     scale = 1.0 if cfg.log_base == "nats" else 1.0 / math.log(2.0)

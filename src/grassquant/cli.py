@@ -39,9 +39,8 @@ from .errors import (
     DomainError,
     GrassquantError,
 )
-from .manifold import FieldKind, GrassmannSpec
+from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
 from .quantization import (
-    DUPLICATE_CHECK_MAX,
     design_maxmin,
     distortion_mc,
     drf_bounds,
@@ -59,6 +58,8 @@ from .volume import (
 )
 
 DEFAULT_DELTAS = [round(0.1 * i, 1) for i in range(1, 11)]
+# Largest K for which ``codebook load``/``verify`` print the O(K^2) min distance.
+_MIN_DISTANCE_MAX = 4096
 
 CSV_COLUMNS = {
     "volume": ["delta", "mc", "stderr", "closed_form", "lower", "upper", "barg_nogin"],
@@ -204,6 +205,7 @@ def _experiment(name: str, prepare, row):
 
 def _volume(params: dict, seed: int, out_dir: str):
     c = _config(params, *_DIMS, ("deltas", [float], DEFAULT_DELTAS), ("samples", int, 100_000))
+    _check_mc_samples("samples", c["samples"])
     return c, [BallSpec(c["n"], c["p"], c["q"], c["beta"], d) for d in c["deltas"]]
 
 
@@ -240,6 +242,7 @@ def _sizes(c: dict) -> list[tuple]:
 
 def _distortion(params: dict, seed: int, out_dir: str):
     c = _config(params, *_DIMS, ("k_values", [int]), ("samples", int, 10_000))
+    _check_mc_samples("samples", c["samples"])
     return c, _sizes(c)
 
 
@@ -268,6 +271,7 @@ def _design(params: dict, seed: int, out_dir: str):
         ("train_samples", int, 10_000),
         ("eval_samples", int, 20_000),
     )
+    _check_mc_samples("eval_samples", c["eval_samples"])
     save = _get(params, "save_codebooks", bool, False)
     items = _sizes(c)
     if save:
@@ -463,7 +467,7 @@ def _codebook_summary(path: str) -> str:
         f"entries: {cb.size}",
         f"provenance: {cb.provenance.kind}",
     ]
-    if cb.size <= DUPLICATE_CHECK_MAX:
+    if cb.size <= _MIN_DISTANCE_MAX:
         parts.append(f"min pairwise distance: {cb.min_pairwise_distance():.6g}")
     return "\n".join(parts)
 

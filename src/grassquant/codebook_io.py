@@ -4,7 +4,7 @@ Codebooks are stored as JSON: a header with ``n``, ``p``, ``q``,
 ``beta``, ``K`` and the provenance record, then one row per entry holding
 the row-major basis matrix as interleaved real/imaginary pairs printed
 with 17 significant digits (lossless for doubles).  Loading re-verifies
-orthonormality at the library tolerance and pairwise distinctness.
+orthonormality and, at every size, pairwise distinctness.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def load_codebook(path: str) -> Codebook:
     """Read and re-validate a codebook file.
 
     Structural problems raise :class:`FormatError`; bases failing the
-    orthonormality tolerance raise :class:`OrthonormalityError` from
+    orthonormality tolerance or coinciding entries raise from
     :meth:`Codebook.from_bases`.
     """
     try:
@@ -101,7 +101,6 @@ def load_codebook(path: str) -> Codebook:
     if field is FieldKind.REAL:
         if np.abs(bases.imag).max(initial=0.0) != 0.0:
             raise FormatError(f"{path}: non-zero imaginary parts in a real-field codebook")
-        bases = bases.real.copy()
     provenance = Provenance(
         kind=str(prov_doc.get("kind", "loaded")),
         seed=prov_doc.get("seed"),

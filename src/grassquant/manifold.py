@@ -28,6 +28,13 @@ TOL_ORTHO = 1e-10
 TOL_EQ = 1e-9
 
 
+def _check_mc_samples(name: str, count: int) -> None:
+    """Raise :class:`DomainError` unless 1000 <= count <= 2^24 Monte-Carlo samples:
+    enough for a usable standard error, at most a 128 MB float64 buffer."""
+    if not 1000 <= count <= 1 << 24:
+        raise DomainError(f"{name} must lie in [1000, {1 << 24}], got {count}")
+
+
 class FieldKind(enum.Enum):
     """Scalar field of the ambient space."""
 
@@ -85,6 +92,30 @@ class GrassmannSpec:
         return self.beta * self.p * (self.n - self.p)
 
 
+def _orthonormal(spec: GrassmannSpec, bases: np.ndarray) -> np.ndarray:
+    """``bases``, one ``(n, p)`` basis or a ``(K, n, p)`` stack, as a read-only
+    copy in ``spec``'s field, after checking ``||B^H B - I||_F <= TOL_ORTHO`` for
+    each; complex values fit a real field only with a zero imaginary part."""
+    if spec.field is FieldKind.REAL and np.iscomplexobj(bases):
+        if np.any(bases.imag != 0):
+            raise DimensionMismatch(
+                "scalar fields are incompatible: non-zero imaginary parts in a real field"
+            )
+        bases = bases.real
+    bases = np.array(bases, dtype=spec.field.dtype)
+    gram = np.einsum("...ji,...jk->...ik", bases.conj(), bases)
+    resid = np.sqrt(np.sum(np.abs(gram - np.eye(spec.p)) ** 2, axis=(-2, -1)))
+    if resid.size:
+        worst = int(np.argmax(resid))  # the first NaN, if any
+        if not resid.flat[worst] <= TOL_ORTHO:
+            what = f"entry {worst} basis is" if resid.ndim else "basis columns are"
+            raise OrthonormalityError(
+                f"{what} not orthonormal (residual {resid.flat[worst]:.3e} > {TOL_ORTHO})"
+            )
+    bases.setflags(write=False)
+    return bases
+
+
 @dataclass(frozen=True, eq=False)
 class Plane:
     """A point of ``G_{n,p}``, stored as an orthonormal basis matrix.
@@ -98,20 +129,12 @@ class Plane:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=self.spec.field.dtype)
+        basis = np.asarray(self.basis)
         if basis.shape != (self.spec.n, self.spec.p):
             raise DimensionMismatch(
                 f"basis shape {basis.shape} does not match spec ({self.spec.n}, {self.spec.p})"
             )
-        gram = basis.conj().T @ basis
-        resid = np.linalg.norm(gram - np.eye(self.spec.p))
-        if resid > TOL_ORTHO:
-            raise OrthonormalityError(
-                f"basis columns are not orthonormal (residual {resid:.3e} > {TOL_ORTHO})"
-            )
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _orthonormal(self.spec, basis))
 
     @classmethod
     def from_span(cls, matrix: np.ndarray, field: FieldKind | None = None) -> "Plane":
@@ -121,7 +144,8 @@ class Plane:
             matrix = matrix[:, None]
         if field is None:
             field = FieldKind.COMPLEX if np.iscomplexobj(matrix) else FieldKind.REAL
-        matrix = matrix.astype(field.dtype)
+        # Complex values stay complex: Plane rejects them for a real field.
+        matrix = matrix.astype(np.result_type(matrix, field.dtype))
         n, p = matrix.shape
         q, r = np.linalg.qr(matrix)
         if np.min(np.abs(np.diagonal(r))) < 1e-12 * max(1.0, float(np.abs(r).max())):

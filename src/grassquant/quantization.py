@@ -11,18 +11,21 @@ large-``n`` asymptote, and the random-code optimality experiment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OrthonormalityError, SpecMismatch
+from .errors import DomainError, SpecMismatch
 from .manifold import (
     TOL_EQ,
     TOL_ORTHO,
     FieldKind,
     GrassmannSpec,
     Plane,
+    _check_mc_samples,
+    _orthonormal,
     chordal_distance_sq,
     sample_isotropic_bases,
 )
@@ -32,9 +35,6 @@ from .volume import log_coeff_c
 
 # Desk-scale cap on codebook sizes in experiments.
 MAX_CODEBOOK = 1 << 16
-# Pairwise duplicate checking is O(K^2); skipped above this size, where
-# constructors rely on the a.s. distinctness of independent Haar draws.
-DUPLICATE_CHECK_MAX = 4096
 # Candidate pool per greedy farthest-point step.
 DESIGN_POOL = 256
 
@@ -130,39 +130,41 @@ def _nearest(samples: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, best
 
 
-def _entry_dsq_blocks(bases: np.ndarray):
-    """Yield ``(lo, dsq)``: squared distances between equal-dimensional
-    ``bases``, ``dsq[r, c]`` for entries ``lo + r`` and ``lo + c``.
-
-    Each block holds the rows ``lo : lo + len(dsq)`` against the entries
-    ``lo:`` only, and entries at or below the diagonal are +inf, so each
-    pair ``i < j`` appears once.
-    """
-    q = bases.shape[2]
-    entries = _gemm_layout(bases)
-    for lo, hi in _row_blocks(len(bases), len(bases)):
-        dsq = np.clip(q - _sq_overlaps(bases[lo:hi], entries[lo:]), 0.0, None)
-        dsq[np.tril_indices(hi - lo, 0, dsq.shape[1])] = math.inf
-        yield lo, dsq
-
-
-# Squared-distance screen for duplicate detection; the fast overlap form
-# has a cancellation noise floor near 1e-15, so candidates are confirmed
-# with the stable projection-residual form before being called duplicates.
-_DUP_SCREEN = 1e-12
-
-
 def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
-    """Entry pairs at chordal distance < TOL_EQ among equal-dimensional planes."""
-    dups = []
-    for lo, dsq in _entry_dsq_blocks(bases):
-        for r, c in np.argwhere(dsq <= _DUP_SCREEN):
-            i, j = lo + int(r), lo + int(c)
-            cross = bases[j].conj().T @ bases[i]
-            resid = bases[i] - bases[j] @ cross
-            if float(np.sum(np.abs(resid) ** 2)) < TOL_EQ**2:
-                dups.append((i, j))
-    return dups
+    """Sorted entry pairs ``(i, j)``, i < j, at chordal distance < TOL_EQ among
+    equal-dimensional ``bases``, each orthonormal to TOL_ORTHO.
+
+    An exact sort-and-sweep.  The key ``Re tr(U B B^H)``, for a fixed real
+    symmetric ``U`` of unit Frobenius norm, is 1-Lipschitz in the projector,
+    and ``||P_i - P_j||_F = sqrt(2) d_ij``.  So keys of a duplicate pair
+    differ by at most ``sqrt(2) TOL_EQ``, plus each basis's orthonormality
+    residual and rounding; only pairs within that window are confirmed with
+    the stable projection-residual form.
+    """
+    k, n, q = bases.shape
+    g = np.random.default_rng(0x6D5C).standard_normal((n, n))  # never the caller's stream
+    u = (g + g.T) / np.linalg.norm(g + g.T)
+    keys = np.einsum("kji,kji->k", bases.conj(), u @ bases).real
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Each key errs by less than about 2 (n + n q) q eps in rounding (its
+    # absolute terms sum to at most q); the window allows that twice.
+    rounding = 8.0 * n * q * (q + 1) * np.finfo(float).eps
+    window = math.sqrt(2.0) * TOL_EQ + 2.0 * TOL_ORTHO + rounding
+    pairs = []
+    gap = 1
+    while gap < k:
+        close = np.flatnonzero(keys[gap:] - keys[:-gap] <= window)
+        if close.size == 0:
+            break  # keys are sorted: no wider gap can close either
+        a, b = order[close], order[close + gap]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        cross = np.swapaxes(bases[j].conj(), 1, 2) @ bases[i]
+        resid = bases[i] - bases[j] @ cross
+        dup = np.sum(np.abs(resid) ** 2, axis=(1, 2)) < TOL_EQ**2
+        pairs += zip(i[dup].tolist(), j[dup].tolist())
+        gap += 1
+    return sorted(pairs)
 
 
 class _DuplicateEntries(DomainError):
@@ -178,23 +180,9 @@ class Codebook:
 
     ``source_spec`` and ``code_spec`` share the ambient dimension and
     field; ``p`` and ``q`` need not be equal (either may be larger).
-    Entries are pairwise-distinct; the O(K^2) check is performed at
-    construction for K up to ``DUPLICATE_CHECK_MAX``.
+    Construct with :meth:`from_bases`, which checks at every K that the
+    entries are orthonormal and pairwise distinct.
     """
-
-    def __init__(
-        self,
-        source_spec: GrassmannSpec,
-        code_spec: GrassmannSpec,
-        entries: "list[Plane] | tuple[Plane, ...]",
-        provenance: Provenance,
-    ) -> None:
-        for pl in entries:
-            if pl.spec != code_spec:
-                raise SpecMismatch(f"entry spec {pl.spec} does not match {code_spec}")
-        bases = np.stack([pl.basis for pl in entries]) if entries else None
-        self._init_common(source_spec, code_spec, bases, provenance)
-        self._entries = tuple(entries)
 
     @classmethod
     def from_bases(
@@ -204,48 +192,29 @@ class Codebook:
         bases: np.ndarray,
         provenance: Provenance,
     ) -> "Codebook":
-        """Construct from a stacked ``(K, n, q)`` array of orthonormal bases."""
-        cb = cls.__new__(cls)
-        bases = np.asarray(bases, dtype=code_spec.field.dtype)
-        if bases.ndim != 3 or bases.shape[1:] != (code_spec.n, code_spec.p):
-            raise SpecMismatch(
-                f"bases shape {bases.shape} does not match (K, {code_spec.n}, {code_spec.p})"
-            )
-        gram = np.einsum("knp,knq->kpq", bases.conj(), bases)
-        resid = np.sqrt(np.sum(np.abs(gram - np.eye(code_spec.p)) ** 2, axis=(1, 2)))
-        worst = int(np.argmax(resid)) if len(bases) else 0
-        if len(bases) and resid[worst] > TOL_ORTHO:
-            raise OrthonormalityError(
-                f"entry {worst} basis is not orthonormal "
-                f"(residual {resid[worst]:.3e} > {TOL_ORTHO})"
-            )
-        cb._init_common(source_spec, code_spec, bases, provenance)
-        cb._entries = None
-        return cb
-
-    def _init_common(
-        self,
-        source_spec: GrassmannSpec,
-        code_spec: GrassmannSpec,
-        bases: "np.ndarray | None",
-        provenance: Provenance,
-    ) -> None:
+        """Construct from a stacked ``(K, n, q)`` array of orthonormal bases;
+        ``DomainError`` for K = 0 or entries that are the same plane."""
         if source_spec.n != code_spec.n or source_spec.field is not code_spec.field:
             raise SpecMismatch(
                 "source and code specs must share the ambient dimension and field"
             )
-        if bases is None or len(bases) < 1:
+        bases = np.asarray(bases)
+        if bases.ndim != 3 or bases.shape[1:] != (code_spec.n, code_spec.p):
+            raise SpecMismatch(
+                f"bases shape {bases.shape} does not match (K, {code_spec.n}, {code_spec.p})"
+            )
+        bases = _orthonormal(code_spec, bases)
+        if len(bases) < 1:
             raise DomainError("a codebook needs at least one entry")
-        self.source_spec = source_spec
-        self.code_spec = code_spec
-        self.provenance = provenance
-        bases = bases.copy()
-        bases.setflags(write=False)
-        self._bases = bases
-        if len(bases) <= DUPLICATE_CHECK_MAX:
-            dups = _duplicate_pairs(bases)
-            if dups:
-                raise _DuplicateEntries(dups)
+        dups = _duplicate_pairs(bases)
+        if dups:
+            raise _DuplicateEntries(dups)
+        cb = cls.__new__(cls)
+        cb.source_spec = source_spec
+        cb.code_spec = code_spec
+        cb.provenance = provenance
+        cb._bases = bases
+        return cb
 
     @property
     def size(self) -> int:
@@ -259,11 +228,10 @@ class Codebook:
         """Read-only ``(K, n, q)`` array of entry bases."""
         return self._bases
 
-    @property
+    @functools.cached_property
     def entries(self) -> tuple[Plane, ...]:
-        if self._entries is None:
-            self._entries = tuple(Plane(self.code_spec, b) for b in self._bases)
-        return self._entries
+        """The entries as planes, built on first use."""
+        return tuple(Plane(self.code_spec, b) for b in self._bases)
 
     @property
     def min_dim(self) -> int:
@@ -271,8 +239,16 @@ class Codebook:
         return min(self.source_spec.p, self.code_spec.p)
 
     def min_pairwise_distance(self) -> float:
-        """Smallest chordal distance between two entries (inf for K = 1)."""
-        return math.sqrt(min(float(dsq.min()) for _, dsq in _entry_dsq_blocks(self._bases)))
+        """Smallest chordal distance between two entries (inf for K = 1); an
+        O(K^2) walk of row blocks ``[lo, hi)`` against the entries ``lo:``."""
+        bases = self._bases
+        entries = _gemm_layout(bases)
+        best = math.inf
+        for lo, hi in _row_blocks(len(bases), len(bases)):
+            dsq = np.clip(self.code_spec.p - _sq_overlaps(bases[lo:hi], entries[lo:]), 0.0, None)
+            dsq[np.tril_indices(hi - lo, 0, dsq.shape[1])] = math.inf
+            best = min(best, float(dsq.min()))
+        return math.sqrt(best)
 
 
 @dataclass(frozen=True)
@@ -337,8 +313,7 @@ def distortion_mc(
     codebook: Codebook, samples: int, rng: np.random.Generator
 ) -> DistortionEstimate:
     """Monte-Carlo distortion: mean min squared distance over isotropic sources."""
-    if samples < 1000:
-        raise DomainError(f"samples must be >= 1000, got {samples}")
+    _check_mc_samples("samples", samples)
     count, total, total_sq = _distortion_moments(codebook, samples, rng)
     mean = total / count
     var = max(total_sq / count - mean**2, 0.0)
@@ -367,8 +342,8 @@ def random_codebook(
 ) -> Codebook:
     """Codebook of ``size`` independent Haar draws from ``G_{n,q}``.
 
-    Collisions (probability zero) found by the construction-time duplicate
-    check (``size <= DUPLICATE_CHECK_MAX``) are re-drawn.
+    Collisions (probability zero) found by the duplicate screen of
+    :meth:`Codebook.from_bases` are re-drawn: the later entry of each pair.
     """
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
@@ -592,6 +567,7 @@ def random_code_optimality_experiment(
     draws on a disjoint stream; the reported fraction counts trials with
     distortion above ``asymptote + epsilon``.
     """
+    _check_mc_samples("samples", samples)
     if beta not in (1, 2):
         raise DomainError(f"beta must be 1 or 2, got {beta}")
     if not 1 <= p <= q:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, RadiusTooLarge
-from .manifold import FieldKind, GrassmannSpec, sample_isotropic_bases
+from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, sample_isotropic_bases
 
 # Sample chunk bound for Monte-Carlo passes, sized for ~100 MB working sets.
 _MC_CHUNK = 1 << 17
@@ -268,8 +268,7 @@ def ball_volume_mc_grid(
         return []
     for r in radii:
         BallSpec(n, p, q, beta, float(r))  # validates each radius
-    if samples < 1000:
-        raise DomainError(f"samples must be >= 1000, got {samples}")
+    _check_mc_samples("samples", samples)
     dsq = chordal_sq_to_canonical(n, p, q, beta, samples, rng)
     estimates = []
     for r in radii:
@@ -288,8 +287,7 @@ def ball_volume_mc_grid(
 
 def ball_volume_mc(spec: BallSpec, samples: int, rng: np.random.Generator) -> VolumeEstimate:
     """Monte-Carlo volume: the fraction of isotropic planes within the radius."""
-    if samples < 1000:
-        raise DomainError(f"samples must be >= 1000, got {samples}")
+    _check_mc_samples("samples", samples)
     dsq = chordal_sq_to_canonical(spec.n, spec.p, spec.q, spec.beta, samples, rng)
     hits = int(np.count_nonzero(dsq <= spec.radius**2))
     value, stderr = _binomial_estimate(hits, samples)

@@ -75,7 +75,9 @@ def beamforming_codebook(l_t, s, vectors):
     source = GrassmannSpec(l_t, 2, FieldKind.COMPLEX)
     code = GrassmannSpec(l_t, s, FieldKind.COMPLEX)
     entries = [Plane.from_span(v, FieldKind.COMPLEX) for v in vectors]
-    return Codebook(source, code, entries, Provenance(kind="loaded"))
+    return Codebook.from_bases(
+        source, code, np.stack([pl.basis for pl in entries]), Provenance(kind="loaded")
+    )
 
 
 def test_beamforming_selection_oracle_entry():
@@ -89,7 +91,9 @@ def test_beamforming_selection_oracle_entry():
     entries = [Plane(code, v)] + [
         gq.sample_isotropic(code, rng) for _ in range(3)
     ]
-    cb = Codebook(source, code, entries, Provenance(kind="loaded"))
+    cb = Codebook.from_bases(
+        source, code, np.stack([pl.basis for pl in entries]), Provenance(kind="loaded")
+    )
     assert gq.beamforming_selection(h, cb) == 0
     trace = np.linalg.norm(v.conj().T @ v) ** 2
     assert trace == pytest.approx(2.0, rel=1e-12)
@@ -99,10 +103,10 @@ def test_beamforming_selection_matches_brute_force():
     rng = np.random.default_rng(8)
     source = GrassmannSpec(4, 2, FieldKind.COMPLEX)
     code = GrassmannSpec(4, 1, FieldKind.COMPLEX)
-    cb = Codebook(
+    cb = Codebook.from_bases(
         source,
         code,
-        [gq.sample_isotropic(code, rng) for _ in range(4)],
+        np.stack([gq.sample_isotropic(code, rng).basis for _ in range(4)]),
         Provenance(kind="loaded"),
     )
     for trial in range(20):

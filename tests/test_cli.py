@@ -4,6 +4,7 @@ import pytest
 
 import grassquant as gq
 from grassquant import cli
+from grassquant import quantization as qz
 from grassquant.rng import derive_rng
 
 
@@ -277,9 +278,22 @@ NAN, INF = float("nan"), float("inf")
         ("codebook", SAVE_CFG, {"n": 1}, "got 1"),
         ("codebook", SAVE_CFG, {"kind": "maxmin", "K": 1}, "got 1"),
         ("codebook", SAVE_CFG, {"kind": "zz"}, "'zz'"),
+        ("volume", VOLUME_CFG, {"samples": 10**400}, "samples must lie in [1000, 16777216]"),
+        ("distortion", DISTORTION_CFG, {"samples": 2**24 + 1}, "got 16777217"),
+        ("random-opt", OPT_CFG, {"samples": 10}, "got 10"),
     ],
 )
-def test_bad_config_is_a_config_error(tmp_path, capsys, command, base, change, shown):
+def test_bad_config_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, base, change, shown
+):
+    if {"samples", "eval_samples"} & set(change):
+        # A bad sample count is rejected before any row draws or designs a codebook.
+        def no_row_work(*args, **kwargs):
+            raise AssertionError("row work ran before the sample count was checked")
+
+        for module, name in ((cli, "ball_volume_mc"), (cli, "random_codebook"),
+                             (cli, "design_maxmin"), (qz, "random_codebook")):
+            monkeypatch.setattr(module, name, no_row_work)
     cfg = write_config(tmp_path, "bad.json", dict(base, **change))
     argv = ["codebook", "save"] if command == "codebook" else [command, "--threads", "1"]
     assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2

@@ -21,25 +21,54 @@ def lines_codebook(vectors, source_p=1):
     n = vectors.shape[1]
     source, code = specs(n, source_p, 1)
     entries = [Plane.from_span(v, FieldKind.COMPLEX) for v in vectors]
-    return Codebook(source, code, entries, Provenance(kind="loaded"))
+    return Codebook.from_bases(
+        source, code, np.stack([pl.basis for pl in entries]), Provenance(kind="loaded")
+    )
 
 
 def test_codebook_validation():
     source, code = specs(4, 1, 1)
     entry = gq.sample_isotropic(code, np.random.default_rng(0))
     with pytest.raises(gq.DomainError):
-        Codebook(source, code, [], Provenance(kind="loaded"))
+        Codebook.from_bases(source, code, np.empty((0, 4, 1)), Provenance(kind="loaded"))
     with pytest.raises(gq.DomainError):
-        Codebook(source, code, [entry, entry], Provenance(kind="loaded"))
+        Codebook.from_bases(
+            source, code, np.stack([entry.basis, entry.basis]), Provenance(kind="loaded")
+        )
     other = gq.sample_isotropic(GrassmannSpec(4, 2), np.random.default_rng(1))
     with pytest.raises(gq.SpecMismatch):
-        Codebook(source, code, [other], Provenance(kind="loaded"))
+        Codebook.from_bases(source, code, np.stack([other.basis]), Provenance(kind="loaded"))
     mixed = GrassmannSpec(5, 1)
     with pytest.raises(gq.SpecMismatch):
-        Codebook(mixed, code, [entry], Provenance(kind="loaded"))
+        Codebook.from_bases(mixed, code, np.stack([entry.basis]), Provenance(kind="loaded"))
     skewed = np.stack([entry.basis, 1.01 * entry.basis])
     with pytest.raises(gq.OrthonormalityError):
         Codebook.from_bases(source, code, skewed, Provenance(kind="loaded"))
+    with pytest.raises(gq.OrthonormalityError):
+        Codebook.from_bases(source, code, np.full((1, 4, 1), np.nan), Provenance(kind="loaded"))
+    # The duplicate screen runs at every K.
+    rng = np.random.default_rng(2)
+    for k in (5000, 1 << 16):
+        bases = gq.sample_isotropic_bases(code, k, rng)
+        bases[k - 1] = bases[7] * np.exp(0.3j)  # the same line
+        with pytest.raises(gq.DomainError, match="duplicate"):
+            Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+    # Complex values fit a real field only with a zero imaginary part.
+    real_source, real_code = specs(4, 1, 1, beta=1)
+    line = np.eye(4)[:, :1]
+    with pytest.raises(gq.DimensionMismatch):
+        Plane(real_code, line * np.exp(0.1j))
+    with pytest.raises(gq.DimensionMismatch):
+        Plane.from_span(line * np.exp(0.1j), FieldKind.REAL)
+    with pytest.raises(gq.DimensionMismatch):
+        Codebook.from_bases(
+            real_source, real_code, np.stack([line * np.exp(0.1j)]), Provenance(kind="loaded")
+        )
+    cb = Codebook.from_bases(
+        real_source, real_code, np.stack([line + 0j]), Provenance(kind="loaded")
+    )
+    assert cb.stacked_bases.dtype == np.float64
+    assert Plane(real_code, line + 0j).basis.dtype == np.float64
 
 
 def test_quantize_returns_matching_entry():
@@ -90,9 +119,51 @@ def test_duplicate_found_across_blocks(monkeypatch):
     assert qz._duplicate_pairs(bases) == [(2, 17)]
     with pytest.raises(gq.DomainError):
         Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
-    monkeypatch.setattr(qz, "DUPLICATE_CHECK_MAX", 0)  # construct without the screen
-    cb = Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
-    assert cb.min_pairwise_distance() < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_duplicate_pairs_match_brute_force(data):
+    n = data.draw(st.integers(2, 7))
+    q = data.draw(st.integers(1, n - 1))
+    beta = data.draw(st.sampled_from([1, 2]))
+    copies = data.draw(st.integers(0, 3))
+    k = data.draw(st.integers(copies + 5, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    field = FieldKind.from_beta(beta)
+    code = GrassmannSpec(n, q, field)
+    bases = gq.sample_isotropic_bases(code, k, rng)
+    rows = rng.permutation(k)
+
+    def rotated(basis):
+        return basis @ gq.haar_unitary(q, field, rng)
+
+    def at_distance(basis, d):
+        # Tilt the first column by angle asin(d) towards a vector off the plane.
+        w = gq.sample_isotropic_bases(GrassmannSpec(n, 1, field), 1, rng)[0, :, 0]
+        w = w - basis @ (basis.conj().T @ w)
+        w = w / np.linalg.norm(w)
+        out = basis.copy()
+        out[:, 0] = math.sqrt(1.0 - d * d) * basis[:, 0] + d * w
+        return rotated(out)
+
+    for r in rows[1 : copies + 1]:  # exact copies of one plane, in other bases
+        bases[r] = rotated(bases[rows[0]])
+    near, far = rows[copies + 1 : copies + 3], rows[copies + 3 : copies + 5]
+    bases[near[1]] = at_distance(bases[near[0]], 1e-10)
+    bases[far[1]] = at_distance(bases[far[0]], 1e-8)
+
+    brute = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            resid = bases[i] - bases[j] @ (bases[j].conj().T @ bases[i])
+            if np.sum(np.abs(resid) ** 2) < gq.TOL_EQ**2:
+                brute.append((i, j))
+    pairs = qz._duplicate_pairs(bases)
+    assert pairs == brute
+    assert tuple(sorted(near)) in pairs
+    assert tuple(sorted(far)) not in pairs
+    assert len(pairs) == copies * (copies + 1) // 2 + 1
 
 
 def test_min_pairwise_distance_matches_brute_force(monkeypatch):
@@ -169,7 +240,9 @@ def test_quantize_unitary_rotation_invariance():
         p = gq.sample_isotropic(source, rng)
         u = gq.haar_unitary(4, FieldKind.COMPLEX, rng)
         rotated_entries = [Plane(code, u @ b) for b in cb.stacked_bases]
-        cb_rot = Codebook(source, code, rotated_entries, Provenance(kind="loaded"))
+        cb_rot = Codebook.from_bases(
+            source, code, np.stack([pl.basis for pl in rotated_entries]), Provenance(kind="loaded")
+        )
         p_rot = Plane(source, u @ p.basis)
         idx, dist = gq.quantize(p, cb)
         idx_rot, dist_rot = gq.quantize(p_rot, cb_rot)
@@ -190,8 +263,10 @@ def test_distortion_near_duplicate_entries():
     source, code = specs(4, 1, 1)
     base = gq.sample_isotropic(code, np.random.default_rng(1))
     bumped = Plane.from_span(base.basis[:, 0] + 1e-6 * np.eye(4, dtype=complex)[:, 1])
-    single = Codebook(source, code, [base], Provenance(kind="loaded"))
-    pair = Codebook(source, code, [base, bumped], Provenance(kind="loaded"))
+    single = Codebook.from_bases(source, code, np.stack([base.basis]), Provenance(kind="loaded"))
+    pair = Codebook.from_bases(
+        source, code, np.stack([pl.basis for pl in [base, bumped]]), Provenance(kind="loaded")
+    )
     d1 = gq.distortion_mc(single, 4000, np.random.default_rng(2))
     d2 = gq.distortion_mc(pair, 4000, np.random.default_rng(2))
     assert d2.mean == pytest.approx(d1.mean, abs=1e-5)
@@ -201,7 +276,12 @@ def test_distortion_decreases_with_appended_entry():
     source, code = specs(4, 1, 1)
     cb3 = gq.random_codebook(source, code, 3, np.random.default_rng(8))
     extra = gq.sample_isotropic(code, np.random.default_rng(9))
-    cb4 = Codebook(source, code, list(cb3.entries) + [extra], Provenance(kind="loaded"))
+    cb4 = Codebook.from_bases(
+        source,
+        code,
+        np.stack([pl.basis for pl in list(cb3.entries) + [extra]]),
+        Provenance(kind="loaded"),
+    )
     d3 = gq.distortion_mc(cb3, 4000, np.random.default_rng(10))
     d4 = gq.distortion_mc(cb4, 4000, np.random.default_rng(10))
     assert d4.mean <= d3.mean + 1e-12
@@ -212,7 +292,9 @@ def test_distortion_monotone_in_nested_codebooks():
     big = gq.random_codebook(source, code, 16, np.random.default_rng(20))
     means = []
     for k in (4, 8, 16):
-        nested = Codebook(source, code, big.entries[:k], Provenance(kind="loaded"))
+        nested = Codebook.from_bases(
+            source, code, np.stack([pl.basis for pl in big.entries[:k]]), Provenance(kind="loaded")
+        )
         means.append(gq.distortion_mc(nested, 4000, np.random.default_rng(21)).mean)
     assert means[0] >= means[1] >= means[2]
 
@@ -246,19 +328,20 @@ def test_random_codebook_basics():
 def test_random_codebook_redraws_duplicates(monkeypatch):
     source, code = specs(4, 1, 1)
     draw = gq.sample_isotropic_bases
+    for size in (6, 5000):
 
-    def draw_with_collision(spec, count, rng):
-        out = draw(spec, count, rng)
-        if count == 6:
-            out[4] = out[1]
-        return out
+        def draw_with_collision(spec, count, rng):
+            out = draw(spec, count, rng)
+            if count == size:
+                out[4] = out[1]
+            return out
 
-    monkeypatch.setattr(qz, "sample_isotropic_bases", draw_with_collision)
-    cb = gq.random_codebook(source, code, 6, np.random.default_rng(0))
-    first = draw(code, 6, np.random.default_rng(0))
-    keep = [0, 1, 2, 3, 5]
-    assert np.array_equal(cb.stacked_bases[keep], first[keep])  # only the later copy redrawn
-    assert cb.min_pairwise_distance() > 1e-3
+        monkeypatch.setattr(qz, "sample_isotropic_bases", draw_with_collision)
+        cb = gq.random_codebook(source, code, size, np.random.default_rng(0))
+        first = draw(code, size, np.random.default_rng(0))
+        keep = [i for i in range(size) if i != 4]
+        assert np.array_equal(cb.stacked_bases[keep], first[keep])  # only the later copy redrawn
+        assert cb.min_pairwise_distance() > 1e-3
 
 
 def test_random_codebook_average_matches_order_statistics():
@@ -432,3 +515,9 @@ def test_random_code_optimality_validation():
         gq.random_code_optimality_experiment(1, 1, 2, 1.0, [6, 4], trials=1, seed=0)
     with pytest.raises(gq.DomainError):
         gq.random_code_optimality_experiment(2, 1, 2, 1.0, [4], trials=1, seed=0)
+
+
+def test_public_names_resolve_once():
+    assert len(gq.__all__) == len(set(gq.__all__))
+    for name in gq.__all__:
+        assert hasattr(gq, name), name
