@@ -192,7 +192,6 @@ class BeamformingConfig:
     seed: int = 0
     codebook_kind: str = "maxmin"
     design_iters: int = 8
-    distortion_samples: int | None = None
     log_base: str = "bits"
 
     def __post_init__(self) -> None:
@@ -295,12 +294,9 @@ def beamforming_throughput_experiment(
                 cfg.codebook_size,
                 rng_cb,
                 iters=cfg.design_iters,
-                seed=cfg.seed,
             )
         else:
-            codebook = random_codebook(
-                cfg.source_spec, cfg.code_spec, cfg.codebook_size, rng_cb, seed=cfg.seed
-            )
+            codebook = random_codebook(cfg.source_spec, cfg.code_spec, cfg.codebook_size, rng_cb)
     else:
         if codebook.source_spec != cfg.source_spec or codebook.code_spec != cfg.code_spec:
             raise SpecMismatch("codebook specs do not match the beamforming config")
@@ -317,8 +313,7 @@ def beamforming_throughput_experiment(
         q_sel = codebook.stacked_bases[sel]
         throughput_nats = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
 
-        dist_samples = cfg.distortion_samples or cfg.trials
-        dist = distortion_mc(codebook, dist_samples, derive_rng(cfg.seed, 2))
+        dist = distortion_mc(codebook, cfg.trials, derive_rng(cfg.seed, 2))
 
     scale = 1.0 if cfg.log_base == "nats" else 1.0 / math.log(2.0)
     log1p = lambda x: math.log1p(x) * scale

@@ -291,7 +291,6 @@ def _design_row(c: dict, seed: int, i: int, item: tuple) -> dict:
         derive_rng(seed, i, 0),
         iters=c["iters"],
         train_samples=c["train_samples"],
-        seed=_row_seed_int(seed, i),
     )
     est = distortion_mc(cb, c["eval_samples"], derive_rng(seed, i, 1))
     if path is not None:

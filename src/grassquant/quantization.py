@@ -132,14 +132,16 @@ def _nearest(samples: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
     """Sorted entry pairs ``(i, j)``, i < j, at chordal distance < TOL_EQ among
-    equal-dimensional ``bases``, each orthonormal to TOL_ORTHO.
+    the K equal-dimensional ``bases``, each orthonormal to TOL_ORTHO: all of
+    them when there are fewer than K, else K of them.
 
     An exact sort-and-sweep.  The key ``Re tr(U B B^H)``, for a fixed real
     symmetric ``U`` of unit Frobenius norm, is 1-Lipschitz in the projector,
     and ``||P_i - P_j||_F = sqrt(2) d_ij``.  So keys of a duplicate pair
     differ by at most ``sqrt(2) TOL_EQ``, plus each basis's orthonormality
     residual and rounding; only pairs within that window are confirmed with
-    the stable projection-residual form.
+    the stable projection-residual form.  The sweep stops once it holds K
+    pairs, so m copies of one plane cost O(m), not O(m^2).
     """
     k, n, q = bases.shape
     g = np.random.default_rng(0x6D5C).standard_normal((n, n))  # never the caller's stream
@@ -163,12 +165,14 @@ def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
         resid = bases[i] - bases[j] @ cross
         dup = np.sum(np.abs(resid) ** 2, axis=(1, 2)) < TOL_EQ**2
         pairs += zip(i[dup].tolist(), j[dup].tolist())
+        if len(pairs) >= k:
+            break
         gap += 1
-    return sorted(pairs)
+    return sorted(pairs)[:k]
 
 
 class _DuplicateEntries(DomainError):
-    """Codebook entries that coincide; ``pairs`` lists every pair ``(i, j)``, i < j."""
+    """Codebook entries that coincide; ``pairs`` as from :func:`_duplicate_pairs`."""
 
     def __init__(self, pairs: list[tuple[int, int]]) -> None:
         super().__init__(f"duplicate codebook entries: {pairs[:4]}")
@@ -325,11 +329,9 @@ def distortion_mc(
 def _resolve_rng(
     rng: "np.random.Generator | None", seed: "int | None"
 ) -> np.random.Generator:
-    if rng is None:
-        if seed is None:
-            raise DomainError("provide either an rng or a seed")
-        return derive_rng(seed)
-    return rng
+    if (rng is None) == (seed is None):
+        raise DomainError("give exactly one of rng or seed")
+    return derive_rng(seed) if rng is None else rng
 
 
 def random_codebook(
@@ -340,7 +342,8 @@ def random_codebook(
     *,
     seed: "int | None" = None,
 ) -> Codebook:
-    """Codebook of ``size`` independent Haar draws from ``G_{n,q}``.
+    """Codebook of ``size`` independent Haar draws from ``G_{n,q}``, from
+    exactly one of ``rng`` or ``seed`` (recorded in the provenance).
 
     Collisions (probability zero) found by the duplicate screen of
     :meth:`Codebook.from_bases` are re-drawn: the later entry of each pair.
@@ -367,19 +370,19 @@ def design_maxmin(
     iters: int = 8,
     *,
     seed: "int | None" = None,
-    pool: int = DESIGN_POOL,
     train_samples: int = 10_000,
 ) -> Codebook:
     """Greedy farthest-point codebook, refined by Lloyd iterations.
 
     Initialization: the first entry is a Haar draw; each subsequent entry
     maximizes the minimum distance to the chosen entries over a fresh pool
-    of ``pool`` Haar candidates.  Refinement: ``iters`` rounds of
+    of ``DESIGN_POOL`` Haar candidates.  Refinement: ``iters`` rounds of
     assigning ``train_samples`` isotropic sources by nearest entry, then
     replacing each entry with the dominant q-dimensional eigenspace of its
     cell's mean projector (empty cells keep their entry).  Returns the
     codebook with the lowest training distortion seen.  Training draws are
-    internal to this call; evaluate distortion on a separate stream.
+    internal to this call; evaluate distortion on a separate stream.  Give
+    exactly one of ``rng`` or ``seed`` (recorded in the provenance).
     """
     if size < 2:
         raise DomainError(f"size must be >= 2, got {size}")
@@ -394,7 +397,7 @@ def design_maxmin(
     bases = np.empty((size, n, q), dtype=code_spec.field.dtype)
     bases[0] = sample_isotropic_bases(code_spec, 1, rng)[0]
     for k in range(1, size):
-        cands = sample_isotropic_bases(code_spec, pool, rng)
+        cands = sample_isotropic_bases(code_spec, DESIGN_POOL, rng)
         _, best = _nearest(cands, bases[:k])
         bases[k] = cands[int(np.argmax(np.clip(q - best, 0.0, None)))]
 
@@ -427,7 +430,7 @@ def design_maxmin(
         bases = new_bases
 
     trace = {
-        "pool": pool,
+        "pool": DESIGN_POOL,
         "iters": iters,
         "train_samples": train_samples,
         "training_history": history,
@@ -556,12 +559,11 @@ def random_code_optimality_experiment(
     *,
     epsilon: float = 0.05,
     samples: int = 2000,
-    max_codebook: int = MAX_CODEBOOK,
 ) -> ExperimentReport:
     """Fraction of random codebooks whose distortion exceeds the asymptote.
 
     For each ``n`` the codebook size is ``round(2^(rbar n))``; points whose
-    size exceeds ``max_codebook`` (``inf`` where ``2^(rbar n)`` overflows a
+    size exceeds ``MAX_CODEBOOK`` (``inf`` where ``2^(rbar n)`` overflows a
     float) are skipped and flagged.  Each trial draws a fresh random
     codebook and estimates its distortion with ``samples`` Monte-Carlo
     draws on a disjoint stream; the reported fraction counts trials with
@@ -591,7 +593,7 @@ def random_code_optimality_experiment(
         "trials": trials,
         "epsilon": epsilon,
         "samples": samples,
-        "max_codebook": max_codebook,
+        "max_codebook": MAX_CODEBOOK,
     }
     report = ExperimentReport(
         experiment="random_code_optimality", config=config, seed=seed
@@ -613,7 +615,7 @@ def random_code_optimality_experiment(
                 "distortion_max": math.nan,
                 "row_seed": [seed, i],
             }
-            if size > max_codebook:
+            if size > MAX_CODEBOOK:
                 row["skipped"] = True
                 row["skip_reason"] = "cap_exceeded"
                 report.rows.append(row)

@@ -53,8 +53,8 @@ class ExperimentReport:
             "version": self.version,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 class Stopwatch:

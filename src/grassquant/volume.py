@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, sample_isotropic_bases
@@ -116,14 +115,14 @@ def log_coeff_c(n: int, p: int, q: int, beta: int) -> float:
     """
     _check_dims(n, p, q, beta)
     h = beta / 2.0
-    out = -float(gammaln(h * p * (n - q) + 1.0))
     if p + q <= n:
-        i = np.arange(1, p + 1)
-        out += float(np.sum(gammaln(h * (n - i + 1)) - gammaln(h * (q - i + 1))))
+        ratios = [(n - i + 1, q - i + 1) for i in range(1, p + 1)]
     else:
-        i = np.arange(1, n - q + 1)
-        out += float(np.sum(gammaln(h * (n - i + 1)) - gammaln(h * (n - p - i + 1))))
-    return out
+        ratios = [(n - i + 1, n - p - i + 1) for i in range(1, n - q + 1)]
+    return math.fsum(
+        [-math.lgamma(h * p * (n - q) + 1.0)]
+        + [math.lgamma(h * a) - math.lgamma(h * b) for a, b in ratios]
+    )
 
 
 def coeff_c(n: int, p: int, q: int, beta: int) -> float:
@@ -244,11 +243,6 @@ def chordal_sq_to_canonical(
     return out
 
 
-def _binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
-    v = hits / samples
-    return v, math.sqrt(v * (1.0 - v) / samples)
-
-
 def ball_volume_mc_grid(
     n: int,
     p: int,
@@ -272,12 +266,11 @@ def ball_volume_mc_grid(
     dsq = chordal_sq_to_canonical(n, p, q, beta, samples, rng)
     estimates = []
     for r in radii:
-        hits = int(np.count_nonzero(dsq <= float(r) ** 2))
-        value, stderr = _binomial_estimate(hits, samples)
+        value = int(np.count_nonzero(dsq <= float(r) ** 2)) / samples
         estimates.append(
             VolumeEstimate(
                 value=value,
-                stderr=stderr,
+                stderr=math.sqrt(value * (1.0 - value) / samples),
                 method=VolumeMethod.MONTE_CARLO,
                 samples=samples,
             )
@@ -287,10 +280,4 @@ def ball_volume_mc_grid(
 
 def ball_volume_mc(spec: BallSpec, samples: int, rng: np.random.Generator) -> VolumeEstimate:
     """Monte-Carlo volume: the fraction of isotropic planes within the radius."""
-    _check_mc_samples("samples", samples)
-    dsq = chordal_sq_to_canonical(spec.n, spec.p, spec.q, spec.beta, samples, rng)
-    hits = int(np.count_nonzero(dsq <= spec.radius**2))
-    value, stderr = _binomial_estimate(hits, samples)
-    return VolumeEstimate(
-        value=value, stderr=stderr, method=VolumeMethod.MONTE_CARLO, samples=samples
-    )
+    return ball_volume_mc_grid(spec.n, spec.p, spec.q, spec.beta, [spec.radius], samples, rng)[0]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import grassquant as gq
@@ -237,6 +241,46 @@ def test_codebook_save_maxmin(tmp_path, capsys):
     cb = gq.load_codebook(path)
     assert cb.min_pairwise_distance() > 0.99
     assert cb.provenance.kind == "maxmin"
+
+
+def test_codebook_provenance_seed_rebuilds_the_file(tmp_path, capsys):
+    # A design row draws from its row stream and records no seed.
+    cfg = write_config(tmp_path, "design.json", dict(DESIGN_CFG, save_codebooks=True, seed=5))
+    out = tmp_path / "design"
+    assert run("design", "--config", cfg, "--out", str(out), "--threads", "1") == 0
+    saved = gq.load_codebook(str(out / "design_K4.json"))
+    assert saved.provenance.seed is None
+    rebuilt = gq.design_maxmin(
+        saved.source_spec, saved.code_spec, 4, derive_rng(5, 0, 0), iters=1, train_samples=1000
+    )
+    assert np.array_equal(rebuilt.stacked_bases, saved.stacked_bases)
+
+    # ``codebook save`` builds from its seed and records it.
+    for kind in ("random", "maxmin"):
+        payload = {"n": 4, "p": 1, "q": 2, "beta": 1, "K": 3, "kind": kind, "seed": 8}
+        cfg = write_config(tmp_path, f"{kind}.json", payload)
+        assert run("codebook", "save", "--config", cfg, "--out", str(tmp_path / kind)) == 0
+        saved = gq.load_codebook(capsys.readouterr().out.splitlines()[-1])
+        build = gq.random_codebook if kind == "random" else gq.design_maxmin
+        rebuilt = build(saved.source_spec, saved.code_spec, 3, seed=saved.provenance.seed)
+        assert np.array_equal(rebuilt.stacked_bases, saved.stacked_bases)
+
+
+def test_no_scipy_on_the_import_path():
+    src = os.path.dirname(os.path.dirname(gq.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, grassquant, grassquant.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 DISTORTION_CFG = {"n": 4, "p": 1, "q": 1, "beta": 2, "k_values": [2], "samples": 2000}

@@ -166,6 +166,18 @@ def test_duplicate_pairs_match_brute_force(data):
     assert len(pairs) == copies * (copies + 1) // 2 + 1
 
 
+def test_duplicate_pairs_of_many_copies_are_bounded():
+    source, code = specs(3, 1, 1, beta=1)
+    k = 1 << 16
+    one = gq.sample_isotropic_bases(code, 1, np.random.default_rng(4))
+    bases = np.broadcast_to(one, (k, 3, 1)).copy()
+    pairs = qz._duplicate_pairs(bases)
+    assert 0 < len(pairs) <= k
+    assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+    with pytest.raises(gq.DomainError):
+        Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+
+
 def test_min_pairwise_distance_matches_brute_force(monkeypatch):
     monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 8-row blocks: [0, 8), [8, 16), [16, 20)
     for beta in (1, 2):
@@ -385,6 +397,16 @@ def test_design_zero_iters_is_deterministic_greedy():
     assert a.provenance.trace["best_iter"] == 0
     with pytest.raises(gq.DomainError):
         gq.design_maxmin(source, code, 1, seed=9)
+
+
+def test_rng_and_seed_together_are_refused():
+    source, code = specs(4, 1, 1)
+    for build in (gq.random_codebook, gq.design_maxmin):
+        with pytest.raises(gq.DomainError):
+            build(source, code, 4, gq.derive_rng(5), seed=5)
+        with pytest.raises(gq.DomainError):
+            build(source, code, 4)
+    assert gq.random_codebook(source, code, 4, gq.derive_rng(5)).provenance.seed is None
 
 
 def test_drf_bounds_anchor_and_regime():

@@ -208,3 +208,26 @@ def test_log_space_scales_to_large_n():
                 value = gq.log_coeff_c(n, p, q, beta)
                 assert math.isfinite(value)
     assert gq.coeff_c(256, 128, 128, 1) >= 0.0  # may underflow, never NaN
+
+
+def test_log_coeff_c_matches_gammaln_form():
+    from scipy.special import gammaln  # scipy is a test dependency only
+
+    def reference(n, p, q, beta):
+        h = beta / 2.0
+        out = -float(gammaln(h * p * (n - q) + 1.0))
+        if p + q <= n:
+            i = np.arange(1, p + 1)
+            out += float(np.sum(gammaln(h * (n - i + 1)) - gammaln(h * (q - i + 1))))
+        else:
+            i = np.arange(1, n - q + 1)
+            out += float(np.sum(gammaln(h * (n - i + 1)) - gammaln(h * (n - p - i + 1))))
+        return out
+
+    for n in (2, 3, 5, 8, 13, 21, 50, 100, 200, 400, 600):
+        for q in sorted({1, 2, n // 3, n // 2, n - 2, n - 1} & set(range(1, n))):
+            for p in sorted({1, 2, q // 2, q - 1, q} & set(range(1, q + 1))):
+                for beta in (1, 2):
+                    want = reference(n, p, q, beta)
+                    got = gq.log_coeff_c(n, p, q, beta)
+                    assert abs(got - want) <= 2e-12 * max(1.0, abs(want)), (n, p, q, beta)
