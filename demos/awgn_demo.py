@@ -18,7 +18,7 @@ for n in (16, 32, 64, 128):
     cfg = gq.AwgnConfig(
         n=n, sigma_sq=SIGMA_SQ, epsilon=EPSILON, codebook_size=2, trials=600, seed=n
     )
-    row = gq.awgn_grassmann_decode_experiment(cfg).rows[0]
+    row = gq.awgn_grassmann_decode_experiment(cfg)
     window = f"[{row['window_low']:.4f}, {row['window_high']:.4f}]"
     print(f"{n:>4} {row['dsq_mean']:>9.4f} {row['dsq_var']:>11.2e} {window:>22}")
 
@@ -29,11 +29,11 @@ for rate in (0.25, 0.5, 0.75, 1.0, 1.25):
         n=12, sigma_sq=SIGMA_SQ, epsilon=EPSILON, rate=rate, trials=300, seed=99,
         clamp_to_cap=True,
     )
-    row = gq.awgn_grassmann_decode_experiment(cfg).rows[0]
+    row = gq.awgn_grassmann_decode_experiment(cfg)
     print(f"{rate:>10.2f} {row['K']:>6} {row['error_rate']:>11.3f}")
 
 cap = gq.AwgnConfig(
     n=12, sigma_sq=SIGMA_SQ, epsilon=EPSILON, codebook_size=2, trials=1, seed=0
 )
 print(f"\ncapacity at sigma^2 = {SIGMA_SQ}: "
-      f"{gq.awgn_grassmann_decode_experiment(cap).rows[0]['capacity_bits_per_dim']:.3f} bits/dim")
+      f"{gq.awgn_grassmann_decode_experiment(cap)['capacity_bits_per_dim']:.3f} bits/dim")

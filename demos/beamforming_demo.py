@@ -22,7 +22,7 @@ for l_t, l_r, s in [(4, 1, 1), (4, 2, 1)]:
             l_t=l_t, l_r=l_r, s=s, rho=10.0, r_fb=r_fb, trials=4000, seed=r_fb,
             design_iters=6,
         )
-        row = gq.beamforming_throughput_experiment(cfg).rows[0]
+        row = gq.beamforming_throughput_experiment(cfg)
         print(
             f"{r_fb:>5} {row['throughput_mean']:>11.3f} {row['bound_from_distortion']:>9.3f}"
             f" {row['bound_from_drf']:>11.3f} {row['trace_mean']:>8.4f}"

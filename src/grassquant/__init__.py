@@ -5,6 +5,8 @@ and rate-distortion bounds, codebook construction, and channel experiments
 (Gaussian-noise decoding, limited-feedback MIMO beamforming).
 """
 
+__version__ = "0.1.0"
+
 from .applications import (
     AwgnConfig,
     BeamformingConfig,
@@ -59,7 +61,6 @@ from .quantization import (
     rdf_bounds,
     rdf_bounds_log2,
 )
-from .reports import ExperimentReport, __version__
 from .rng import derive_rng
 from .volume import (
     BallSpec,
@@ -140,9 +141,8 @@ __all__ = [
     "beamforming_selection",
     "beamforming_throughput_experiment",
     "right_singular_plane_bases",
-    # io / reports / rng
+    # io / rng
     "save_codebook",
     "load_codebook",
-    "ExperimentReport",
     "derive_rng",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DomainError, SpecMismatch
-from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
+from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, _gaussian_matrix
 from .quantization import (
     MAX_CODEBOOK,
     Codebook,
@@ -27,7 +27,6 @@ from .quantization import (
     drf_bounds,
     random_codebook,
 )
-from .reports import ExperimentReport, Stopwatch
 from .rng import derive_rng
 
 
@@ -97,21 +96,17 @@ class AwgnConfig:
 
 
 def _gaussian_vector(shape, field: FieldKind, scale: float, rng: np.random.Generator):
-    if field is FieldKind.COMPLEX:
-        # Per-entry variance scale: real/imag parts carry half each.
-        return math.sqrt(scale / 2.0) * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
-    return math.sqrt(scale) * rng.standard_normal(shape)
+    """Gaussian entries of variance ``scale``; real and imaginary parts carry half each."""
+    return math.sqrt(scale / field.beta) * _gaussian_matrix(shape, field, rng)
 
 
-def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> ExperimentReport:
+def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
     """Transmit one shell codeword over Y = X + W and decode by nearest line.
 
     Each trial draws a fresh codebook of ``K`` codewords on the power
     shell, transmits the first, and decodes by minimizing the chordal
     distance between the lines spanned by the codewords and by ``Y``.
-    Reports the block-error frequency and the statistics of
+    Returns the row: the block-error frequency and the statistics of
     ``d_c^2(line(X_1), line(Y))``, together with the window
     ``[sigma^2/(1 + sigma^2 - eps), sigma^2/(1 + sigma^2 - 2 eps)]``
     that the squared distance concentrates in for long blocks.
@@ -121,22 +116,21 @@ def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> ExperimentReport:
     shell_sq = n * (1.0 - 1.5 * cfg.epsilon)
     errors = 0
     dsq = np.empty(cfg.trials)
-    with Stopwatch() as sw:
-        for t in range(cfg.trials):
-            rng = derive_rng(cfg.seed, t)
-            code = _gaussian_vector((k, n), cfg.field, 1.0, rng)
-            code *= math.sqrt(shell_sq) / np.linalg.norm(code, axis=1, keepdims=True)
-            noise = _gaussian_vector((n,), cfg.field, cfg.sigma_sq, rng)
-            y = code[0] + noise
-            scores = np.abs(code.conj() @ y)
-            decoded = int(np.argmax(scores))
-            errors += decoded != 0
-            y_sq = float(np.linalg.norm(y) ** 2)
-            dsq[t] = max(0.0, 1.0 - scores[0] ** 2 / (shell_sq * y_sq))
+    for t in range(cfg.trials):
+        rng = derive_rng(cfg.seed, t)
+        code = _gaussian_vector((k, n), cfg.field, 1.0, rng)
+        code *= math.sqrt(shell_sq) / np.linalg.norm(code, axis=1, keepdims=True)
+        noise = _gaussian_vector((n,), cfg.field, cfg.sigma_sq, rng)
+        y = code[0] + noise
+        scores = np.abs(code.conj() @ y)
+        decoded = int(np.argmax(scores))
+        errors += decoded != 0
+        y_sq = float(np.linalg.norm(y) ** 2)
+        dsq[t] = max(0.0, 1.0 - scores[0] ** 2 / (shell_sq * y_sq))
     beta = cfg.field.beta
     window_low = cfg.sigma_sq / (1.0 + cfg.sigma_sq - cfg.epsilon)
     window_high = cfg.sigma_sq / (1.0 + cfg.sigma_sq - 2.0 * cfg.epsilon)
-    row = {
+    return {
         "n": n,
         "beta": beta,
         "sigma_sq": cfg.sigma_sq,
@@ -156,21 +150,6 @@ def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> ExperimentReport:
         "capacity_bits_per_dim": beta / 2.0 * math.log2(1.0 + 1.0 / cfg.sigma_sq),
         "row_seed": [cfg.seed],
     }
-    config = {
-        "n": n,
-        "sigma_sq": cfg.sigma_sq,
-        "epsilon": cfg.epsilon,
-        "rate": cfg.rate,
-        "codebook_size": cfg.codebook_size,
-        "beta": beta,
-        "trials": cfg.trials,
-        "clamp_to_cap": cfg.clamp_to_cap,
-    }
-    report = ExperimentReport(
-        experiment="awgn_decode", config=config, seed=cfg.seed, rows=[row]
-    )
-    report.wall_time_s = sw.elapsed
-    return report
 
 
 @dataclass(frozen=True)
@@ -273,11 +252,11 @@ def _log_det_throughput(
 
 def beamforming_throughput_experiment(
     cfg: BeamformingConfig, codebook: Codebook | None = None
-) -> ExperimentReport:
+) -> dict:
     """Monte-Carlo throughput of codebook beamforming against its bounds.
 
-    Reports (a) the Monte-Carlo expected log-det throughput, (b) the
-    Monte-Carlo mean of ``tr(V^H Q Q^H V)`` for the selected entries,
+    Returns the row: (a) the Monte-Carlo expected log-det throughput, (b)
+    the Monte-Carlo mean of ``tr(V^H Q Q^H V)`` for the selected entries,
     (c) the same quantity computed as ``min(s, l_r) - D`` from an
     independent distortion estimate of the codebook, (d) the throughput
     bound ``l_r log(1 + (rho/s)(l_t/l_r) * (c))`` evaluated from (c), and
@@ -302,18 +281,15 @@ def beamforming_throughput_experiment(
             raise SpecMismatch("codebook specs do not match the beamforming config")
 
     min_dim = min(cfg.s, cfg.l_r)
-    with Stopwatch() as sw:
-        rng_h = derive_rng(cfg.seed, 1)
-        h = (
-            rng_h.standard_normal((cfg.trials, cfg.l_r, cfg.l_t))
-            + 1j * rng_h.standard_normal((cfg.trials, cfg.l_r, cfg.l_t))
-        ) / math.sqrt(2.0)
-        v = right_singular_plane_bases(h)
-        sel, trace_samples = _nearest(v, codebook.stacked_bases)
-        q_sel = codebook.stacked_bases[sel]
-        throughput_nats = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
+    h = _gaussian_matrix(
+        (cfg.trials, cfg.l_r, cfg.l_t), FieldKind.COMPLEX, derive_rng(cfg.seed, 1)
+    ) / math.sqrt(2.0)
+    v = right_singular_plane_bases(h)
+    sel, trace_samples = _nearest(v, codebook.stacked_bases)
+    q_sel = codebook.stacked_bases[sel]
+    throughput_nats = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
 
-        dist = distortion_mc(codebook, cfg.trials, derive_rng(cfg.seed, 2))
+    dist = distortion_mc(codebook, cfg.trials, derive_rng(cfg.seed, 2))
 
     scale = 1.0 if cfg.log_base == "nats" else 1.0 / math.log(2.0)
     log1p = lambda x: math.log1p(x) * scale
@@ -330,7 +306,7 @@ def beamforming_throughput_experiment(
     t_se = float(throughput.std(ddof=1) / math.sqrt(cfg.trials))
     tr_mean = float(trace_samples.mean())
     tr_se = float(trace_samples.std(ddof=1) / math.sqrt(cfg.trials))
-    row = {
+    return {
         "l_t": cfg.l_t,
         "l_r": cfg.l_r,
         "s": cfg.s,
@@ -356,19 +332,3 @@ def beamforming_throughput_experiment(
         "bound_ok": t_mean <= bound_from_distortion + 3.0 * t_se,
         "row_seed": [cfg.seed],
     }
-    config = {
-        "l_t": cfg.l_t,
-        "l_r": cfg.l_r,
-        "s": cfg.s,
-        "rho": cfg.rho,
-        "r_fb": cfg.r_fb,
-        "trials": cfg.trials,
-        "codebook_kind": cfg.codebook_kind,
-        "design_iters": cfg.design_iters,
-        "log_base": cfg.log_base,
-    }
-    report = ExperimentReport(
-        experiment="beamforming", config=config, seed=cfg.seed, rows=[row]
-    )
-    report.wall_time_s = sw.elapsed
-    return report

@@ -3,11 +3,11 @@
 Subcommands: ``volume``, ``distortion``, ``design``, ``random-opt``,
 ``awgn``, ``beamforming``, and ``codebook {save,load,verify}``.  Each
 experiment reads the JSON types of its config fields (numbers must be
-finite), builds the library objects of every sweep row before any row
-runs, and writes a CSV of sweep rows plus a JSON report into the output
-directory.  The range checks are the library's own: a ``DomainError`` or
-``CapExceeded`` raised by a config-driven command is reported as a
-config error.  The CSV is byte-identical across runs for the same config
+finite; a key no field reads is rejected), builds the library objects of
+every sweep row before any row runs, and writes a CSV of sweep rows plus
+a JSON report into the output directory.  The range checks are the
+library's own: a ``DomainError`` or ``CapExceeded`` raised by a
+config-driven command is reported as a config error.  The CSV is byte-identical across runs for the same config
 and seed (wall time lives only in the JSON report); rows are sub-seeded
 from ``(seed, row_index)`` so parallelism never changes results.
 
@@ -21,12 +21,14 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import codebook_io
+from . import __version__, codebook_io
 from .applications import (
     AwgnConfig,
     BeamformingConfig,
@@ -41,13 +43,13 @@ from .errors import (
 )
 from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
 from .quantization import (
+    _random_opt_plan,
+    _random_opt_row,
     design_maxmin,
     distortion_mc,
     drf_bounds,
-    random_code_optimality_experiment,
     random_codebook,
 )
-from .reports import ExperimentReport, Stopwatch, __version__
 from .rng import derive_rng
 from .volume import (
     BallSpec,
@@ -151,8 +153,16 @@ def _get(params: dict, name: str, kind, default=None):
     return _checked(name, value, kind)
 
 
+# Read by ``main`` for every command, on top of the command's own fields.
+_RUN_FIELDS = {"seed", "threads"}
+
+
 def _config(params: dict, *fields: tuple) -> dict:
-    """The ``(name, kind[, default])`` fields read by :func:`_get`; also the JSON echo."""
+    """The ``(name, kind[, default])`` fields read by :func:`_get`; also the JSON
+    echo.  A command reads all its fields here, so any other key is unknown."""
+    unknown = sorted(set(params) - {field[0] for field in fields} - _RUN_FIELDS)
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: unknown field")
     return {field[0]: _get(params, *field) for field in fields}
 
 
@@ -177,6 +187,34 @@ def _run_rows(fns: list, threads: int) -> list:
         return [f.result() for f in futures]
 
 
+def _jsonable(value):
+    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if hasattr(value, "item"):  # numpy scalars
+        return _jsonable(value.item())
+    return value
+
+
+@dataclass
+class ExperimentReport:
+    """One experiment run: the config echo, one dict per sweep row (each
+    with the ``row_seed`` that regenerates it) and the rows' wall time,
+    which only the JSON report carries."""
+
+    experiment: str
+    config: dict
+    seed: int
+    rows: list[dict]
+    wall_time_s: float
+
+    def to_json(self) -> str:
+        return json.dumps(_jsonable({**vars(self), "version": __version__}), indent=2)
+
+
 def _experiment(name: str, prepare, row):
     """Runner of a sweep experiment.
 
@@ -188,13 +226,11 @@ def _experiment(name: str, prepare, row):
 
     def run(params: dict, seed: int, threads: int, out_dir: str) -> ExperimentReport:
         config, items = prepare(params, seed, out_dir)
-        with Stopwatch() as sw:
-            rows = _run_rows(
-                [partial(row, config, seed, i, item) for i, item in enumerate(items)], threads
-            )
-        return ExperimentReport(
-            experiment=name, config=config, seed=seed, rows=rows, wall_time_s=sw.elapsed
+        start = time.perf_counter()
+        rows = _run_rows(
+            [partial(row, config, seed, i, item) for i, item in enumerate(items)], threads
         )
+        return ExperimentReport(name, config, seed, rows, time.perf_counter() - start)
 
     return run
 
@@ -270,9 +306,10 @@ def _design(params: dict, seed: int, out_dir: str):
         ("iters", int, 8),
         ("train_samples", int, 10_000),
         ("eval_samples", int, 20_000),
+        ("save_codebooks", bool, False),
     )
     _check_mc_samples("eval_samples", c["eval_samples"])
-    save = _get(params, "save_codebooks", bool, False)
+    save = c["save_codebooks"]
     items = _sizes(c)
     if save:
         os.makedirs(out_dir, exist_ok=True)
@@ -307,8 +344,7 @@ def _design_row(c: dict, seed: int, i: int, item: tuple) -> dict:
     }
 
 
-def run_random_opt(params: dict, seed: int, threads: int, out_dir: str) -> ExperimentReport:
-    # Rows run in the library, which derives their seeds.
+def _random_opt(params: dict, seed: int, out_dir: str):
     c = _config(
         params,
         ("p", int),
@@ -320,9 +356,7 @@ def run_random_opt(params: dict, seed: int, threads: int, out_dir: str) -> Exper
         ("epsilon", float, 0.05),
         ("samples", int, 2000),
     )
-    report = random_code_optimality_experiment(**c, seed=seed)
-    report.experiment = "random_opt"
-    return report
+    return c, _random_opt_plan(**c)
 
 
 def _awgn(params: dict, seed: int, out_dir: str):
@@ -359,6 +393,7 @@ def _awgn(params: dict, seed: int, out_dir: str):
 def _beamforming(params: dict, seed: int, out_dir: str):
     if "r_fb_values" not in params:  # a single r_fb is a one-row sweep
         params = dict(params, r_fb_values=[_get(params, "r_fb", int)])
+        del params["r_fb"]
     c = _config(
         params,
         ("l_t", int),
@@ -382,14 +417,14 @@ RUNNERS = {
     "volume": _experiment("volume", _volume, _volume_row),
     "distortion": _experiment("distortion", _distortion, _distortion_row),
     "design": _experiment("design", _design, _design_row),
-    "random-opt": run_random_opt,
+    "random-opt": _experiment(
+        "random_opt", _random_opt, lambda c, seed, i, point: _random_opt_row(seed, i, point)
+    ),
     "awgn": _experiment(
-        "awgn", _awgn, lambda c, seed, i, cfg: awgn_grassmann_decode_experiment(cfg).rows[0]
+        "awgn", _awgn, lambda c, seed, i, cfg: awgn_grassmann_decode_experiment(cfg)
     ),
     "beamforming": _experiment(
-        "beamforming",
-        _beamforming,
-        lambda c, seed, i, cfg: beamforming_throughput_experiment(cfg).rows[0],
+        "beamforming", _beamforming, lambda c, seed, i, cfg: beamforming_throughput_experiment(cfg)
     ),
 }
 
@@ -438,18 +473,24 @@ def write_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
 
 
 def _codebook_save(params: dict, seed: int, out_dir: str) -> str:
-    c = _config(params, *_DIMS, ("K", int), ("kind", str, "random"))
+    c = _config(
+        params,
+        *_DIMS,
+        ("K", int),
+        ("kind", str, "random"),
+        ("name", str, ""),
+        ("iters", int, 8),
+        ("train_samples", int, 10_000),
+    )
     if c["kind"] not in ("random", "maxmin"):
         raise ConfigError(f"kind: must be random or maxmin, got {c['kind']!r}")
-    name = _get(params, "name", str, "codebook_n{n}_p{p}_q{q}_b{beta}_K{K}".format(**c))
+    name = c["name"] or "codebook_n{n}_p{p}_q{q}_b{beta}_K{K}".format(**c)
     source, code = _specs(c)
     if c["kind"] == "random":
         cb = random_codebook(source, code, c["K"], seed=seed)
     else:
-        iters = _get(params, "iters", int, 8)
-        train_samples = _get(params, "train_samples", int, 10_000)
         cb = design_maxmin(
-            source, code, c["K"], seed=seed, iters=iters, train_samples=train_samples
+            source, code, c["K"], seed=seed, iters=c["iters"], train_samples=c["train_samples"]
         )
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name + ".json")

@@ -20,6 +20,8 @@ from .quantization import Codebook, Provenance
 
 FORMAT_NAME = "grassquant-codebook"
 FORMAT_VERSION = 1
+# Header fields that must be JSON integers.
+_HEADER_INTS = ("n", "p", "q", "beta", "K")
 
 
 def _fmt(x: float) -> str:
@@ -75,27 +77,30 @@ def load_codebook(path: str) -> Codebook:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise FormatError(f"{path}: missing or wrong format marker")
     try:
-        n = int(doc["n"])
-        p = int(doc["p"])
-        q = int(doc["q"])
-        beta = int(doc["beta"])
-        k = int(doc["K"])
+        n, p, q, beta, k = header = [doc[key] for key in _HEADER_INTS]
         entries = doc["entries"]
         prov_doc = doc.get("provenance", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad or missing header field: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing header field: {exc}") from exc
+    for key, value in zip(_HEADER_INTS, header):
+        if type(value) is not int:  # int() would read 4.9 as 4 and true as 1
+            raise FormatError(f"{path}: header field {key} must be an integer, got {value!r}")
     if not isinstance(entries, list) or len(entries) != k:
         raise FormatError(
             f"{path}: header K={k} but {len(entries) if isinstance(entries, list) else '?'} entries"
         )
     field = FieldKind.from_beta(beta)
+    source, code = GrassmannSpec(n, p, field), GrassmannSpec(n, q, field)
+    # Every entry is checked before the (K, n, q) array is allocated, so a
+    # huge header dimension is a format error, not an allocation failure.
     want = 2 * n * q
-    bases = np.empty((k, n, q), dtype=np.complex128)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != want:
             raise FormatError(
                 f"{path}: entry {i} has {len(row) if isinstance(row, list) else '?'} numbers, expected {want}"
             )
+    bases = np.empty((k, n, q), dtype=np.complex128)
+    for i, row in enumerate(entries):
         vals = np.asarray(row, dtype=float)
         bases[i] = (vals[0::2] + 1j * vals[1::2]).reshape(n, q)
     if field is FieldKind.REAL:
@@ -107,6 +112,4 @@ def load_codebook(path: str) -> Codebook:
         path=os.fspath(path),
         trace=prov_doc.get("trace"),
     )
-    return Codebook.from_bases(
-        GrassmannSpec(n, p, field), GrassmannSpec(n, q, field), bases, provenance
-    )
+    return Codebook.from_bases(source, code, bases, provenance)

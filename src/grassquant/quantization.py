@@ -29,7 +29,6 @@ from .manifold import (
     chordal_distance_sq,
     sample_isotropic_bases,
 )
-from .reports import ExperimentReport, Stopwatch
 from .rng import derive_rng
 from .volume import log_coeff_c
 
@@ -548,27 +547,18 @@ def asymptotic_rate(p: int, beta: int, distortion: float) -> float:
     return beta * p / 2.0 * math.log2(p / distortion)
 
 
-def random_code_optimality_experiment(
+def _random_opt_plan(
     p: int,
     q: int,
     beta: int,
     rbar: float,
     n_list: "list[int]",
     trials: int,
-    seed: int = 0,
-    *,
-    epsilon: float = 0.05,
-    samples: int = 2000,
-) -> ExperimentReport:
-    """Fraction of random codebooks whose distortion exceeds the asymptote.
-
-    For each ``n`` the codebook size is ``round(2^(rbar n))``; points whose
-    size exceeds ``MAX_CODEBOOK`` (``inf`` where ``2^(rbar n)`` overflows a
-    float) are skipped and flagged.  Each trial draws a fresh random
-    codebook and estimates its distortion with ``samples`` Monte-Carlo
-    draws on a disjoint stream; the reported fraction counts trials with
-    distortion above ``asymptote + epsilon``.
-    """
+    epsilon: float,
+    samples: int,
+) -> "list[tuple]":
+    """Range checks of :func:`random_code_optimality_experiment`; one point
+    per ``n``, in the form :func:`_random_opt_row` takes."""
     _check_mc_samples("samples", samples)
     if beta not in (1, 2):
         raise DomainError(f"beta must be 1 or 2, got {beta}")
@@ -584,59 +574,73 @@ def random_code_optimality_experiment(
         raise DomainError(f"every n must exceed q={q}, got {n_list}")
     field = FieldKind.from_beta(beta)
     d_asym = asymptotic_drf(p, beta, rbar)
-    config = {
-        "p": p,
-        "q": q,
-        "beta": beta,
-        "rbar": rbar,
-        "n_list": list(n_list),
+    return [
+        (GrassmannSpec(n, p, field), GrassmannSpec(n, q, field), _size_at_rate(rbar * n),
+         d_asym, trials, epsilon, samples)
+        for n in n_list
+    ]
+
+
+def _random_opt_row(seed: int, i: int, point: tuple) -> dict:
+    """Row ``i`` of the random-code optimality experiment; trial ``t`` draws
+    from the streams ``(seed, i, t, 0)`` and ``(seed, i, t, 1)``."""
+    source, code, size, d_asym, trials, epsilon, samples = point
+    row = {
+        "n": source.n,
+        "K": size,
+        "skipped": False,
         "trials": trials,
         "epsilon": epsilon,
-        "samples": samples,
-        "max_codebook": MAX_CODEBOOK,
+        "d_asymptotic": d_asym,
+        "exceed_count": 0,
+        "exceed_fraction": math.nan,
+        "distortion_mean": math.nan,
+        "distortion_min": math.nan,
+        "distortion_max": math.nan,
+        "row_seed": [seed, i],
     }
-    report = ExperimentReport(
-        experiment="random_code_optimality", config=config, seed=seed
-    )
-    with Stopwatch() as sw:
-        for i, n in enumerate(n_list):
-            size = _size_at_rate(rbar * n)
-            row = {
-                "n": n,
-                "K": size,
-                "skipped": False,
-                "trials": trials,
-                "epsilon": epsilon,
-                "d_asymptotic": d_asym,
-                "exceed_count": 0,
-                "exceed_fraction": math.nan,
-                "distortion_mean": math.nan,
-                "distortion_min": math.nan,
-                "distortion_max": math.nan,
-                "row_seed": [seed, i],
-            }
-            if size > MAX_CODEBOOK:
-                row["skipped"] = True
-                row["skip_reason"] = "cap_exceeded"
-                report.rows.append(row)
-                continue
-            source = GrassmannSpec(n, p, field)
-            code = GrassmannSpec(n, q, field)
-            values = []
-            for t in range(trials):
-                cb = random_codebook(source, code, size, derive_rng(seed, i, t, 0))
-                est = distortion_mc(cb, samples, derive_rng(seed, i, t, 1))
-                values.append(est.mean)
-            if values:
-                arr = np.asarray(values)
-                exceed = int(np.count_nonzero(arr > d_asym + epsilon))
-                row.update(
-                    exceed_count=exceed,
-                    exceed_fraction=exceed / trials,
-                    distortion_mean=float(arr.mean()),
-                    distortion_min=float(arr.min()),
-                    distortion_max=float(arr.max()),
-                )
-            report.rows.append(row)
-    report.wall_time_s = sw.elapsed
-    return report
+    if size > MAX_CODEBOOK:
+        row["skipped"] = True
+        row["skip_reason"] = "cap_exceeded"
+        return row
+    values = []
+    for t in range(trials):
+        cb = random_codebook(source, code, size, derive_rng(seed, i, t, 0))
+        est = distortion_mc(cb, samples, derive_rng(seed, i, t, 1))
+        values.append(est.mean)
+    if values:
+        arr = np.asarray(values)
+        exceed = int(np.count_nonzero(arr > d_asym + epsilon))
+        row.update(
+            exceed_count=exceed,
+            exceed_fraction=exceed / trials,
+            distortion_mean=float(arr.mean()),
+            distortion_min=float(arr.min()),
+            distortion_max=float(arr.max()),
+        )
+    return row
+
+
+def random_code_optimality_experiment(
+    p: int,
+    q: int,
+    beta: int,
+    rbar: float,
+    n_list: "list[int]",
+    trials: int,
+    seed: int = 0,
+    *,
+    epsilon: float = 0.05,
+    samples: int = 2000,
+) -> "list[dict]":
+    """Fraction of random codebooks whose distortion exceeds the asymptote.
+
+    For each ``n`` the codebook size is ``round(2^(rbar n))``; points whose
+    size exceeds ``MAX_CODEBOOK`` (``inf`` where ``2^(rbar n)`` overflows a
+    float) are skipped and flagged.  Each trial draws a fresh random
+    codebook and estimates its distortion with ``samples`` Monte-Carlo
+    draws on a disjoint stream; the fraction counts trials with distortion
+    above ``asymptote + epsilon``.  Returns one row per ``n``.
+    """
+    plan = _random_opt_plan(p, q, beta, rbar, n_list, trials, epsilon, samples)
+    return [_random_opt_row(seed, i, point) for i, point in enumerate(plan)]

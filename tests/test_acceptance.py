@@ -149,12 +149,12 @@ def test_criterion_06_duality():
 
 def test_criterion_07_random_code_optimality_trend():
     with criterion(7, "random-code exceedance fraction is non-increasing in n"):
-        report = gq.random_code_optimality_experiment(
+        rows = gq.random_code_optimality_experiment(
             1, 1, 2, 2.0, [4, 6, 8], trials=20, seed=1007, epsilon=0.05, samples=1000
         )
-        assert [row["skipped"] for row in report.rows] == [False, False, False]
-        assert report.rows[0]["d_asymptotic"] == 0.25
-        fractions = [row["exceed_fraction"] for row in report.rows]
+        assert [row["skipped"] for row in rows] == [False, False, False]
+        assert rows[0]["d_asymptotic"] == 0.25
+        fractions = [row["exceed_fraction"] for row in rows]
         assert all(a >= b for a, b in zip(fractions, fractions[1:])), fractions
 
 
@@ -163,7 +163,7 @@ def test_criterion_08_awgn_window_and_capacity():
         cfg = gq.AwgnConfig(
             n=64, sigma_sq=1.0, epsilon=0.05, codebook_size=2, trials=1000, seed=1008
         )
-        row = gq.awgn_grassmann_decode_experiment(cfg).rows[0]
+        row = gq.awgn_grassmann_decode_experiment(cfg)
         assert row["window_low"] == pytest.approx(1 / 1.95, rel=1e-12)
         assert row["window_high"] == pytest.approx(1 / 1.90, rel=1e-12)
         lo = row["window_low"] - 3 * row["dsq_stderr"]
@@ -177,8 +177,8 @@ def test_criterion_08_awgn_window_and_capacity():
             n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, trials=200, seed=1018,
             clamp_to_cap=True,
         )
-        err_below = gq.awgn_grassmann_decode_experiment(below).rows[0]["error_rate"]
-        row_above = gq.awgn_grassmann_decode_experiment(above).rows[0]
+        err_below = gq.awgn_grassmann_decode_experiment(below)["error_rate"]
+        row_above = gq.awgn_grassmann_decode_experiment(above)
         assert row_above["K"] == 2**16
         assert err_below < row_above["error_rate"], (err_below, row_above["error_rate"])
 
@@ -190,7 +190,7 @@ def test_criterion_09_beamforming_identity_and_bound():
     ]
     with criterion(9, "aligned-trace identity and throughput bound hold"):
         for cfg in configs:
-            row = gq.beamforming_throughput_experiment(cfg).rows[0]
+            row = gq.beamforming_throughput_experiment(cfg)
             assert row["identity_gap"] <= 3 * row["identity_sigma"], row
             assert (
                 row["throughput_mean"]

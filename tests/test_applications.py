@@ -37,8 +37,7 @@ def test_awgn_noiseless_decodes_perfectly():
     cfg = AwgnConfig(
         n=8, sigma_sq=1e-12, epsilon=0.05, codebook_size=8, trials=50, seed=1
     )
-    report = gq.awgn_grassmann_decode_experiment(cfg)
-    row = report.rows[0]
+    row = gq.awgn_grassmann_decode_experiment(cfg)
     assert row["error_rate"] == 0.0
     assert row["dsq_mean"] < 1e-10
 
@@ -51,7 +50,7 @@ def test_awgn_window_and_concentration():
         cfg = AwgnConfig(
             n=n, sigma_sq=1.0, epsilon=0.05, codebook_size=2, trials=400, seed=n
         )
-        row = gq.awgn_grassmann_decode_experiment(cfg).rows[0]
+        row = gq.awgn_grassmann_decode_experiment(cfg)
         variances.append(row["dsq_var"])
         if n == 64:
             lo = row["window_low"] - 4 * row["dsq_stderr"]
@@ -65,8 +64,8 @@ def test_awgn_capacity_threshold_ordering():
     above = AwgnConfig(
         n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, trials=100, seed=5, clamp_to_cap=True
     )
-    err_below = gq.awgn_grassmann_decode_experiment(below).rows[0]["error_rate"]
-    err_above = gq.awgn_grassmann_decode_experiment(above).rows[0]["error_rate"]
+    err_below = gq.awgn_grassmann_decode_experiment(below)["error_rate"]
+    err_above = gq.awgn_grassmann_decode_experiment(above)["error_rate"]
     assert err_below < err_above
     assert err_above >= 0.8  # far above capacity
 
@@ -143,7 +142,7 @@ def test_beamforming_vanishing_snr():
     cfg = BeamformingConfig(
         l_t=3, l_r=1, s=1, rho=1e-9, r_fb=2, trials=1000, seed=2, design_iters=1
     )
-    row = gq.beamforming_throughput_experiment(cfg).rows[0]
+    row = gq.beamforming_throughput_experiment(cfg)
     assert row["throughput_mean"] < 1e-6
 
 
@@ -151,7 +150,7 @@ def test_beamforming_identity_and_bound_smoke():
     cfg = BeamformingConfig(
         l_t=4, l_r=1, s=1, rho=10.0, r_fb=3, trials=2000, seed=4, design_iters=4
     )
-    row = gq.beamforming_throughput_experiment(cfg).rows[0]
+    row = gq.beamforming_throughput_experiment(cfg)
     assert row["identity_gap"] <= 4 * row["identity_sigma"]
     assert row["throughput_mean"] <= row["bound_from_distortion"] + 3 * row["throughput_stderr"]
     assert row["bound_ok"]
@@ -166,8 +165,8 @@ def test_beamforming_nats_switch():
         l_t=3, l_r=1, s=1, rho=5.0, r_fb=2, trials=1000, seed=6, design_iters=1,
         log_base="nats",
     )
-    bits = gq.beamforming_throughput_experiment(cfg_bits).rows[0]["throughput_mean"]
-    nats = gq.beamforming_throughput_experiment(cfg_nats).rows[0]["throughput_mean"]
+    bits = gq.beamforming_throughput_experiment(cfg_bits)["throughput_mean"]
+    nats = gq.beamforming_throughput_experiment(cfg_nats)["throughput_mean"]
     assert nats == pytest.approx(bits * math.log(2.0), rel=1e-12)
 
 
@@ -176,6 +175,6 @@ def test_beamforming_unequal_dimensions_run():
     cfg = BeamformingConfig(
         l_t=4, l_r=2, s=1, rho=10.0, r_fb=4, trials=1500, seed=7, design_iters=3
     )
-    row = gq.beamforming_throughput_experiment(cfg).rows[0]
+    row = gq.beamforming_throughput_experiment(cfg)
     assert 0.0 < row["trace_mean"] < 1.0  # one principal angle only
     assert row["identity_gap"] <= 5 * row["identity_sigma"]

@@ -53,6 +53,8 @@ def test_volume_run_and_determinism(tmp_path):
                        "samples": 2000, "seed": 3},
         "design": {"n": 3, "p": 1, "q": 1, "beta": 2, "k_values": [4, 8], "iters": 2,
                    "train_samples": 2000, "eval_samples": 2000, "seed": 5},
+        "random-opt": {"p": 1, "q": 1, "beta": 2, "rbar": 1.0, "n_list": [4, 5, 6],
+                       "trials": 2, "samples": 1000, "seed": 6},
     }
     for name, payload in kernel_runs.items():
         cfg = write_config(tmp_path, f"{name}.json", payload)
@@ -60,7 +62,7 @@ def test_volume_run_and_determinism(tmp_path):
         for threads in ("1", "3"):
             out = tmp_path / f"{name}-t{threads}"
             assert run(name, "--config", cfg, "--out", str(out), "--threads", threads) == 0
-            csvs.append((out / f"{name}.csv").read_bytes())
+            csvs.append((out / f"{name.replace('-', '_')}.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
 
@@ -325,6 +327,7 @@ NAN, INF = float("nan"), float("inf")
         ("volume", VOLUME_CFG, {"samples": 10**400}, "samples must lie in [1000, 16777216]"),
         ("distortion", DISTORTION_CFG, {"samples": 2**24 + 1}, "got 16777217"),
         ("random-opt", OPT_CFG, {"samples": 10}, "got 10"),
+        ("volume", VOLUME_CFG, {"sample": 10}, "sample: unknown field"),
     ],
 )
 def test_bad_config_is_a_config_error(

@@ -91,6 +91,14 @@ def test_header_mismatches(tmp_path):
     with pytest.raises(gq.FormatError):
         load_codebook(str(path))
 
+    # Header integers must be JSON integers; entries are checked before the
+    # (K, n, q) array is allocated.
+    for bad in (dict(doc, n=4.9), dict(doc, p=True),
+                dict(doc, n=10**12, K=1, entries=[[0.0, 1.0]])):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(gq.FormatError):
+            load_codebook(str(path))
+
     del doc["beta"]
     path.write_text(json.dumps(doc))
     with pytest.raises(gq.FormatError):

@@ -486,28 +486,28 @@ def test_asymptotics():
 
 
 def test_random_code_optimality_trivial_rows():
-    report = gq.random_code_optimality_experiment(
+    rows = gq.random_code_optimality_experiment(
         1, 1, 2, 1.0, [4], trials=0, seed=1, samples=1000
     )
-    row = report.rows[0]
+    row = rows[0]
     assert row["trials"] == 0
     assert math.isnan(row["exceed_fraction"])
 
     # epsilon at the distortion ceiling: nothing can exceed it.
-    report = gq.random_code_optimality_experiment(
+    rows = gq.random_code_optimality_experiment(
         1, 1, 2, 1.0, [4], trials=3, seed=2, samples=1000, epsilon=1.0
     )
-    assert report.rows[0]["exceed_fraction"] == 0.0
+    assert rows[0]["exceed_fraction"] == 0.0
 
 
 def test_random_code_optimality_cap_skip():
-    report = gq.random_code_optimality_experiment(
+    rows = gq.random_code_optimality_experiment(
         1, 1, 2, 2.0, [4, 16], trials=2, seed=3, samples=1000
     )
-    assert not report.rows[0]["skipped"]
-    assert report.rows[1]["skipped"]
-    assert report.rows[1]["skip_reason"] == "cap_exceeded"
-    assert report.rows[1]["K"] == 2**32
+    assert not rows[0]["skipped"]
+    assert rows[1]["skipped"]
+    assert rows[1]["skip_reason"] == "cap_exceeded"
+    assert rows[1]["K"] == 2**32
 
 
 def test_bound_sandwich_across_tuples():
