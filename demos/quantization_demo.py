@@ -1,7 +1,7 @@
 """Distortion-rate tradeoff: bounds vs actual codebooks.
 
 For lines in C^4, sweeps the codebook size and compares the closed-form
-distortion-rate bounds with (a) max-min/Lloyd designed codebooks and
+distortion-rate bounds with (a) Lloyd-designed codebooks and
 (b) the average distortion of random codebooks.  Random codebooks hug
 the upper bound; designed ones land between the bounds.  Also shows the
 bound duality and the shared large-n asymptote.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DomainError, SpecMismatch
-from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, _gaussian_matrix
+from .manifold import FieldKind, GrassmannSpec, _check_draws, _check_mc_samples, _gaussian_matrix
 from .quantization import (
     MAX_CODEBOOK,
     Codebook,
@@ -66,8 +66,7 @@ class AwgnConfig:
             raise DomainError(f"rate must be positive, got {self.rate}")
         if self.codebook_size is not None and self.codebook_size < 1:
             raise DomainError(f"codebook_size must be >= 1, got {self.codebook_size}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        _check_draws("trials", self.trials, 1)
         if self.nominal_size > MAX_CODEBOOK and not self.clamp_to_cap:
             raise CapExceeded(
                 f"codebook size {self.nominal_size} exceeds cap {MAX_CODEBOOK}; "
@@ -250,9 +249,7 @@ def _log_det_throughput(
     return logdet
 
 
-def beamforming_throughput_experiment(
-    cfg: BeamformingConfig, codebook: Codebook | None = None
-) -> dict:
+def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
     """Monte-Carlo throughput of codebook beamforming against its bounds.
 
     Returns the row: (a) the Monte-Carlo expected log-det throughput, (b)
@@ -263,22 +260,13 @@ def beamforming_throughput_experiment(
     (e) the same bound evaluated from the distortion-rate lower bound at
     the feedback size.  (b) and (c) estimate the same expectation on
     disjoint streams; (a) never exceeds (d) beyond Monte-Carlo error.
+    The codebook is built from ``cfg`` per ``codebook_kind``.
     """
-    if codebook is None:
-        rng_cb = derive_rng(cfg.seed, 0)
-        if cfg.codebook_kind == "maxmin":
-            codebook = design_maxmin(
-                cfg.source_spec,
-                cfg.code_spec,
-                cfg.codebook_size,
-                rng_cb,
-                iters=cfg.design_iters,
-            )
-        else:
-            codebook = random_codebook(cfg.source_spec, cfg.code_spec, cfg.codebook_size, rng_cb)
+    args = (cfg.source_spec, cfg.code_spec, cfg.codebook_size, derive_rng(cfg.seed, 0))
+    if cfg.codebook_kind == "maxmin":
+        codebook = design_maxmin(*args, iters=cfg.design_iters)
     else:
-        if codebook.source_spec != cfg.source_spec or codebook.code_spec != cfg.code_spec:
-            raise SpecMismatch("codebook specs do not match the beamforming config")
+        codebook = random_codebook(*args)
 
     min_dim = min(cfg.s, cfg.l_r)
     h = _gaussian_matrix(

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
 from .quantization import (
+    _check_size,
     _random_opt_plan,
     _random_opt_row,
     design_maxmin,
@@ -267,9 +268,11 @@ def _volume_row(c: dict, seed: int, i: int, spec: BallSpec) -> dict:
     return out
 
 
-def _sizes(c: dict) -> list[tuple]:
-    """``(source, code, K, drf_bounds)`` per entry of ``k_values``."""
+def _sizes(c: dict, least: int) -> list[tuple]:
+    """``(source, code, K, drf_bounds)`` per K in ``k_values``; ``least <= K <= MAX_CODEBOOK``."""
     source, code = _specs(c)
+    for k in c["k_values"]:
+        _check_size(k, least)
     return [
         (source, code, k, drf_bounds(c["n"], c["p"], c["q"], c["beta"], k))
         for k in c["k_values"]
@@ -279,7 +282,7 @@ def _sizes(c: dict) -> list[tuple]:
 def _distortion(params: dict, seed: int, out_dir: str):
     c = _config(params, *_DIMS, ("k_values", [int]), ("samples", int, 10_000))
     _check_mc_samples("samples", c["samples"])
-    return c, _sizes(c)
+    return c, _sizes(c, 1)
 
 
 def _distortion_row(c: dict, seed: int, i: int, item: tuple) -> dict:
@@ -310,7 +313,7 @@ def _design(params: dict, seed: int, out_dir: str):
     )
     _check_mc_samples("eval_samples", c["eval_samples"])
     save = c["save_codebooks"]
-    items = _sizes(c)
+    items = _sizes(c, 2)
     if save:
         os.makedirs(out_dir, exist_ok=True)
     return c, [

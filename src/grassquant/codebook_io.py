@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -85,6 +86,8 @@ def load_codebook(path: str) -> Codebook:
     for key, value in zip(_HEADER_INTS, header):
         if type(value) is not int:  # int() would read 4.9 as 4 and true as 1
             raise FormatError(f"{path}: header field {key} must be an integer, got {value!r}")
+    if not isinstance(prov_doc, dict):
+        raise FormatError(f"{path}: provenance must be an object, got {prov_doc!r}")
     if not isinstance(entries, list) or len(entries) != k:
         raise FormatError(
             f"{path}: header K={k} but {len(entries) if isinstance(entries, list) else '?'} entries"
@@ -99,10 +102,12 @@ def load_codebook(path: str) -> Codebook:
             raise FormatError(
                 f"{path}: entry {i} has {len(row) if isinstance(row, list) else '?'} numbers, expected {want}"
             )
-    bases = np.empty((k, n, q), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        vals = np.asarray(row, dtype=float)
-        bases[i] = (vals[0::2] + 1j * vals[1::2]).reshape(n, q)
+        for value in row:
+            # np.asarray would read "1.5" and true as numbers, and fail on "a".
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise FormatError(f"{path}: entry {i} holds {value!r}, not a finite number")
+    vals = np.asarray(entries, dtype=float).reshape(k, want)
+    bases = (vals[:, 0::2] + 1j * vals[:, 1::2]).reshape(k, n, q)
     if field is FieldKind.REAL:
         if np.abs(bases.imag).max(initial=0.0) != 0.0:
             raise FormatError(f"{path}: non-zero imaginary parts in a real-field codebook")

@@ -26,13 +26,23 @@ from .errors import (
 TOL_ORTHO = 1e-10
 # Chordal distance below which two planes count as the same point.
 TOL_EQ = 1e-9
+# Most samples or trials one call draws.
+_MAX_DRAWS = 1 << 24
 
 
 def _check_mc_samples(name: str, count: int) -> None:
     """Raise :class:`DomainError` unless 1000 <= count <= 2^24 Monte-Carlo samples:
     enough for a usable standard error, at most a 128 MB float64 buffer."""
-    if not 1000 <= count <= 1 << 24:
-        raise DomainError(f"{name} must lie in [1000, {1 << 24}], got {count}")
+    if not 1000 <= count <= _MAX_DRAWS:
+        raise DomainError(f"{name} must lie in [1000, {_MAX_DRAWS}], got {count}")
+
+
+def _check_draws(name: str, count: int, least: int) -> None:
+    """Raise :class:`DomainError` unless ``least <= count <= 2^24`` samples or trials."""
+    if count < least:
+        raise DomainError(f"{name} must be >= {least}, got {count}")
+    if count > _MAX_DRAWS:
+        raise DomainError(f"{name} must be <= {_MAX_DRAWS}, got {count}")
 
 
 class FieldKind(enum.Enum):

@@ -3,7 +3,7 @@
 A source plane in ``G_{n,p}`` is quantized onto a finite codebook of
 planes in ``G_{n,q}`` by minimum chordal distance; the distortion of a
 codebook is the mean squared quantization distance under the isotropic
-source.  This module provides random and max-min/Lloyd codebook
+source.  This module provides random and Lloyd-designed codebook
 construction, Monte-Carlo distortion estimation, closed-form bounds on
 the distortion-rate and rate-distortion functions, their shared
 large-``n`` asymptote, and the random-code optimality experiment.
@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpecMismatch
+from .errors import CapExceeded, DomainError, SpecMismatch
 from .manifold import (
     TOL_EQ,
     TOL_ORTHO,
     FieldKind,
     GrassmannSpec,
     Plane,
+    _check_draws,
     _check_mc_samples,
     _orthonormal,
     chordal_distance_sq,
@@ -32,10 +33,8 @@ from .manifold import (
 from .rng import derive_rng
 from .volume import log_coeff_c
 
-# Desk-scale cap on codebook sizes in experiments.
+# Desk-scale cap on the sizes of the codebooks this module builds.
 MAX_CODEBOOK = 1 << 16
-# Candidate pool per greedy farthest-point step.
-DESIGN_POOL = 256
 
 # Overlap block size: about this many sample-entry pairs (2 MB of float64),
 # so a block's GEMM outputs and its reduction stay in cache.
@@ -333,6 +332,14 @@ def _resolve_rng(
     return derive_rng(seed) if rng is None else rng
 
 
+def _check_size(size: int, least: int) -> None:
+    """Range check of a codebook size: ``least <= size <= MAX_CODEBOOK``."""
+    if size < least:
+        raise DomainError(f"size must be >= {least}, got {size}")
+    if size > MAX_CODEBOOK:
+        raise CapExceeded(f"codebook size {size} exceeds cap {MAX_CODEBOOK}")
+
+
 def random_codebook(
     source_spec: GrassmannSpec,
     code_spec: GrassmannSpec,
@@ -341,14 +348,13 @@ def random_codebook(
     *,
     seed: "int | None" = None,
 ) -> Codebook:
-    """Codebook of ``size`` independent Haar draws from ``G_{n,q}``, from
-    exactly one of ``rng`` or ``seed`` (recorded in the provenance).
+    """Codebook of ``size`` <= ``MAX_CODEBOOK`` independent Haar draws from
+    ``G_{n,q}``, from exactly one of ``rng`` or ``seed`` (recorded in the provenance).
 
     Collisions (probability zero) found by the duplicate screen of
     :meth:`Codebook.from_bases` are re-drawn: the later entry of each pair.
     """
-    if size < 1:
-        raise DomainError(f"size must be >= 1, got {size}")
+    _check_size(size, 1)
     rng = _resolve_rng(rng, seed)
     bases = sample_isotropic_bases(code_spec, size, rng)
     while True:
@@ -371,35 +377,23 @@ def design_maxmin(
     seed: "int | None" = None,
     train_samples: int = 10_000,
 ) -> Codebook:
-    """Greedy farthest-point codebook, refined by Lloyd iterations.
+    """Codebook designed by Lloyd iterations from one Haar draw of ``size``
+    entries ("maxmin" names this design and its provenance kind).
 
-    Initialization: the first entry is a Haar draw; each subsequent entry
-    maximizes the minimum distance to the chosen entries over a fresh pool
-    of ``DESIGN_POOL`` Haar candidates.  Refinement: ``iters`` rounds of
-    assigning ``train_samples`` isotropic sources by nearest entry, then
-    replacing each entry with the dominant q-dimensional eigenspace of its
-    cell's mean projector (empty cells keep their entry).  Returns the
-    codebook with the lowest training distortion seen.  Training draws are
-    internal to this call; evaluate distortion on a separate stream.  Give
-    exactly one of ``rng`` or ``seed`` (recorded in the provenance).
+    Each of ``iters`` rounds assigns ``train_samples`` isotropic sources by
+    nearest entry, then replaces each entry with the dominant q-dimensional
+    eigenspace of its cell's mean projector (empty cells keep their entry).
+    Returns the codebook with the lowest training distortion seen.  Training
+    draws are internal to this call; evaluate distortion on a separate
+    stream.  Give exactly one of ``rng`` or ``seed`` (recorded in the provenance).
     """
-    if size < 2:
-        raise DomainError(f"size must be >= 2, got {size}")
+    _check_size(size, 2)
     if iters < 0:
         raise DomainError(f"iters must be >= 0, got {iters}")
-    if train_samples < 1:
-        raise DomainError(f"train_samples must be >= 1, got {train_samples}")
+    _check_draws("train_samples", train_samples, 1)
     rng = _resolve_rng(rng, seed)
-    n = code_spec.n
     q = code_spec.p
-
-    bases = np.empty((size, n, q), dtype=code_spec.field.dtype)
-    bases[0] = sample_isotropic_bases(code_spec, 1, rng)[0]
-    for k in range(1, size):
-        cands = sample_isotropic_bases(code_spec, DESIGN_POOL, rng)
-        _, best = _nearest(cands, bases[:k])
-        bases[k] = cands[int(np.argmax(np.clip(q - best, 0.0, None)))]
-
+    bases = sample_isotropic_bases(code_spec, size, rng)
     train = sample_isotropic_bases(source_spec, train_samples, rng)
     min_dim = min(source_spec.p, q)
     history: list[float] = []
@@ -429,7 +423,6 @@ def design_maxmin(
         bases = new_bases
 
     trace = {
-        "pool": DESIGN_POOL,
         "iters": iters,
         "train_samples": train_samples,
         "training_history": history,
@@ -566,8 +559,7 @@ def _random_opt_plan(
         raise DomainError(f"need 1 <= p <= q, got p={p}, q={q}")
     if rbar <= 0:
         raise DomainError(f"rbar must be positive, got {rbar}")
-    if trials < 0:
-        raise DomainError(f"trials must be non-negative, got {trials}")
+    _check_draws("trials", trials, 0)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {n_list}")
     if n_list and n_list[0] <= q:

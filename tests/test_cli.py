@@ -328,6 +328,11 @@ NAN, INF = float("nan"), float("inf")
         ("distortion", DISTORTION_CFG, {"samples": 2**24 + 1}, "got 16777217"),
         ("random-opt", OPT_CFG, {"samples": 10}, "got 10"),
         ("volume", VOLUME_CFG, {"sample": 10}, "sample: unknown field"),
+        ("distortion", DISTORTION_CFG, {"k_values": [10**12]}, "exceeds cap 65536"),
+        ("codebook", SAVE_CFG, {"K": 10**12}, "exceeds cap 65536"),
+        ("design", DESIGN_CFG, {"train_samples": 10**12}, "train_samples must be <= 16777216"),
+        ("awgn", AWGN_CFG, {"trials": 10**12}, "trials must be <= 16777216"),
+        ("random-opt", OPT_CFG, {"trials": 10**12}, "trials must be <= 16777216"),
     ],
 )
 def test_bad_config_is_a_config_error(

@@ -91,10 +91,13 @@ def test_header_mismatches(tmp_path):
     with pytest.raises(gq.FormatError):
         load_codebook(str(path))
 
-    # Header integers must be JSON integers; entries are checked before the
-    # (K, n, q) array is allocated.
+    # Header integers must be JSON integers, the provenance an object and
+    # entry values JSON numbers; entries are checked before the (K, n, q)
+    # array is allocated.
     for bad in (dict(doc, n=4.9), dict(doc, p=True),
-                dict(doc, n=10**12, K=1, entries=[[0.0, 1.0]])):
+                dict(doc, n=10**12, K=1, entries=[[0.0, 1.0]]),
+                dict(doc, provenance="x"),
+                dict(doc, entries=[["a", *doc["entries"][0][1:]], *doc["entries"][1:]])):
         path.write_text(json.dumps(bad))
         with pytest.raises(gq.FormatError):
             load_codebook(str(path))
