@@ -94,39 +94,35 @@ class AwgnConfig:
         return math.log2(self.effective_size) / self.n
 
 
-def _gaussian_vector(shape, field: FieldKind, scale: float, rng: np.random.Generator):
-    """Gaussian entries of variance ``scale``; real and imaginary parts carry half each."""
-    return math.sqrt(scale / field.beta) * _gaussian_matrix(shape, field, rng)
-
-
 def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
     """Transmit one shell codeword over Y = X + W and decode by nearest line.
 
-    Each trial draws a fresh codebook of ``K`` codewords on the power
-    shell, transmits the first, and decodes by minimizing the chordal
-    distance between the lines spanned by the codewords and by ``Y``.
+    Each trial draws the sent codeword ``X`` on the power shell, the noise
+    ``W``, and the normalized overlaps ``|C^H Y|^2 / (||C||^2 ||Y||^2)`` of
+    the ``K - 1`` other isotropic codewords ``C``, as i.i.d. exact draws of
+    ``Beta(beta/2, beta (n - 1)/2)``: each ``C`` is independent of ``Y``, and
+    its overlap is the squared modulus of one coordinate of a uniform unit
+    vector.  A trial errs when an overlap beats the sent one (ties go to X).
     Returns the row: the block-error frequency and the statistics of
-    ``d_c^2(line(X_1), line(Y))``, together with the window
+    ``d_c^2(line(X), line(Y))``, together with the window
     ``[sigma^2/(1 + sigma^2 - eps), sigma^2/(1 + sigma^2 - 2 eps)]``
     that the squared distance concentrates in for long blocks.
     """
     k = cfg.effective_size
     n = cfg.n
+    beta = cfg.field.beta
     shell_sq = n * (1.0 - 1.5 * cfg.epsilon)
     errors = 0
     dsq = np.empty(cfg.trials)
     for t in range(cfg.trials):
         rng = derive_rng(cfg.seed, t)
-        code = _gaussian_vector((k, n), cfg.field, 1.0, rng)
-        code *= math.sqrt(shell_sq) / np.linalg.norm(code, axis=1, keepdims=True)
-        noise = _gaussian_vector((n,), cfg.field, cfg.sigma_sq, rng)
-        y = code[0] + noise
-        scores = np.abs(code.conj() @ y)
-        decoded = int(np.argmax(scores))
-        errors += decoded != 0
-        y_sq = float(np.linalg.norm(y) ** 2)
-        dsq[t] = max(0.0, 1.0 - scores[0] ** 2 / (shell_sq * y_sq))
-    beta = cfg.field.beta
+        x = _gaussian_matrix((n,), cfg.field, rng)
+        x *= math.sqrt(shell_sq) / np.linalg.norm(x)
+        y = x + math.sqrt(cfg.sigma_sq / beta) * _gaussian_matrix((n,), cfg.field, rng)
+        overlap = float(abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2))
+        if k > 1:
+            errors += float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, k - 1).max()) > overlap
+        dsq[t] = max(0.0, 1.0 - overlap)
     window_low = cfg.sigma_sq / (1.0 + cfg.sigma_sq - cfg.epsilon)
     window_high = cfg.sigma_sq / (1.0 + cfg.sigma_sq - 2.0 * cfg.epsilon)
     return {

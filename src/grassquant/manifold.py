@@ -28,6 +28,8 @@ TOL_ORTHO = 1e-10
 TOL_EQ = 1e-9
 # Most samples or trials one call draws.
 _MAX_DRAWS = 1 << 24
+# Most values one random draw makes: 1 GiB of complex128.
+_MAX_DRAW_VALUES = 1 << 26
 
 
 def _check_mc_samples(name: str, count: int) -> None:
@@ -190,8 +192,10 @@ def canonical_plane(spec: GrassmannSpec) -> Plane:
 def _gaussian_matrix(
     shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator
 ) -> np.ndarray:
+    if math.prod(shape) > _MAX_DRAW_VALUES:
+        raise DomainError(f"a random draw of shape {shape} exceeds {_MAX_DRAW_VALUES} values")
     if field is FieldKind.COMPLEX:
-        # Circular complex normal; the overall scale is irrelevant after QR.
+        # Circular complex normal, each part of unit variance (QR ignores the scale).
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return rng.standard_normal(shape)
 

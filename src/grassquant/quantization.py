@@ -133,22 +133,22 @@ def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
     the K equal-dimensional ``bases``, each orthonormal to TOL_ORTHO: all of
     them when there are fewer than K, else K of them.
 
-    An exact sort-and-sweep.  The key ``Re tr(U B B^H)``, for a fixed real
-    symmetric ``U`` of unit Frobenius norm, is 1-Lipschitz in the projector,
-    and ``||P_i - P_j||_F = sqrt(2) d_ij``.  So keys of a duplicate pair
-    differ by at most ``sqrt(2) TOL_EQ``, plus each basis's orthonormality
-    residual and rounding; only pairs within that window are confirmed with
-    the stable projection-residual form.  The sweep stops once it holds K
-    pairs, so m copies of one plane cost O(m), not O(m^2).
+    An exact sort-and-sweep.  The key ``||B^H g||^2 = Re tr(g g^T B B^H)``,
+    for a fixed real unit vector ``g``, is 1-Lipschitz in the projector
+    (``||g g^T||_F = 1``), and ``||P_i - P_j||_F = sqrt(2) d_ij``.  So keys of
+    a duplicate pair differ by at most ``sqrt(2) TOL_EQ``, plus each basis's
+    orthonormality residual and rounding; only pairs within that window are
+    confirmed with the stable projection-residual form.  The sweep stops once
+    it holds K pairs, so m copies of one plane cost O(m), not O(m^2).
     """
     k, n, q = bases.shape
-    g = np.random.default_rng(0x6D5C).standard_normal((n, n))  # never the caller's stream
-    u = (g + g.T) / np.linalg.norm(g + g.T)
-    keys = np.einsum("kji,kji->k", bases.conj(), u @ bases).real
+    g = np.random.default_rng(0x6D5C).standard_normal(n)  # never the caller's stream
+    g /= np.linalg.norm(g)
+    keys = np.sum(np.abs(g @ bases) ** 2, axis=1)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    # Each key errs by less than about 2 (n + n q) q eps in rounding (its
-    # absolute terms sum to at most q); the window allows that twice.
+    # Each key errs by about 2 (n + 1) q eps in rounding (each of its q terms
+    # is at most 1); the window allows that twice, with room to spare.
     rounding = 8.0 * n * q * (q + 1) * np.finfo(float).eps
     window = math.sqrt(2.0) * TOL_EQ + 2.0 * TOL_ORTHO + rounding
     pairs = []

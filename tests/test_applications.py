@@ -70,6 +70,46 @@ def test_awgn_capacity_threshold_ordering():
     assert err_above >= 0.8  # far above capacity
 
 
+def codebook_decode_trials(cfg, seed):
+    """Reference: each trial builds the whole K x n shell codebook, sends entry 0
+    over Y = X + W and decodes by argmax |C^H Y| (ties to entry 0).  Returns the
+    per-trial error indicators and squared line distances."""
+    k, n, beta = cfg.effective_size, cfg.n, cfg.field.beta
+    shell_sq = n * (1.0 - 1.5 * cfg.epsilon)
+    errors, dsq = np.empty(cfg.trials), np.empty(cfg.trials)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng([seed, t])
+        code = rng.standard_normal((k, n))
+        if beta == 2:
+            code = code + 1j * rng.standard_normal((k, n))
+        code *= math.sqrt(shell_sq) / np.linalg.norm(code, axis=1, keepdims=True)
+        noise = rng.standard_normal(n)
+        if beta == 2:
+            noise = (noise + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+        y = code[0] + math.sqrt(cfg.sigma_sq) * noise
+        scores = np.abs(code.conj() @ y)
+        errors[t] = int(np.argmax(scores)) != 0
+        dsq[t] = 1.0 - scores[0] ** 2 / (shell_sq * np.linalg.norm(y) ** 2)
+    return errors, dsq
+
+
+@pytest.mark.parametrize("field", [FieldKind.REAL, FieldKind.COMPLEX])
+@pytest.mark.parametrize("n, k", [(6, 64), (8, 256)])
+def test_awgn_sampled_overlaps_match_codebook_oracle(field, n, k):
+    # Drawing the wrong codewords' overlaps from their Beta law is the same
+    # experiment in distribution as building the codebook.
+    cfg = AwgnConfig(
+        n=n, sigma_sq=0.5, epsilon=0.05, codebook_size=k, field=field, trials=3000, seed=11
+    )
+    row = gq.awgn_grassmann_decode_experiment(cfg)
+    errors, dsq = codebook_decode_trials(cfg, seed=12)
+    pooled = (row["error_rate"] + errors.mean()) / 2
+    err_sigma = math.sqrt(2 * pooled * (1 - pooled) / cfg.trials)
+    assert abs(row["error_rate"] - errors.mean()) <= 4 * err_sigma, (row, errors.mean())
+    dsq_sigma = math.hypot(row["dsq_stderr"], dsq.std(ddof=1) / math.sqrt(cfg.trials))
+    assert abs(row["dsq_mean"] - dsq.mean()) <= 4 * dsq_sigma, (row, dsq.mean())
+
+
 def beamforming_codebook(l_t, s, vectors):
     source = GrassmannSpec(l_t, 2, FieldKind.COMPLEX)
     code = GrassmannSpec(l_t, s, FieldKind.COMPLEX)

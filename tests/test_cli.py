@@ -333,6 +333,12 @@ NAN, INF = float("nan"), float("inf")
         ("design", DESIGN_CFG, {"train_samples": 10**12}, "train_samples must be <= 16777216"),
         ("awgn", AWGN_CFG, {"trials": 10**12}, "trials must be <= 16777216"),
         ("random-opt", OPT_CFG, {"trials": 10**12}, "trials must be <= 16777216"),
+        ("volume", VOLUME_CFG, {"n": 200_000},
+         "shape (2000, 200000, 1) exceeds 67108864 values"),
+        ("design", DESIGN_CFG, {"n": 50_000, "train_samples": 10_000},
+         "shape (10000, 50000, 1) exceeds"),
+        ("beamforming", BEAM_CFG, {"l_t": 100_000}, "shape (10000, 100000, 1) exceeds"),
+        ("awgn", AWGN_CFG, {"n": 10**8, "rates": [1e-8]}, "shape (100000000,) exceeds"),
     ],
 )
 def test_bad_config_is_a_config_error(

@@ -53,6 +53,12 @@ def test_codebook_validation():
         bases[k - 1] = bases[7] * np.exp(0.3j)  # the same line
         with pytest.raises(gq.DomainError, match="duplicate"):
             Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+    # ... and at every n: the screen's key costs O(n q) memory per entry, not O(n^2).
+    big_source, big_code = specs(100_000, 1, 1)
+    bases = gq.sample_isotropic_bases(big_code, 2, rng)
+    bases[1] = bases[0] * np.exp(0.3j)
+    with pytest.raises(gq.DomainError, match="duplicate"):
+        Codebook.from_bases(big_source, big_code, bases, Provenance(kind="loaded"))
     # Complex values fit a real field only with a zero imaginary part.
     real_source, real_code = specs(4, 1, 1, beta=1)
     line = np.eye(4)[:, :1]
