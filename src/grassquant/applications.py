@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, SpecMismatch
+from .errors import DomainError, SpecMismatch
 from .manifold import FieldKind, GrassmannSpec, _check_draws, _check_mc_samples, _gaussian_matrix
 from .quantization import (
     MAX_CODEBOOK,
     Codebook,
+    _check_size,
+    _codebook_builder,
     _nearest,
     _size_at_rate,
-    design_maxmin,
     distortion_mc,
     drf_bounds,
-    random_codebook,
 )
 from .rng import derive_rng
 
@@ -64,14 +64,8 @@ class AwgnConfig:
             raise DomainError("give exactly one of rate or codebook_size")
         if self.rate is not None and self.rate <= 0:
             raise DomainError(f"rate must be positive, got {self.rate}")
-        if self.codebook_size is not None and self.codebook_size < 1:
-            raise DomainError(f"codebook_size must be >= 1, got {self.codebook_size}")
         _check_draws("trials", self.trials, 1)
-        if self.nominal_size > MAX_CODEBOOK and not self.clamp_to_cap:
-            raise CapExceeded(
-                f"codebook size {self.nominal_size} exceeds cap {MAX_CODEBOOK}; "
-                "set clamp_to_cap to run at the cap"
-            )
+        _check_size(self.effective_size, 1)  # the cap binds only without clamp_to_cap
 
     @property
     def nominal_size(self) -> "int | float":
@@ -169,23 +163,14 @@ class BeamformingConfig:
     log_base: str = "bits"
 
     def __post_init__(self) -> None:
-        if self.l_r >= self.l_t:
-            raise DomainError(
-                f"need l_r < l_t, got l_r={self.l_r}, l_t={self.l_t}"
-            )
-        if not 1 <= self.s <= self.l_t - 1:
-            raise DomainError(
-                f"streams must satisfy 1 <= s <= l_t - 1, got s={self.s}"
-            )
-        if self.l_r < 1:
-            raise DomainError(f"l_r must be >= 1, got {self.l_r}")
+        self.source_spec, self.code_spec  # the specs check 1 <= l_r, s <= l_t - 1
         if self.rho <= 0:
             raise DomainError(f"rho must be positive, got {self.rho}")
-        if not 1 <= self.r_fb <= 16:
-            raise DomainError(f"r_fb must lie in [1, 16], got {self.r_fb}")
+        max_r_fb = MAX_CODEBOOK.bit_length() - 1
+        if not 1 <= self.r_fb <= max_r_fb:
+            raise DomainError(f"r_fb must lie in [1, {max_r_fb}], got {self.r_fb}")
         _check_mc_samples("trials", self.trials)
-        if self.codebook_kind not in ("maxmin", "random"):
-            raise DomainError(f"codebook_kind must be maxmin or random, got {self.codebook_kind!r}")
+        _codebook_builder(self.codebook_kind)
         if self.log_base not in ("bits", "nats"):
             raise DomainError(f"log_base must be bits or nats, got {self.log_base!r}")
 
@@ -258,13 +243,11 @@ def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
     disjoint streams; (a) never exceeds (d) beyond Monte-Carlo error.
     The codebook is built from ``cfg`` per ``codebook_kind``.
     """
-    args = (cfg.source_spec, cfg.code_spec, cfg.codebook_size, derive_rng(cfg.seed, 0))
-    if cfg.codebook_kind == "maxmin":
-        codebook = design_maxmin(*args, iters=cfg.design_iters)
-    else:
-        codebook = random_codebook(*args)
+    codebook = _codebook_builder(cfg.codebook_kind)(
+        cfg.source_spec, cfg.code_spec, cfg.codebook_size, derive_rng(cfg.seed, 0),
+        iters=cfg.design_iters,
+    )
 
-    min_dim = min(cfg.s, cfg.l_r)
     h = _gaussian_matrix(
         (cfg.trials, cfg.l_r, cfg.l_t), FieldKind.COMPLEX, derive_rng(cfg.seed, 1)
     ) / math.sqrt(2.0)
@@ -279,12 +262,11 @@ def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
     log1p = lambda x: math.log1p(x) * scale
     throughput = throughput_nats * scale
 
-    trace_from_distortion = min_dim - dist.mean
+    trace_from_distortion = codebook.min_dim - dist.mean
     gain = cfg.rho / cfg.s * cfg.l_t / cfg.l_r
     bound_from_distortion = cfg.l_r * log1p(gain * trace_from_distortion)
-    p_eff, q_eff = min(cfg.s, cfg.l_r), max(cfg.s, cfg.l_r)
-    drf = drf_bounds(cfg.l_t, p_eff, q_eff, 2, cfg.codebook_size)
-    bound_from_drf = cfg.l_r * log1p(gain * (min_dim - drf.lower))
+    drf = drf_bounds(cfg.l_t, cfg.l_r, cfg.s, 2, cfg.codebook_size)
+    bound_from_drf = cfg.l_r * log1p(gain * (codebook.min_dim - drf.lower))
 
     t_mean = float(throughput.mean())
     t_se = float(throughput.std(ddof=1) / math.sqrt(cfg.trials))

@@ -44,6 +44,7 @@ from .errors import (
 from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
 from .quantization import (
     _check_size,
+    _codebook_builder,
     _random_opt_plan,
     _random_opt_row,
     design_maxmin,
@@ -485,16 +486,10 @@ def _codebook_save(params: dict, seed: int, out_dir: str) -> str:
         ("iters", int, 8),
         ("train_samples", int, 10_000),
     )
-    if c["kind"] not in ("random", "maxmin"):
-        raise ConfigError(f"kind: must be random or maxmin, got {c['kind']!r}")
     name = c["name"] or "codebook_n{n}_p{p}_q{q}_b{beta}_K{K}".format(**c)
-    source, code = _specs(c)
-    if c["kind"] == "random":
-        cb = random_codebook(source, code, c["K"], seed=seed)
-    else:
-        cb = design_maxmin(
-            source, code, c["K"], seed=seed, iters=c["iters"], train_samples=c["train_samples"]
-        )
+    cb = _codebook_builder(c["kind"])(
+        *_specs(c), c["K"], seed=seed, iters=c["iters"], train_samples=c["train_samples"]
+    )
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name + ".json")
     codebook_io.save_codebook(cb, path)
@@ -512,6 +507,8 @@ def _codebook_summary(path: str) -> str:
     ]
     if cb.size <= _MIN_DISTANCE_MAX:
         parts.append(f"min pairwise distance: {cb.min_pairwise_distance():.6g}")
+    else:
+        parts.append(f"min pairwise distance: skipped (K = {cb.size} > {_MIN_DISTANCE_MAX})")
     return "\n".join(parts)
 
 

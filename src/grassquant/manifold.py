@@ -28,7 +28,8 @@ TOL_ORTHO = 1e-10
 TOL_EQ = 1e-9
 # Most samples or trials one call draws.
 _MAX_DRAWS = 1 << 24
-# Most values one random draw makes: 1 GiB of complex128.
+# Most values of one array that a random draw or a Lloyd cell makes: 1 GiB
+# of complex128.
 _MAX_DRAW_VALUES = 1 << 26
 
 
@@ -37,6 +38,12 @@ def _check_mc_samples(name: str, count: int) -> None:
     enough for a usable standard error, at most a 128 MB float64 buffer."""
     if not 1000 <= count <= _MAX_DRAWS:
         raise DomainError(f"{name} must lie in [1000, {_MAX_DRAWS}], got {count}")
+
+
+def _check_values(what: str, shape: tuple[int, ...]) -> None:
+    """Raise :class:`DomainError` if an array ``what`` of ``shape`` exceeds 2^26 values."""
+    if math.prod(shape) > _MAX_DRAW_VALUES:
+        raise DomainError(f"{what} of shape {shape} exceeds {_MAX_DRAW_VALUES} values")
 
 
 def _check_draws(name: str, count: int, least: int) -> None:
@@ -192,8 +199,7 @@ def canonical_plane(spec: GrassmannSpec) -> Plane:
 def _gaussian_matrix(
     shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator
 ) -> np.ndarray:
-    if math.prod(shape) > _MAX_DRAW_VALUES:
-        raise DomainError(f"a random draw of shape {shape} exceeds {_MAX_DRAW_VALUES} values")
+    _check_values("a random draw", shape)
     if field is FieldKind.COMPLEX:
         # Circular complex normal, each part of unit variance (QR ignores the scale).
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -26,12 +26,13 @@ from .manifold import (
     Plane,
     _check_draws,
     _check_mc_samples,
+    _check_values,
     _orthonormal,
     chordal_distance_sq,
     sample_isotropic_bases,
 )
 from .rng import derive_rng
-from .volume import log_coeff_c
+from .volume import _check_dims, _degree, log_coeff_c
 
 # Desk-scale cap on the sizes of the codebooks this module builds.
 MAX_CODEBOOK = 1 << 16
@@ -55,14 +56,7 @@ class Provenance:
     trace: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.path is not None:
-            out["path"] = self.path
-        if self.trace is not None:
-            out["trace"] = self.trace
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def _sq_overlaps(samples: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -335,7 +329,7 @@ def _resolve_rng(
 def _check_size(size: int, least: int) -> None:
     """Range check of a codebook size: ``least <= size <= MAX_CODEBOOK``."""
     if size < least:
-        raise DomainError(f"size must be >= {least}, got {size}")
+        raise DomainError(f"codebook size must be >= {least}, got {size}")
     if size > MAX_CODEBOOK:
         raise CapExceeded(f"codebook size {size} exceeds cap {MAX_CODEBOOK}")
 
@@ -391,6 +385,10 @@ def design_maxmin(
     if iters < 0:
         raise DomainError(f"iters must be >= 0, got {iters}")
     _check_draws("train_samples", train_samples, 1)
+    # The later arrays are bounded before the first draw (which bounds itself).
+    _check_values("a random draw", (train_samples, source_spec.n, source_spec.p))
+    if iters:
+        _check_values("a Lloyd cell projector", (code_spec.n, code_spec.n))
     rng = _resolve_rng(rng, seed)
     q = code_spec.p
     bases = sample_isotropic_bases(code_spec, size, rng)
@@ -437,20 +435,40 @@ def design_maxmin(
     )
 
 
+def _codebook_builder(kind: str):
+    """``build(source_spec, code_spec, size, rng=None, *, seed=None, **training)``
+    for codebook ``kind``: :func:`random_codebook` for 'random' (``training`` is
+    unused), :func:`design_maxmin` for 'maxmin'; ``DomainError`` for any other."""
+    if kind not in ("random", "maxmin"):
+        raise DomainError(f"codebook kind must be random or maxmin, got {kind!r}")
+
+    def build(source_spec, code_spec, size, rng=None, *, seed=None, **training) -> Codebook:
+        if kind == "random":
+            return random_codebook(source_spec, code_spec, size, rng, seed=seed)
+        return design_maxmin(source_spec, code_spec, size, rng, seed=seed, **training)
+
+    return build
+
+
 def _size_at_rate(bits: float) -> "int | float":
     """Codebook size ``round(2^bits)``; ``inf`` where ``2^bits`` overflows a
     float, far above any size cap."""
     return round(2.0**bits) if bits < 1024 else math.inf
 
 
-def _degree(n: int, p: int, q: int, beta: int) -> int:
-    return beta * p * (n - q)
+def _bound_terms(n: int, p: int, q: int, beta: int) -> tuple[int, float]:
+    """``(t, log c)`` of the distortion-rate bounds at ``(min(p, q), max(p, q))``:
+    the principal angles of independent Haar p- and q-planes have one law in
+    either order, so swapping p and q leaves ``D*(K)`` unchanged."""
+    p, q = min(p, q), max(p, q)
+    return _degree(n, p, q, beta), log_coeff_c(n, p, q, beta)
 
 
 def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     """Bounds on the distortion-rate function at codebook size ``size``.
 
-    With ``t = beta p (n - q)`` and leading volume coefficient ``c``::
+    ``p`` and ``q`` may come in either order; with ``p <= q``,
+    ``t = beta p (n - q)`` and leading volume coefficient ``c``::
 
         t/(t+2) * (cK)^(-2/t)  <=  D*(K)  <=  2 Gamma(2/t)/t * (cK)^(-2/t)
 
@@ -460,8 +478,7 @@ def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     """
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
-    t = _degree(n, p, q, beta)
-    log_c = log_coeff_c(n, p, q, beta)
+    t, log_c = _bound_terms(n, p, q, beta)
     ck = math.exp(log_c) * size
     # Plain powers where safe: keeps round-number anchors exact.
     if math.isfinite(ck) and ck > 0.0:
@@ -489,8 +506,7 @@ def rdf_bounds(n: int, p: int, q: int, beta: int, distortion: float) -> BoundPai
     """
     if not 0.0 < distortion <= 1.0:
         raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
-    t = _degree(n, p, q, beta)
-    log_c = log_coeff_c(n, p, q, beta)
+    t, log_c = _bound_terms(n, p, q, beta)
     c = math.exp(log_c)
     arg_lower = (t + 2.0) * distortion / t
     arg_upper = t * distortion / (2.0 * math.gamma(2.0 / t))
@@ -508,8 +524,7 @@ def rdf_bounds_log2(n: int, p: int, q: int, beta: int, distortion: float) -> tup
     values of :func:`rdf_bounds` may overflow."""
     if not 0.0 < distortion <= 1.0:
         raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
-    t = _degree(n, p, q, beta)
-    log_c = log_coeff_c(n, p, q, beta)
+    t, log_c = _bound_terms(n, p, q, beta)
     ln2 = math.log(2.0)
     lower = (-t / 2.0 * math.log((t + 2.0) * distortion / t) - log_c) / ln2
     upper = (-t / 2.0 * math.log(t * distortion / (2.0 * math.gamma(2.0 / t))) - log_c) / ln2
@@ -523,8 +538,9 @@ def asymptotic_drf(p: int, beta: int, rbar: float) -> float:
     grow linearly with ratio ``rbar``; meaningful as a distortion-rate
     value when the result is <= 1.
     """
-    if p < 1 or beta not in (1, 2):
-        raise DomainError(f"need p >= 1 and beta in {{1, 2}}, got p={p}, beta={beta}")
+    FieldKind.from_beta(beta)
+    if p < 1:
+        raise DomainError(f"p must be >= 1, got {p}")
     if rbar < 0:
         raise DomainError(f"rbar must be non-negative, got {rbar}")
     return p * 2.0 ** (-2.0 * rbar / (beta * p))
@@ -533,10 +549,9 @@ def asymptotic_drf(p: int, beta: int, rbar: float) -> float:
 def asymptotic_rate(p: int, beta: int, distortion: float) -> float:
     """Limit normalized rate ``(beta p / 2) log2(p / D)``; inverse of
     :func:`asymptotic_drf`."""
-    if p < 1 or beta not in (1, 2):
-        raise DomainError(f"need p >= 1 and beta in {{1, 2}}, got p={p}, beta={beta}")
-    if not 0.0 < distortion <= p:
-        raise DomainError(f"distortion must lie in (0, p], got {distortion}")
+    FieldKind.from_beta(beta)
+    if not 0.0 < distortion <= p:  # empty for p < 1
+        raise DomainError(f"distortion must lie in (0, p] = (0, {p}], got {distortion}")
     return beta * p / 2.0 * math.log2(p / distortion)
 
 
@@ -553,17 +568,13 @@ def _random_opt_plan(
     """Range checks of :func:`random_code_optimality_experiment`; one point
     per ``n``, in the form :func:`_random_opt_row` takes."""
     _check_mc_samples("samples", samples)
-    if beta not in (1, 2):
-        raise DomainError(f"beta must be 1 or 2, got {beta}")
-    if not 1 <= p <= q:
-        raise DomainError(f"need 1 <= p <= q, got p={p}, q={q}")
     if rbar <= 0:
         raise DomainError(f"rbar must be positive, got {rbar}")
     _check_draws("trials", trials, 0)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {n_list}")
-    if n_list and n_list[0] <= q:
-        raise DomainError(f"every n must exceed q={q}, got {n_list}")
+    for n in n_list:
+        _check_dims(n, p, q, beta)
     field = FieldKind.from_beta(beta)
     d_asym = asymptotic_drf(p, beta, rbar)
     return [

@@ -86,19 +86,24 @@ class BallSpec:
     @property
     def degree(self) -> int:
         """Leading exponent t = beta * p * (n - q)."""
-        return self.beta * self.p * (self.n - self.q)
+        return _degree(self.n, self.p, self.q, self.beta)
 
     @property
     def field(self) -> FieldKind:
         return FieldKind.from_beta(self.beta)
 
 
+def _degree(n: int, p: int, q: int, beta: int) -> int:
+    """The volume's leading exponent t = beta p (n - q)."""
+    return beta * p * (n - q)
+
+
 def _check_dims(n: int, p: int, q: int, beta: int) -> None:
+    """Domain of the volume formulas: integers, beta in {1, 2}, 1 <= p <= q <= n - 1."""
     for name, v in (("n", n), ("p", p), ("q", q), ("beta", beta)):
         if not isinstance(v, (int, np.integer)):
             raise DomainError(f"{name} must be an integer, got {v!r}")
-    if beta not in (1, 2):
-        raise DomainError(f"beta must be 1 or 2, got {beta}")
+    FieldKind.from_beta(beta)
     if not 1 <= p <= q <= n - 1:
         raise DomainError(
             "dimensions must satisfy 1 <= p <= q <= n - 1 (source dimension p must not "
@@ -120,7 +125,7 @@ def log_coeff_c(n: int, p: int, q: int, beta: int) -> float:
     else:
         ratios = [(n - i + 1, n - p - i + 1) for i in range(1, n - q + 1)]
     return math.fsum(
-        [-math.lgamma(h * p * (n - q) + 1.0)]
+        [-math.lgamma(_degree(n, p, q, beta) / 2.0 + 1.0)]
         + [math.lgamma(h * a) - math.lgamma(h * b) for a, b in ratios]
     )
 
@@ -137,7 +142,7 @@ def coeff_c1(n: int, p: int, q: int, beta: int) -> float:
     ``q = p + 1``).
     """
     _check_dims(n, p, q, beta)
-    half_t = beta * p * (n - q) / 2.0
+    half_t = _degree(n, p, q, beta) / 2.0
     return -(beta * (q - p + 1) / 2.0 - 1.0) * half_t / (half_t + 1.0)
 
 
@@ -214,9 +219,7 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
     A baseline for the equal-dimensional case, accurate only when
     ``p = q << n``.
     """
-    _check_dims(n, p, p, beta)
-    if not 0.0 <= radius <= math.sqrt(p) + 1e-12:
-        raise DomainError(f"radius must lie in [0, sqrt(p)], got {radius}")
+    BallSpec(n, p, p, beta, radius)  # checks the dimensions and the radius
     value = (radius / math.sqrt(p)) ** (beta * n * p)
     return VolumeEstimate(value=min(value, 1.0), stderr=0.0, method=VolumeMethod.BARG_NOGIN)
 

@@ -178,6 +178,13 @@ def test_beamforming_config_validation():
         BeamformingConfig(l_t=4, l_r=2, s=1, rho=10.0, r_fb=20)
 
 
+def test_beamforming_plane_dimensions_are_checked_by_the_specs():
+    # l_r = l_t, s = l_t and l_r = 0 are refused by GrassmannSpec's own rule.
+    for l_r, s in ((4, 1), (2, 4), (0, 1)):
+        with pytest.raises(gq.DomainError, match=r"1 <= p <= n - 1"):
+            BeamformingConfig(l_t=4, l_r=l_r, s=s, rho=10.0, r_fb=3)
+
+
 def test_beamforming_vanishing_snr():
     cfg = BeamformingConfig(
         l_t=3, l_r=1, s=1, rho=1e-9, r_fb=2, trials=1000, seed=2, design_iters=1

@@ -339,6 +339,10 @@ NAN, INF = float("nan"), float("inf")
          "shape (10000, 50000, 1) exceeds"),
         ("beamforming", BEAM_CFG, {"l_t": 100_000}, "shape (10000, 100000, 1) exceeds"),
         ("awgn", AWGN_CFG, {"n": 10**8, "rates": [1e-8]}, "shape (100000000,) exceeds"),
+        ("design", DESIGN_CFG, {"n": 50_000, "train_samples": 1000},
+         "shape (50000, 50000) exceeds"),
+        ("codebook", SAVE_CFG, {"n": 50_000, "kind": "maxmin", "train_samples": 1000},
+         "shape (50000, 50000) exceeds"),
     ],
 )
 def test_bad_config_is_a_config_error(
@@ -372,3 +376,30 @@ def test_sizes_beyond_float_range_are_capped(tmp_path):
     assert run("random-opt", "--config", write_config(tmp_path, "o.json", opt), "--out", str(out)) == 0
     row = json.loads((out / "random_opt.json").read_text())["rows"][0]
     assert row["skipped"] is True and row["skip_reason"] == "cap_exceeded"
+
+
+def test_verify_says_when_it_skips_the_min_distance(tmp_path, capsys):
+    payload = {"n": 4, "p": 1, "q": 1, "beta": 2, "K": 4097, "kind": "random", "seed": 2}
+    cfg = write_config(tmp_path, "big.json", payload)
+    assert run("codebook", "save", "--config", cfg, "--out", str(tmp_path / "cbs")) == 0
+    path = capsys.readouterr().out.strip()
+    assert run("codebook", "verify", "--path", path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "min pairwise distance: skipped (K = 4097 > 4096)" in lines
+    assert lines[-1] == "OK"
+
+
+def test_distortion_and_design_take_either_order_of_p_and_q(tmp_path):
+    # The bound columns at p > q are those of the swapped config.
+    runs = {"distortion": dict(DISTORTION_CFG, k_values=[16, 64], seed=3),
+            "design": dict(DESIGN_CFG, k_values=[16], seed=5)}
+    for name, base in runs.items():
+        bounds = []
+        for p, q in ((3, 2), (2, 3)):
+            cfg = write_config(tmp_path, f"{name}{p}{q}.json", dict(base, n=6, p=p, q=q, beta=2))
+            out = tmp_path / f"{name}{p}{q}"
+            assert run(name, "--config", cfg, "--out", str(out), "--threads", "1") == 0
+            header, *rows = (out / f"{name}.csv").read_text().splitlines()
+            cols = [header.split(",").index(c) for c in ("drf_lower", "drf_upper", "regime_ok")]
+            bounds.append([[row.split(",")[c] for c in cols] for row in rows])
+        assert bounds[0] == bounds[1]

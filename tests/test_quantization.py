@@ -465,6 +465,47 @@ def test_drf_rdf_duality():
         checked += 1
 
 
+def test_bounds_are_symmetric_in_p_and_q():
+    # The shapes of test_drf_rdf_duality, drawn the same way.
+    rng = np.random.default_rng(77)
+    checked = 0
+    while checked < 100:
+        n = int(rng.integers(3, 24))
+        p = int(rng.integers(1, n - 1))
+        q = int(rng.integers(p, n))
+        if q > n - 1:
+            continue
+        beta = int(rng.integers(1, 3))
+        k = int(rng.integers(2, 1 << 20))
+        d = gq.drf_bounds(n, p, q, beta, k)
+        assert gq.drf_bounds(n, q, p, beta, k) == d
+        if not (0 < d.lower and d.upper <= 1.0):
+            continue
+        for dist in (d.lower, d.upper):
+            assert gq.rdf_bounds(n, q, p, beta, dist) == gq.rdf_bounds(n, p, q, beta, dist)
+            assert gq.rdf_bounds_log2(n, q, p, beta, dist) == gq.rdf_bounds_log2(n, p, q, beta, dist)
+        checked += 1
+
+
+def test_beta_is_checked_by_the_field_kind():
+    # Every public entry that takes beta refuses 3 with FieldKind.from_beta's message.
+    calls = [
+        lambda: gq.BallSpec(4, 1, 2, 3, 0.5),
+        lambda: gq.log_coeff_c(4, 1, 2, 3),
+        lambda: gq.coeff_c1(4, 1, 2, 3),
+        lambda: gq.barg_nogin_approx(4, 1, 3, 0.5),
+        lambda: gq.drf_bounds(4, 1, 2, 3, 16),
+        lambda: gq.rdf_bounds(4, 1, 2, 3, 0.5),
+        lambda: gq.rdf_bounds_log2(4, 1, 2, 3, 0.5),
+        lambda: gq.asymptotic_drf(1, 3, 1.0),
+        lambda: gq.asymptotic_rate(1, 3, 0.5),
+        lambda: gq.random_code_optimality_experiment(1, 1, 3, 1.0, [4], trials=1, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(gq.DomainError, match=r"beta must be 1 \(real\) or 2 \(complex\), got 3"):
+            call()
+
+
 def test_rdf_log2_matches_linear_and_scales():
     lo, hi = gq.rdf_bounds_log2(4, 1, 1, 2, 0.1875)
     assert 2.0**lo == pytest.approx(64.0, rel=1e-12)
