@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecMismatch
-from .manifold import FieldKind, GrassmannSpec, _check_draws, _check_mc_samples, _gaussian_matrix
+from .manifold import (
+    FieldKind, GrassmannSpec, _check_draws, _check_int, _check_mc_samples, _gaussian_matrix
+)
 from .quantization import (
     MAX_CODEBOOK,
     Codebook,
@@ -54,16 +56,17 @@ class AwgnConfig:
     clamp_to_cap: bool = False
 
     def __post_init__(self) -> None:
+        _check_int("n", self.n)
         if self.n < 4:
             raise DomainError(f"block length n must be >= 4, got {self.n}")
-        if self.sigma_sq <= 0:
-            raise DomainError(f"sigma_sq must be positive, got {self.sigma_sq}")
+        if not 0 < self.sigma_sq < math.inf:
+            raise DomainError(f"sigma_sq must be positive and finite, got {self.sigma_sq}")
         if not 0.0 < self.epsilon < 0.25:
             raise DomainError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
         if (self.rate is None) == (self.codebook_size is None):
             raise DomainError("give exactly one of rate or codebook_size")
-        if self.rate is not None and self.rate <= 0:
-            raise DomainError(f"rate must be positive, got {self.rate}")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise DomainError(f"rate must be positive and finite, got {self.rate}")
         _check_draws("trials", self.trials, 1)
         _check_size(self.effective_size, 1)  # the cap binds only without clamp_to_cap
 
@@ -160,19 +163,17 @@ class BeamformingConfig:
     seed: int = 0
     codebook_kind: str = "maxmin"
     design_iters: int = 8
-    log_base: str = "bits"
 
     def __post_init__(self) -> None:
         self.source_spec, self.code_spec  # the specs check 1 <= l_r, s <= l_t - 1
-        if self.rho <= 0:
-            raise DomainError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise DomainError(f"rho must be positive and finite, got {self.rho}")
+        _check_int("r_fb", self.r_fb)
         max_r_fb = MAX_CODEBOOK.bit_length() - 1
         if not 1 <= self.r_fb <= max_r_fb:
             raise DomainError(f"r_fb must lie in [1, {max_r_fb}], got {self.r_fb}")
         _check_mc_samples("trials", self.trials)
         _codebook_builder(self.codebook_kind)
-        if self.log_base not in ("bits", "nats"):
-            raise DomainError(f"log_base must be bits or nats, got {self.log_base!r}")
 
     @property
     def codebook_size(self) -> int:
@@ -217,7 +218,7 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
 def _log_det_throughput(
     h: np.ndarray, q_sel: np.ndarray, rho: float, s: int
 ) -> np.ndarray:
-    """log det(I + (rho/s) H Q Q^H H^H) per trial, in nats."""
+    """log2 det(I + (rho/s) H Q Q^H H^H) per trial, in bits."""
     m = h @ q_sel  # (T, l_r, s)
     l_r = h.shape[1]
     if s <= l_r:
@@ -226,8 +227,7 @@ def _log_det_throughput(
     else:
         gram = np.einsum("trs,tus->tru", m, m.conj())
         eye = np.eye(l_r)
-    sign, logdet = np.linalg.slogdet(eye + (rho / s) * gram)
-    return logdet
+    return np.linalg.slogdet(eye + (rho / s) * gram)[1] * (1.0 / math.log(2.0))
 
 
 def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
@@ -237,10 +237,11 @@ def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
     the Monte-Carlo mean of ``tr(V^H Q Q^H V)`` for the selected entries,
     (c) the same quantity computed as ``min(s, l_r) - D`` from an
     independent distortion estimate of the codebook, (d) the throughput
-    bound ``l_r log(1 + (rho/s)(l_t/l_r) * (c))`` evaluated from (c), and
+    bound ``l_r log2(1 + (rho/s)(l_t/l_r) * (c))`` evaluated from (c), and
     (e) the same bound evaluated from the distortion-rate lower bound at
     the feedback size.  (b) and (c) estimate the same expectation on
     disjoint streams; (a) never exceeds (d) beyond Monte-Carlo error.
+    Throughputs and their bounds are in bits.
     The codebook is built from ``cfg`` per ``codebook_kind``.
     """
     codebook = _codebook_builder(cfg.codebook_kind)(
@@ -254,19 +255,17 @@ def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
     v = right_singular_plane_bases(h)
     sel, trace_samples = _nearest(v, codebook.stacked_bases)
     q_sel = codebook.stacked_bases[sel]
-    throughput_nats = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
+    throughput = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)
 
     dist = distortion_mc(codebook, cfg.trials, derive_rng(cfg.seed, 2))
 
-    scale = 1.0 if cfg.log_base == "nats" else 1.0 / math.log(2.0)
-    log1p = lambda x: math.log1p(x) * scale
-    throughput = throughput_nats * scale
+    log2_1p = lambda x: math.log1p(x) * (1.0 / math.log(2.0))
 
     trace_from_distortion = codebook.min_dim - dist.mean
     gain = cfg.rho / cfg.s * cfg.l_t / cfg.l_r
-    bound_from_distortion = cfg.l_r * log1p(gain * trace_from_distortion)
+    bound_from_distortion = cfg.l_r * log2_1p(gain * trace_from_distortion)
     drf = drf_bounds(cfg.l_t, cfg.l_r, cfg.s, 2, cfg.codebook_size)
-    bound_from_drf = cfg.l_r * log1p(gain * (codebook.min_dim - drf.lower))
+    bound_from_drf = cfg.l_r * log2_1p(gain * (codebook.min_dim - drf.lower))
 
     t_mean = float(throughput.mean())
     t_se = float(throughput.std(ddof=1) / math.sqrt(cfg.trials))
@@ -280,7 +279,6 @@ def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
         "r_fb": cfg.r_fb,
         "K": cfg.codebook_size,
         "trials": cfg.trials,
-        "log_base": cfg.log_base,
         "throughput_mean": t_mean,
         "throughput_stderr": t_se,
         "trace_mean": tr_mean,

@@ -155,14 +155,11 @@ def _get(params: dict, name: str, kind, default=None):
     return _checked(name, value, kind)
 
 
-# Read by ``main`` for every command, on top of the command's own fields.
-_RUN_FIELDS = {"seed", "threads"}
-
-
 def _config(params: dict, *fields: tuple) -> dict:
     """The ``(name, kind[, default])`` fields read by :func:`_get`; also the JSON
-    echo.  A command reads all its fields here, so any other key is unknown."""
-    unknown = sorted(set(params) - {field[0] for field in fields} - _RUN_FIELDS)
+    echo.  A command reads all its fields here and ``main`` reads ``seed``; any
+    other key is unknown."""
+    unknown = sorted(set(params) - {field[0] for field in fields} - {"seed"})
     if unknown:
         raise ConfigError(f"{', '.join(unknown)}: unknown field")
     return {field[0]: _get(params, *field) for field in fields}
@@ -196,8 +193,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalars
-        return _jsonable(value.item())
     return value
 
 
@@ -395,9 +390,6 @@ def _awgn(params: dict, seed: int, out_dir: str):
 
 
 def _beamforming(params: dict, seed: int, out_dir: str):
-    if "r_fb_values" not in params:  # a single r_fb is a one-row sweep
-        params = dict(params, r_fb_values=[_get(params, "r_fb", int)])
-        del params["r_fb"]
     c = _config(
         params,
         ("l_t", int),
@@ -408,7 +400,6 @@ def _beamforming(params: dict, seed: int, out_dir: str):
         ("trials", int, 10_000),
         ("codebook_kind", str, "maxmin"),
         ("design_iters", int, 8),
-        ("log_base", str, "bits"),
     )
     shared = {k: v for k, v in c.items() if k != "r_fb_values"}
     return c, [
@@ -438,17 +429,13 @@ RUNNERS = {
 
 
 def _csv_value(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    # Rows hold Python scalars only: the library refuses numpy integers.
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else format(value, ".17g")
     return str(value)
 
 
@@ -545,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="row parallelism (default: config value or cpu count)",
+            default=os.cpu_count() or 1,
+            help="row parallelism (default: cpu count)",
         )
 
     for name in RUNNERS:
@@ -581,12 +568,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "codebook":
                 print(_codebook_save(params, seed, args.out))
                 return 0
-            threads = args.threads
-            if threads is None:
-                threads = _get(params, "threads", int, os.cpu_count() or 1)
-            if threads < 1:
-                raise ConfigError(f"threads: must be >= 1, got {threads}")
-            report = RUNNERS[args.command](params, seed, threads, args.out)
+            if args.threads < 1:
+                raise ConfigError(f"threads: must be >= 1, got {args.threads}")
+            report = RUNNERS[args.command](params, seed, args.threads, args.out)
         except (DomainError, CapExceeded) as exc:
             raise ConfigError(str(exc)) from exc
         csv_path, json_path = write_report(report, args.out)

@@ -33,9 +33,16 @@ _MAX_DRAWS = 1 << 24
 _MAX_DRAW_VALUES = 1 << 26
 
 
+def _check_int(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a Python ``int`` (not a bool or numpy int)."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_mc_samples(name: str, count: int) -> None:
     """Raise :class:`DomainError` unless 1000 <= count <= 2^24 Monte-Carlo samples:
     enough for a usable standard error, at most a 128 MB float64 buffer."""
+    _check_int(name, count)
     if not 1000 <= count <= _MAX_DRAWS:
         raise DomainError(f"{name} must lie in [1000, {_MAX_DRAWS}], got {count}")
 
@@ -48,6 +55,7 @@ def _check_values(what: str, shape: tuple[int, ...]) -> None:
 
 def _check_draws(name: str, count: int, least: int) -> None:
     """Raise :class:`DomainError` unless ``least <= count <= 2^24`` samples or trials."""
+    _check_int(name, count)
     if count < least:
         raise DomainError(f"{name} must be >= {least}, got {count}")
     if count > _MAX_DRAWS:
@@ -90,8 +98,8 @@ class GrassmannSpec:
     field: FieldKind = FieldKind.COMPLEX
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.p, int):
-            raise DomainError("n and p must be integers")
+        _check_int("n", self.n)
+        _check_int("p", self.p)
         if self.n < 2:
             raise DomainError(f"ambient dimension n must be >= 2, got {self.n}")
         if not 1 <= self.p <= self.n - 1:
@@ -219,20 +227,19 @@ def sample_isotropic_bases(
     spec: GrassmannSpec, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Stack of ``count`` independent Haar-distributed bases, shape (count, n, p)."""
-    if count < 0:
-        raise DomainError(f"count must be non-negative, got {count}")
+    _check_draws("count", count, 0)
     g = _gaussian_matrix((count, spec.n, spec.p), spec.field, rng)
     return _haar_orthonormalize(g)
 
 
 def sample_isotropic(spec: GrassmannSpec, rng: np.random.Generator) -> Plane:
     """One plane drawn from the invariant (Haar) distribution on ``G_{n,p}``."""
-    g = _gaussian_matrix((spec.n, spec.p), spec.field, rng)
-    return Plane(spec, _haar_orthonormalize(g))
+    return Plane(spec, sample_isotropic_bases(spec, 1, rng)[0])
 
 
 def haar_unitary(n: int, field: FieldKind, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n orthogonal (real) or unitary (complex) matrix."""
+    _check_int("n", n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     g = _gaussian_matrix((n, n), field, rng)
@@ -269,18 +276,19 @@ def principal_angles(P: Plane, Q: Plane) -> PrincipalAngles:
     return PrincipalAngles(cosines=cosines, sin_sq_sum=sin_sq_sum)
 
 
-def chordal_distance_sq(P: Plane, Q: Plane) -> float:
-    """Squared chordal distance, ``sum_i sin^2(theta_i)`` over min(p, q) angles.
+def _residual_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``||A - B (B^H A)||_F^2`` over the last two axes, for orthonormal bases (or
+    stacks) with ``dim A <= dim B``: it equals ``p - ||A^H B||_F^2`` but stays
+    accurate near zero (no cancellation of order-one terms)."""
+    resid = a - b @ (np.swapaxes(b.conj(), -2, -1) @ a)
+    return np.sum(np.abs(resid) ** 2, axis=(-2, -1))
 
-    Computed as the squared norm of the residual of projecting P's basis
-    onto Q, which equals ``p - ||P^H Q||_F^2`` but stays accurate near
-    zero (no cancellation of order-one terms).
-    """
+
+def chordal_distance_sq(P: Plane, Q: Plane) -> float:
+    """Squared chordal distance, ``sum_i sin^2(theta_i)`` over min(p, q) angles,
+    by the projection residual of :func:`_residual_sq`."""
     _check_pair(P, Q)
-    cross = Q.basis.conj().T @ P.basis
-    resid = P.basis - Q.basis @ cross
-    dsq = np.linalg.norm(resid) ** 2
-    return min(max(float(dsq), 0.0), float(P.spec.p))
+    return min(float(_residual_sq(P.basis, Q.basis)), float(P.spec.p))
 
 
 def chordal_distance(P: Plane, Q: Plane) -> float:

@@ -25,10 +25,11 @@ from .manifold import (
     GrassmannSpec,
     Plane,
     _check_draws,
+    _check_int,
     _check_mc_samples,
     _check_values,
     _orthonormal,
-    chordal_distance_sq,
+    _residual_sq,
     sample_isotropic_bases,
 )
 from .rng import derive_rng
@@ -153,9 +154,7 @@ def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
             break  # keys are sorted: no wider gap can close either
         a, b = order[close], order[close + gap]
         i, j = np.minimum(a, b), np.maximum(a, b)
-        cross = np.swapaxes(bases[j].conj(), 1, 2) @ bases[i]
-        resid = bases[i] - bases[j] @ cross
-        dup = np.sum(np.abs(resid) ** 2, axis=(1, 2)) < TOL_EQ**2
+        dup = _residual_sq(bases[i], bases[j]) < TOL_EQ**2
         pairs += zip(i[dup].tolist(), j[dup].tolist())
         if len(pairs) >= k:
             break
@@ -268,17 +267,17 @@ class BoundPair:
 def quantize(P: Plane, codebook: Codebook) -> tuple[int, float]:
     """Index and distance of the codebook entry nearest to ``P``.
 
-    Ties break to the lowest index.  The distance is that of
-    :func:`chordal_distance_sq`, accurate near zero.
+    Ties break to the lowest index.  The distance is the projection
+    residual of the smaller plane onto the larger, accurate near zero.
     """
     if P.spec != codebook.source_spec:
         raise SpecMismatch(
             f"plane spec {P.spec} does not match codebook source {codebook.source_spec}"
         )
     idx = int(_nearest(P.basis[None, :, :], codebook.stacked_bases)[0][0])
-    entry = Plane(codebook.code_spec, codebook.stacked_bases[idx])
-    small, large = (P, entry) if P.spec.p <= entry.spec.p else (entry, P)
-    return idx, math.sqrt(chordal_distance_sq(small, large))
+    entry = codebook.stacked_bases[idx]
+    small, large = (P.basis, entry) if P.spec.p <= codebook.code_spec.p else (entry, P.basis)
+    return idx, math.sqrt(min(float(_residual_sq(small, large)), float(codebook.min_dim)))
 
 
 def _distortion_moments(
@@ -327,11 +326,13 @@ def _resolve_rng(
 
 
 def _check_size(size: int, least: int) -> None:
-    """Range check of a codebook size: ``least <= size <= MAX_CODEBOOK``."""
-    if size < least:
-        raise DomainError(f"codebook size must be >= {least}, got {size}")
+    """Range check of a codebook size: ``least <= size <= MAX_CODEBOOK``.  The
+    cap binds first, so an ``inf`` size (``2^bits`` beyond float range) exceeds it."""
     if size > MAX_CODEBOOK:
         raise CapExceeded(f"codebook size {size} exceeds cap {MAX_CODEBOOK}")
+    _check_int("codebook size", size)
+    if size < least:
+        raise DomainError(f"codebook size must be >= {least}, got {size}")
 
 
 def random_codebook(
@@ -382,8 +383,7 @@ def design_maxmin(
     stream.  Give exactly one of ``rng`` or ``seed`` (recorded in the provenance).
     """
     _check_size(size, 2)
-    if iters < 0:
-        raise DomainError(f"iters must be >= 0, got {iters}")
+    _check_draws("iters", iters, 0)
     _check_draws("train_samples", train_samples, 1)
     # The later arrays are bounded before the first draw (which bounds itself).
     _check_values("a random draw", (train_samples, source_spec.n, source_spec.p))
@@ -476,6 +476,7 @@ def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     factors taken as exactly 1.  ``regime_ok`` is set when
     ``(cK)^(-2/t) <= 1``, the high-rate regime the bounds assume.
     """
+    _check_int("size", size)
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
     t, log_c = _bound_terms(n, p, q, beta)
@@ -501,21 +502,24 @@ def rdf_bounds(n: int, p: int, q: int, beta: int, distortion: float) -> BoundPai
 
         (1/c) ((t+2) D / t)^(-t/2)  <=  K*(D)  <=  (1/c) (t D / (2 Gamma(2/t)))^(-t/2)
 
-    Linear values can overflow for very large ``t``; see
-    :func:`rdf_bounds_log2`.
+    A side beyond float range, as at large ``t``, is ``inf``; see
+    :func:`rdf_bounds_log2` for its finite base-2 log.
     """
     if not 0.0 < distortion <= 1.0:
         raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
     t, log_c = _bound_terms(n, p, q, beta)
     c = math.exp(log_c)
-    arg_lower = (t + 2.0) * distortion / t
-    arg_upper = t * distortion / (2.0 * math.gamma(2.0 / t))
-    if math.isfinite(c) and c > 0.0:
-        lower = arg_lower ** (-t / 2.0) / c
-        upper = arg_upper ** (-t / 2.0) / c
-    else:
-        lower = math.exp(-t / 2.0 * math.log(arg_lower) - log_c)
-        upper = math.exp(-t / 2.0 * math.log(arg_upper) - log_c)
+
+    def size(arg: float) -> float:
+        try:  # plain powers where safe keep round-number anchors exact
+            if math.isfinite(c) and c > 0.0:
+                return arg ** (-t / 2.0) / c
+            return math.exp(-t / 2.0 * math.log(arg) - log_c)
+        except OverflowError:
+            return math.inf
+
+    lower = size((t + 2.0) * distortion / t)
+    upper = size(t * distortion / (2.0 * math.gamma(2.0 / t)))
     return BoundPair(lower=lower, upper=upper, regime_ok=True)
 
 
@@ -539,10 +543,11 @@ def asymptotic_drf(p: int, beta: int, rbar: float) -> float:
     value when the result is <= 1.
     """
     FieldKind.from_beta(beta)
+    _check_int("p", p)
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if rbar < 0:
-        raise DomainError(f"rbar must be non-negative, got {rbar}")
+    if not 0 <= rbar < math.inf:
+        raise DomainError(f"rbar must be non-negative and finite, got {rbar}")
     return p * 2.0 ** (-2.0 * rbar / (beta * p))
 
 
@@ -550,6 +555,7 @@ def asymptotic_rate(p: int, beta: int, distortion: float) -> float:
     """Limit normalized rate ``(beta p / 2) log2(p / D)``; inverse of
     :func:`asymptotic_drf`."""
     FieldKind.from_beta(beta)
+    _check_int("p", p)
     if not 0.0 < distortion <= p:  # empty for p < 1
         raise DomainError(f"distortion must lie in (0, p] = (0, {p}], got {distortion}")
     return beta * p / 2.0 * math.log2(p / distortion)
@@ -568,8 +574,10 @@ def _random_opt_plan(
     """Range checks of :func:`random_code_optimality_experiment`; one point
     per ``n``, in the form :func:`_random_opt_row` takes."""
     _check_mc_samples("samples", samples)
-    if rbar <= 0:
-        raise DomainError(f"rbar must be positive, got {rbar}")
+    if not 0 < rbar < math.inf:
+        raise DomainError(f"rbar must be positive and finite, got {rbar}")
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     _check_draws("trials", trials, 0)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {n_list}")

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
-from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, sample_isotropic_bases
+from .manifold import (
+    FieldKind, GrassmannSpec, _check_int, _check_mc_samples, sample_isotropic_bases
+)
 
 # Sample chunk bound for Monte-Carlo passes, sized for ~100 MB working sets.
 _MC_CHUNK = 1 << 17
@@ -101,8 +103,7 @@ def _degree(n: int, p: int, q: int, beta: int) -> int:
 def _check_dims(n: int, p: int, q: int, beta: int) -> None:
     """Domain of the volume formulas: integers, beta in {1, 2}, 1 <= p <= q <= n - 1."""
     for name, v in (("n", n), ("p", p), ("q", q), ("beta", beta)):
-        if not isinstance(v, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
+        _check_int(name, v)
     FieldKind.from_beta(beta)
     if not 1 <= p <= q <= n - 1:
         raise DomainError(

@@ -204,19 +204,6 @@ def test_beamforming_identity_and_bound_smoke():
     assert row["trace_mean"] <= 1.0 + 1e-9
 
 
-def test_beamforming_nats_switch():
-    cfg_bits = BeamformingConfig(
-        l_t=3, l_r=1, s=1, rho=5.0, r_fb=2, trials=1000, seed=6, design_iters=1
-    )
-    cfg_nats = BeamformingConfig(
-        l_t=3, l_r=1, s=1, rho=5.0, r_fb=2, trials=1000, seed=6, design_iters=1,
-        log_base="nats",
-    )
-    bits = gq.beamforming_throughput_experiment(cfg_bits)["throughput_mean"]
-    nats = gq.beamforming_throughput_experiment(cfg_nats)["throughput_mean"]
-    assert nats == pytest.approx(bits * math.log(2.0), rel=1e-12)
-
-
 def test_beamforming_unequal_dimensions_run():
     # s != l_r exercises the unequal-dimensional path end to end.
     cfg = BeamformingConfig(

@@ -184,7 +184,7 @@ def test_beamforming_run(tmp_path):
             "l_r": 1,
             "s": 1,
             "rho": 10.0,
-            "r_fb": 2,
+            "r_fb_values": [2],
             "trials": 1000,
             "design_iters": 1,
             "seed": 4,
@@ -289,7 +289,7 @@ DISTORTION_CFG = {"n": 4, "p": 1, "q": 1, "beta": 2, "k_values": [2], "samples":
 DESIGN_CFG = {"n": 3, "p": 1, "q": 1, "beta": 2, "k_values": [4], "iters": 1,
               "train_samples": 1000, "eval_samples": 1000}
 AWGN_CFG = {"n": 8, "sigma_sq": 1.0, "epsilon": 0.05, "rates": [0.25], "trials": 5}
-BEAM_CFG = {"l_t": 3, "l_r": 1, "s": 1, "rho": 10.0, "r_fb": 2, "trials": 1000,
+BEAM_CFG = {"l_t": 3, "l_r": 1, "s": 1, "rho": 10.0, "r_fb_values": [2], "trials": 1000,
             "design_iters": 1}
 OPT_CFG = {"p": 1, "q": 1, "beta": 2, "rbar": 1.0, "n_list": [4], "trials": 2, "samples": 1000}
 SAVE_CFG = {"n": 4, "p": 1, "q": 2, "beta": 2, "K": 4, "kind": "random"}
@@ -314,7 +314,7 @@ NAN, INF = float("nan"), float("inf")
         ("awgn", AWGN_CFG, {"n": 2}, "got 2"),
         ("awgn", AWGN_CFG, {"rates": [3.0]}, "16777216"),
         ("awgn", AWGN_CFG, {"sigma_sq": NAN}, "sigma_sq: expected a finite number, got nan"),
-        ("beamforming", BEAM_CFG, {"r_fb": 17}, "got 17"),
+        ("beamforming", BEAM_CFG, {"r_fb_values": [17]}, "got 17"),
         ("beamforming", BEAM_CFG, {"trials": 10}, "got 10"),
         ("beamforming", BEAM_CFG, {"codebook_kind": "x"}, "'x'"),
         ("beamforming", BEAM_CFG, {"rho": INF}, "rho: expected a finite number, got inf"),
@@ -343,6 +343,16 @@ NAN, INF = float("nan"), float("inf")
          "shape (50000, 50000) exceeds"),
         ("codebook", SAVE_CFG, {"n": 50_000, "kind": "maxmin", "train_samples": 1000},
          "shape (50000, 50000) exceeds"),
+        # One spelling per field: r_fb_values only, throughput in bits, threads by flag.
+        ("beamforming", BEAM_CFG, {"r_fb": 2}, "r_fb: unknown field"),
+        ("beamforming", BEAM_CFG, {"log_base": "bits"}, "log_base: unknown field"),
+        ("volume", VOLUME_CFG, {"threads": 1}, "threads: unknown field"),
+        ("distortion", DISTORTION_CFG, {"threads": 1}, "threads: unknown field"),
+        ("design", DESIGN_CFG, {"threads": 1}, "threads: unknown field"),
+        ("random-opt", OPT_CFG, {"threads": 1}, "threads: unknown field"),
+        ("awgn", AWGN_CFG, {"threads": 1}, "threads: unknown field"),
+        ("beamforming", BEAM_CFG, {"threads": 1}, "threads: unknown field"),
+        ("codebook", SAVE_CFG, {"threads": 1}, "threads: unknown field"),
     ],
 )
 def test_bad_config_is_a_config_error(
@@ -361,6 +371,12 @@ def test_bad_config_is_a_config_error(
     assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and shown in err and "Traceback" not in err
+
+
+def test_threads_below_one_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "vol.json", VOLUME_CFG)
+    assert run("volume", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "0") == 2
+    assert "config error: threads: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_sizes_beyond_float_range_are_capped(tmp_path):

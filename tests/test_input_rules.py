@@ -1,0 +1,107 @@
+"""One rule per scalar input, at every library entry that takes one.
+
+An integer is a Python ``int`` (not a bool, a float or a numpy integer),
+and a real parameter is finite and in range.  Each refusal is a
+``DomainError`` that names the field, never a ``TypeError`` from numpy or a
+NaN or zero result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import grassquant as gq
+from grassquant import AwgnConfig, BeamformingConfig, FieldKind, GrassmannSpec
+
+LINE = GrassmannSpec(4, 1)
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+def line_codebook():
+    return gq.random_codebook(LINE, LINE, 4, seed=0)
+
+
+def random_opt(**change):
+    args = dict(p=1, q=1, beta=2, rbar=1.0, n_list=[4], trials=2, samples=1000)
+    return gq.random_code_optimality_experiment(**dict(args, **change))
+
+
+AWGN = dict(n=8, sigma_sq=1.0, epsilon=0.05)
+BEAM = dict(l_t=3, l_r=1, s=1, rho=10.0, r_fb=2, trials=1000)
+
+INTEGER_SITES = [
+    ("n", lambda v: GrassmannSpec(v, 1)),
+    ("p", lambda v: GrassmannSpec(4, v)),
+    ("n", lambda v: gq.BallSpec(v, 1, 1, 2, 0.5)),  # refused at construction
+    ("q", lambda v: gq.BallSpec(4, 1, v, 2, 0.5)),
+    ("beta", lambda v: gq.log_coeff_c(4, 1, 1, v)),
+    ("p", lambda v: gq.log_coeff_c(6, v, 2, 2)),
+    ("n", lambda v: gq.drf_bounds(v, 1, 1, 2, 16)),
+    ("size", lambda v: gq.drf_bounds(4, 1, 1, 2, v)),
+    ("codebook size", lambda v: gq.random_codebook(LINE, LINE, v, seed=0)),
+    ("codebook size", lambda v: gq.design_maxmin(LINE, LINE, v, seed=0)),
+    ("iters", lambda v: gq.design_maxmin(LINE, LINE, 4, seed=0, iters=v)),
+    ("train_samples", lambda v: gq.design_maxmin(LINE, LINE, 4, seed=0, train_samples=v)),
+    ("samples", lambda v: gq.distortion_mc(line_codebook(), v, rng())),
+    ("samples", lambda v: gq.ball_volume_mc(gq.BallSpec(4, 1, 1, 2, 0.5), v, rng())),
+    ("n", lambda v: AwgnConfig(**dict(AWGN, n=v), rate=0.5)),
+    ("codebook size", lambda v: AwgnConfig(**AWGN, codebook_size=v)),
+    ("trials", lambda v: AwgnConfig(**AWGN, rate=0.5, trials=v)),
+    ("r_fb", lambda v: BeamformingConfig(**dict(BEAM, r_fb=v))),
+    ("trials", lambda v: BeamformingConfig(**dict(BEAM, trials=v))),
+    ("p", lambda v: gq.asymptotic_drf(v, 2, 1.0)),
+    ("p", lambda v: gq.asymptotic_rate(v, 2, 0.5)),
+    ("count", lambda v: gq.sample_isotropic_bases(LINE, v, rng())),
+    ("n", lambda v: gq.haar_unitary(v, FieldKind.COMPLEX, rng())),
+    ("n", lambda v: random_opt(n_list=[v])),
+    ("trials", lambda v: random_opt(trials=v)),
+    ("samples", lambda v: random_opt(samples=v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, 4.0, 4.5, np.int64(4)], ids=repr)
+@pytest.mark.parametrize(
+    "name, call", INTEGER_SITES, ids=[f"{i}-{name}" for i, (name, _) in enumerate(INTEGER_SITES)]
+)
+def test_an_integer_is_a_python_int(name, call, value):
+    with pytest.raises(gq.DomainError, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+REAL_SITES = [
+    ("sigma_sq", lambda v: AwgnConfig(**dict(AWGN, sigma_sq=v), rate=0.5)),
+    ("rate", lambda v: AwgnConfig(**AWGN, rate=v, clamp_to_cap=True)),
+    ("rho", lambda v: BeamformingConfig(**dict(BEAM, rho=v))),
+    ("rbar", lambda v: gq.asymptotic_drf(1, 2, v)),
+    ("rbar", lambda v: random_opt(rbar=v)),
+    ("epsilon", lambda v: random_opt(epsilon=v)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "name, call", REAL_SITES, ids=[f"{i}-{name}" for i, (name, _) in enumerate(REAL_SITES)]
+)
+def test_a_real_parameter_is_finite(name, call, value):
+    with pytest.raises(gq.DomainError, match=f"^{name} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "n, p, q, beta, distortion, log2_lower, log2_upper",
+    [
+        (256, 3, 4, 1, 0.01, 3089.6, 3090.2),
+        (600, 3, 4, 2, 0.5, 4557.6, 4558.2),
+        (1000, 5, 5, 2, 0.9, 12190.9, 12191.5),
+    ],
+)
+def test_rdf_bounds_beyond_float_range_are_inf(n, p, q, beta, distortion, log2_lower, log2_upper):
+    bounds = gq.rdf_bounds(n, p, q, beta, distortion)
+    assert bounds.lower == bounds.upper == math.inf
+    lower, upper = gq.rdf_bounds_log2(n, p, q, beta, distortion)
+    assert lower == pytest.approx(log2_lower, abs=0.05)
+    assert upper == pytest.approx(log2_upper, abs=0.05)
