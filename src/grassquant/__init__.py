@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     FormatError,
     GrassquantError,
-    OrderViolation,
     OrthonormalityError,
     RadiusTooLarge,
     SpecMismatch,
@@ -83,7 +82,6 @@ __all__ = [
     "GrassquantError",
     "DomainError",
     "DimensionMismatch",
-    "OrderViolation",
     "OrthonormalityError",
     "RadiusTooLarge",
     "SpecMismatch",

@@ -29,7 +29,7 @@ from .quantization import (
     distortion_mc,
     drf_bounds,
 )
-from .rng import derive_rng
+from .rng import _check_seed, derive_rng
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class AwgnConfig:
     clamp_to_cap: bool = False
 
     def __post_init__(self) -> None:
-        _check_int("n", self.n)
+        GrassmannSpec(self.n, 1, self.field)  # n is an integer, field a FieldKind
         if self.n < 4:
             raise DomainError(f"block length n must be >= 4, got {self.n}")
         if not 0 < self.sigma_sq < math.inf:
@@ -68,6 +68,7 @@ class AwgnConfig:
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise DomainError(f"rate must be positive and finite, got {self.rate}")
         _check_draws("trials", self.trials, 1)
+        _check_seed(self.seed)
         _check_size(self.effective_size, 1)  # the cap binds only without clamp_to_cap
 
     @property
@@ -165,6 +166,8 @@ class BeamformingConfig:
     design_iters: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("l_t", "l_r", "s"):
+            _check_int(name, getattr(self, name))
         self.source_spec, self.code_spec  # the specs check 1 <= l_r, s <= l_t - 1
         if not 0 < self.rho < math.inf:
             raise DomainError(f"rho must be positive and finite, got {self.rho}")
@@ -173,7 +176,9 @@ class BeamformingConfig:
         if not 1 <= self.r_fb <= max_r_fb:
             raise DomainError(f"r_fb must lie in [1, {max_r_fb}], got {self.r_fb}")
         _check_mc_samples("trials", self.trials)
+        _check_seed(self.seed)
         _codebook_builder(self.codebook_kind)
+        _check_draws("design_iters", self.design_iters, 0)
 
     @property
     def codebook_size(self) -> int:

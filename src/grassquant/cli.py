@@ -52,7 +52,7 @@ from .quantization import (
     drf_bounds,
     random_codebook,
 )
-from .rng import derive_rng
+from .rng import _seed_sequence, derive_rng
 from .volume import (
     BallSpec,
     ball_volume_approx,
@@ -175,7 +175,7 @@ def _specs(c: dict) -> tuple[GrassmannSpec, GrassmannSpec]:
 
 def _row_seed_int(seed: int, index: int) -> int:
     """Stable per-row integer seed; reproduces the row in isolation."""
-    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, index).generate_state(1, np.uint64)[0])
 
 
 def _run_rows(fns: list, threads: int) -> list:

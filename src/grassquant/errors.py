@@ -13,10 +13,6 @@ class DimensionMismatch(GrassquantError, ValueError):
     """Ambient dimensions or scalar fields are incompatible."""
 
 
-class OrderViolation(GrassquantError, ValueError):
-    """The smaller-dimensional plane was not passed first."""
-
-
 class OrthonormalityError(GrassquantError, ValueError):
     """A basis matrix fails the orthonormality tolerance."""
 

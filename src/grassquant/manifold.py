@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    OrderViolation,
-    OrthonormalityError,
-)
+from .errors import DimensionMismatch, DomainError, OrthonormalityError
 
 # Frobenius tolerance on basis^H basis - I.
 TOL_ORTHO = 1e-10
@@ -255,19 +250,16 @@ def _check_pair(P: Plane, Q: Plane) -> None:
         raise DimensionMismatch(
             f"fields differ: {P.spec.field.value} vs {Q.spec.field.value}"
         )
-    if P.spec.p > Q.spec.p:
-        raise OrderViolation(
-            f"dim(P)={P.spec.p} exceeds dim(Q)={Q.spec.p}; pass the smaller plane first"
-        )
 
 
 def principal_angles(P: Plane, Q: Plane) -> PrincipalAngles:
-    """Principal angles between planes of possibly different dimension.
-
-    Requires ``dim(P) <= dim(Q)``; cosines are the singular values of
-    ``P.basis^H Q.basis`` clamped into [0, 1].
+    """Principal angles between planes of possibly different dimension, in
+    either order; cosines are the singular values of ``A^H B`` for the
+    smaller basis ``A``, clamped into [0, 1].
     """
     _check_pair(P, Q)
+    if P.spec.p > Q.spec.p:
+        P, Q = Q, P
     cross = P.basis.conj().T @ Q.basis
     s = np.linalg.svd(cross, compute_uv=False)
     cosines = np.clip(s, 0.0, 1.0)
@@ -278,8 +270,10 @@ def principal_angles(P: Plane, Q: Plane) -> PrincipalAngles:
 
 def _residual_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``||A - B (B^H A)||_F^2`` over the last two axes, for orthonormal bases (or
-    stacks) with ``dim A <= dim B``: it equals ``p - ||A^H B||_F^2`` but stays
-    accurate near zero (no cancellation of order-one terms)."""
+    stacks) in either order, ``A`` the smaller: it equals ``min(p, q) - ||A^H B||_F^2``
+    but stays accurate near zero (no cancellation of order-one terms)."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
     resid = a - b @ (np.swapaxes(b.conj(), -2, -1) @ a)
     return np.sum(np.abs(resid) ** 2, axis=(-2, -1))
 
@@ -288,11 +282,11 @@ def chordal_distance_sq(P: Plane, Q: Plane) -> float:
     """Squared chordal distance, ``sum_i sin^2(theta_i)`` over min(p, q) angles,
     by the projection residual of :func:`_residual_sq`."""
     _check_pair(P, Q)
-    return min(float(_residual_sq(P.basis, Q.basis)), float(P.spec.p))
+    return min(float(_residual_sq(P.basis, Q.basis)), float(min(P.spec.p, Q.spec.p)))
 
 
 def chordal_distance(P: Plane, Q: Plane) -> float:
-    """Chordal distance ``sqrt(p - ||P^H Q||_F^2)``; range [0, sqrt(min(p, q))]."""
+    """Chordal distance ``sqrt(min(p, q) - ||P^H Q||_F^2)``; range [0, sqrt(min(p, q))]."""
     return math.sqrt(chordal_distance_sq(P, Q))
 
 

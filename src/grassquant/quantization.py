@@ -32,7 +32,7 @@ from .manifold import (
     _residual_sq,
     sample_isotropic_bases,
 )
-from .rng import derive_rng
+from .rng import _check_seed, derive_rng
 from .volume import _check_dims, _degree, log_coeff_c
 
 # Desk-scale cap on the sizes of the codebooks this module builds.
@@ -234,15 +234,28 @@ class Codebook:
         return min(self.source_spec.p, self.code_spec.p)
 
     def min_pairwise_distance(self) -> float:
-        """Smallest chordal distance between two entries (inf for K = 1); an
-        O(K^2) walk of row blocks ``[lo, hi)`` against the entries ``lo:``."""
+        """Smallest chordal distance between two entries (inf for K = 1).
+
+        An O(K^2) walk of row blocks ``[lo, hi)`` against the entries ``lo:``
+        by the overlap kernel, ``q - ||A^H B||_F^2``, which cancels near zero.
+        Every pair whose kernel value lies within a rounding bound of the
+        least so far is measured again by the stable projection residual.
+        """
         bases = self._bases
+        k, n, q = bases.shape
+        if k < 2:
+            return math.inf
         entries = _gemm_layout(bases)
-        best = math.inf
-        for lo, hi in _row_blocks(len(bases), len(bases)):
-            dsq = np.clip(self.code_spec.p - _sq_overlaps(bases[lo:hi], entries[lo:]), 0.0, None)
+        # A generous bound on the kernel's rounding, as in the duplicate screen.
+        rounding = 8.0 * n * q * (q + 1) * np.finfo(float).eps
+        least = best = math.inf
+        for lo, hi in _row_blocks(k, k):
+            dsq = q - _sq_overlaps(bases[lo:hi], entries[lo:])
             dsq[np.tril_indices(hi - lo, 0, dsq.shape[1])] = math.inf
-            best = min(best, float(dsq.min()))
+            least = min(least, float(dsq.min()))
+            i, j = np.nonzero(dsq <= least + rounding)
+            if i.size:
+                best = min(best, float(_residual_sq(bases[lo + i], bases[lo + j]).min()))
         return math.sqrt(best)
 
 
@@ -275,9 +288,8 @@ def quantize(P: Plane, codebook: Codebook) -> tuple[int, float]:
             f"plane spec {P.spec} does not match codebook source {codebook.source_spec}"
         )
     idx = int(_nearest(P.basis[None, :, :], codebook.stacked_bases)[0][0])
-    entry = codebook.stacked_bases[idx]
-    small, large = (P.basis, entry) if P.spec.p <= codebook.code_spec.p else (entry, P.basis)
-    return idx, math.sqrt(min(float(_residual_sq(small, large)), float(codebook.min_dim)))
+    dsq = float(_residual_sq(P.basis, codebook.stacked_bases[idx]))
+    return idx, math.sqrt(min(dsq, float(codebook.min_dim)))
 
 
 def _distortion_moments(
@@ -383,8 +395,7 @@ def design_maxmin(
     stream.  Give exactly one of ``rng`` or ``seed`` (recorded in the provenance).
     """
     _check_size(size, 2)
-    _check_draws("iters", iters, 0)
-    _check_draws("train_samples", train_samples, 1)
+    _check_training(iters, train_samples)
     # The later arrays are bounded before the first draw (which bounds itself).
     _check_values("a random draw", (train_samples, source_spec.n, source_spec.p))
     if iters:
@@ -435,15 +446,23 @@ def design_maxmin(
     )
 
 
+def _check_training(iters: int = 8, train_samples: int = 10_000) -> None:
+    """Range checks of the training values of :func:`design_maxmin`."""
+    _check_draws("iters", iters, 0)
+    _check_draws("train_samples", train_samples, 1)
+
+
 def _codebook_builder(kind: str):
     """``build(source_spec, code_spec, size, rng=None, *, seed=None, **training)``
     for codebook ``kind``: :func:`random_codebook` for 'random' (``training`` is
-    unused), :func:`design_maxmin` for 'maxmin'; ``DomainError`` for any other."""
+    checked, then unused), :func:`design_maxmin` for 'maxmin'; ``DomainError``
+    for any other."""
     if kind not in ("random", "maxmin"):
         raise DomainError(f"codebook kind must be random or maxmin, got {kind!r}")
 
     def build(source_spec, code_spec, size, rng=None, *, seed=None, **training) -> Codebook:
         if kind == "random":
+            _check_training(**training)
             return random_codebook(source_spec, code_spec, size, rng, seed=seed)
         return design_maxmin(source_spec, code_spec, size, rng, seed=seed, **training)
 
@@ -456,19 +475,12 @@ def _size_at_rate(bits: float) -> "int | float":
     return round(2.0**bits) if bits < 1024 else math.inf
 
 
-def _bound_terms(n: int, p: int, q: int, beta: int) -> tuple[int, float]:
-    """``(t, log c)`` of the distortion-rate bounds at ``(min(p, q), max(p, q))``:
-    the principal angles of independent Haar p- and q-planes have one law in
-    either order, so swapping p and q leaves ``D*(K)`` unchanged."""
-    p, q = min(p, q), max(p, q)
-    return _degree(n, p, q, beta), log_coeff_c(n, p, q, beta)
-
-
 def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     """Bounds on the distortion-rate function at codebook size ``size``.
 
-    ``p`` and ``q`` may come in either order; with ``p <= q``,
-    ``t = beta p (n - q)`` and leading volume coefficient ``c``::
+    ``p`` and ``q`` may come in either order (the principal angles of
+    independent Haar p- and q-planes have one law in either order), with
+    ``t = beta min(p, q) (n - max(p, q))`` and leading volume coefficient ``c``::
 
         t/(t+2) * (cK)^(-2/t)  <=  D*(K)  <=  2 Gamma(2/t)/t * (cK)^(-2/t)
 
@@ -479,7 +491,8 @@ def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     _check_int("size", size)
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
-    t, log_c = _bound_terms(n, p, q, beta)
+    log_c = log_coeff_c(n, p, q, beta)
+    t = _degree(n, p, q, beta)
     ck = math.exp(log_c) * size
     # Plain powers where safe: keeps round-number anchors exact.
     if math.isfinite(ck) and ck > 0.0:
@@ -507,7 +520,8 @@ def rdf_bounds(n: int, p: int, q: int, beta: int, distortion: float) -> BoundPai
     """
     if not 0.0 < distortion <= 1.0:
         raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
-    t, log_c = _bound_terms(n, p, q, beta)
+    log_c = log_coeff_c(n, p, q, beta)
+    t = _degree(n, p, q, beta)
     c = math.exp(log_c)
 
     def size(arg: float) -> float:
@@ -528,7 +542,8 @@ def rdf_bounds_log2(n: int, p: int, q: int, beta: int, distortion: float) -> tup
     values of :func:`rdf_bounds` may overflow."""
     if not 0.0 < distortion <= 1.0:
         raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
-    t, log_c = _bound_terms(n, p, q, beta)
+    log_c = log_coeff_c(n, p, q, beta)
+    t = _degree(n, p, q, beta)
     ln2 = math.log(2.0)
     lower = (-t / 2.0 * math.log((t + 2.0) * distortion / t) - log_c) / ln2
     upper = (-t / 2.0 * math.log(t * distortion / (2.0 * math.gamma(2.0 / t))) - log_c) / ln2
@@ -584,7 +599,7 @@ def _random_opt_plan(
     for n in n_list:
         _check_dims(n, p, q, beta)
     field = FieldKind.from_beta(beta)
-    d_asym = asymptotic_drf(p, beta, rbar)
+    d_asym = asymptotic_drf(min(p, q), beta, rbar)
     return [
         (GrassmannSpec(n, p, field), GrassmannSpec(n, q, field), _size_at_rate(rbar * n),
          d_asym, trials, epsilon, samples)
@@ -595,6 +610,7 @@ def _random_opt_plan(
 def _random_opt_row(seed: int, i: int, point: tuple) -> dict:
     """Row ``i`` of the random-code optimality experiment; trial ``t`` draws
     from the streams ``(seed, i, t, 0)`` and ``(seed, i, t, 1)``."""
+    _check_seed(seed)  # also where no trial draws
     source, code, size, d_asym, trials, epsilon, samples = point
     row = {
         "n": source.n,
@@ -651,7 +667,8 @@ def random_code_optimality_experiment(
     float) are skipped and flagged.  Each trial draws a fresh random
     codebook and estimates its distortion with ``samples`` Monte-Carlo
     draws on a disjoint stream; the fraction counts trials with distortion
-    above ``asymptote + epsilon``.  Returns one row per ``n``.
+    above ``asymptote + epsilon``.  ``p`` and ``q`` may come in either
+    order; the asymptote is that of ``min(p, q)``.  Returns one row per ``n``.
     """
     plan = _random_opt_plan(p, q, beta, rbar, n_list, trials, epsilon, samples)
     return [_random_opt_row(seed, i, point) for i, point in enumerate(plan)]

@@ -1,14 +1,15 @@
 """Volume of small chordal-metric balls between unequal-dimensional planes.
 
-For a center in ``G_{n,q}`` and a ball in ``G_{n,p}`` (``p <= q``), the
-volume for radius ``delta <= 1`` expands as::
+For a center in ``G_{n,q}`` and a ball in ``G_{n,p}``, ``p`` and ``q`` in
+either order (the principal angles of independent Haar p- and q-planes
+have one law in either order), the volume for radius ``delta <= 1`` is::
 
     mu(B(delta)) = c * delta^t * (1 + c1 * delta^2 + o(delta^2)),
-    t = beta * p * (n - q),
+    t = beta * min(p, q) * (n - max(p, q)),
 
 with a closed-form leading coefficient ``c`` and second-order coefficient
 ``c1``.  The expansion is exact (no higher-order terms) for complex
-``q = p`` and for real ``q = p + 1``.  This module evaluates the closed
+``q = p`` and for real ``|q - p| = 1``.  This module evaluates the closed
 form, two-sided bounds, the Barg-Nogin large-``n`` approximation used as a
 baseline, and a Monte-Carlo estimate of the true volume.
 
@@ -65,8 +66,8 @@ class VolumeEstimate:
 class BallSpec:
     """Ball of chordal radius ``radius`` in ``G_{n,p}`` about a center in ``G_{n,q}``.
 
-    Requires ``1 <= p <= q <= n - 1``.  The radius may not exceed
-    ``sqrt(p)``, the diameter of the metric; ``radius = 0`` is allowed and
+    Requires ``1 <= p, q <= n - 1``.  The radius may not exceed
+    ``sqrt(min(p, q))``, the diameter of the metric; ``radius = 0`` is allowed and
     denotes the measure-zero ball.  Closed-form operations additionally
     require ``radius <= 1``.
     """
@@ -79,15 +80,16 @@ class BallSpec:
 
     def __post_init__(self) -> None:
         _check_dims(self.n, self.p, self.q, self.beta)
-        max_radius = math.sqrt(self.p)
+        max_radius = math.sqrt(min(self.p, self.q))
         if not 0.0 <= self.radius <= max_radius + 1e-12:
             raise DomainError(
-                f"radius must lie in [0, sqrt(p)] = [0, {max_radius:.6g}], got {self.radius}"
+                f"radius must lie in [0, sqrt(min(p, q))] = [0, {max_radius:.6g}], "
+                f"got {self.radius}"
             )
 
     @property
     def degree(self) -> int:
-        """Leading exponent t = beta * p * (n - q)."""
+        """Leading exponent t = beta * min(p, q) * (n - max(p, q))."""
         return _degree(self.n, self.p, self.q, self.beta)
 
     @property
@@ -96,19 +98,18 @@ class BallSpec:
 
 
 def _degree(n: int, p: int, q: int, beta: int) -> int:
-    """The volume's leading exponent t = beta p (n - q)."""
-    return beta * p * (n - q)
+    """The volume's leading exponent t = beta min(p, q) (n - max(p, q))."""
+    return beta * min(p, q) * (n - max(p, q))
 
 
 def _check_dims(n: int, p: int, q: int, beta: int) -> None:
-    """Domain of the volume formulas: integers, beta in {1, 2}, 1 <= p <= q <= n - 1."""
+    """Domain of the volume formulas: integers, beta in {1, 2}, 1 <= p, q <= n - 1."""
     for name, v in (("n", n), ("p", p), ("q", q), ("beta", beta)):
         _check_int(name, v)
     FieldKind.from_beta(beta)
-    if not 1 <= p <= q <= n - 1:
+    if not (1 <= p <= n - 1 and 1 <= q <= n - 1):
         raise DomainError(
-            "dimensions must satisfy 1 <= p <= q <= n - 1 (source dimension p must not "
-            f"exceed code dimension q), got n={n}, p={p}, q={q}"
+            f"dimensions must satisfy 1 <= p, q <= n - 1, got n={n}, p={p}, q={q}"
         )
 
 
@@ -120,6 +121,7 @@ def log_coeff_c(n: int, p: int, q: int, beta: int) -> float:
     log space.
     """
     _check_dims(n, p, q, beta)
+    p, q = min(p, q), max(p, q)
     h = beta / 2.0
     if p + q <= n:
         ratios = [(n - i + 1, q - i + 1) for i in range(1, p + 1)]
@@ -140,9 +142,10 @@ def coeff_c1(n: int, p: int, q: int, beta: int) -> float:
     """Second-order coefficient ``c1`` of the small-radius expansion.
 
     Zero exactly in the two exact cases (complex ``q = p``; real
-    ``q = p + 1``).
+    ``|q - p| = 1``).
     """
     _check_dims(n, p, q, beta)
+    p, q = min(p, q), max(p, q)
     half_t = _degree(n, p, q, beta) / 2.0
     return -(beta * (q - p + 1) / 2.0 - 1.0) * half_t / (half_t + 1.0)
 
@@ -187,7 +190,7 @@ def ball_volume_bounds(spec: BallSpec) -> tuple[VolumeEstimate, VolumeEstimate]:
 
         c d^t <= mu <= c d^t (1 - d^2)^(-p/2)
 
-    all other cases::
+    all other cases, with ``p <= q`` after ordering::
 
         (1 - d^2)^(beta p (q - p + 1)/2 - p) c d^t <= mu <= c d^t
 
@@ -203,7 +206,8 @@ def ball_volume_bounds(spec: BallSpec) -> tuple[VolumeEstimate, VolumeEstimate]:
         else:
             upper = math.inf
     else:
-        exponent = spec.beta * spec.p * (spec.q - spec.p + 1) / 2.0 - spec.p
+        p, q = min(spec.p, spec.q), max(spec.p, spec.q)
+        exponent = spec.beta * p * (q - p + 1) / 2.0 - p
         lower = (1.0 - dsq) ** exponent * lead
         upper = lead
     lower = min(max(lower, 0.0), 1.0)
@@ -228,7 +232,8 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
 def chordal_sq_to_canonical(
     n: int, p: int, q: int, beta: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Squared chordal distances of isotropic p-planes to span(e_1..e_q).
+    """Squared chordal distances of isotropic p-planes to span(e_1..e_q),
+    for ``p`` and ``q`` in either order.
 
     Ball volumes are center-independent, so the canonical coordinate plane
     serves as the center.  Returns a length-``samples`` array.
@@ -242,7 +247,7 @@ def chordal_sq_to_canonical(
         bases = sample_isotropic_bases(spec, m, rng)
         # ||B^H C||_F^2 for C = [e_1..e_q] is the mass of the first q rows.
         overlap = np.sum(np.abs(bases[:, :q, :]) ** 2, axis=(1, 2))
-        out[done : done + m] = np.clip(p - overlap, 0.0, None)
+        out[done : done + m] = np.clip(min(p, q) - overlap, 0.0, None)
         done += m
     return out
 

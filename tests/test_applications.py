@@ -26,6 +26,8 @@ def test_awgn_config_validation():
         AwgnConfig(n=3, sigma_sq=1.0, epsilon=0.05, rate=0.5)
     with pytest.raises(gq.CapExceeded):
         AwgnConfig(n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5)
+    with pytest.raises(gq.DomainError, match="field must be a FieldKind, got 2"):
+        AwgnConfig(n=8, sigma_sq=1.0, epsilon=0.05, rate=0.5, field=2)
     cfg = AwgnConfig(n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, clamp_to_cap=True)
     assert cfg.nominal_size == 2**18
     assert cfg.effective_size == gq.MAX_CODEBOOK
@@ -176,6 +178,9 @@ def test_beamforming_config_validation():
         BeamformingConfig(l_t=4, l_r=2, s=1, rho=10.0, r_fb=3, trials=100)
     with pytest.raises(gq.DomainError):
         BeamformingConfig(l_t=4, l_r=2, s=1, rho=10.0, r_fb=20)
+    with pytest.raises(gq.DomainError, match="design_iters must be >= 0, got -1"):
+        BeamformingConfig(l_t=4, l_r=2, s=1, rho=10.0, r_fb=3, design_iters=-1,
+                          codebook_kind="random")
 
 
 def test_beamforming_plane_dimensions_are_checked_by_the_specs():

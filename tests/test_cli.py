@@ -88,10 +88,10 @@ def test_seed_override_changes_output(tmp_path):
 
 
 def test_config_errors(tmp_path, capsys):
-    cfg = write_config(tmp_path, "bad.json", dict(VOLUME_CFG, p=2, q=1))
+    cfg = write_config(tmp_path, "bad.json", dict(VOLUME_CFG, q=4))
     assert run("volume", "--config", cfg, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "p" in err and "q" in err and "exceed" in err
+    assert "1 <= p, q <= n - 1" in err and "q=4" in err
 
     cfg = write_config(tmp_path, "missing.json", {"n": 4, "p": 1, "beta": 2})
     assert run("volume", "--config", cfg, "--out", str(tmp_path)) == 2
@@ -301,7 +301,7 @@ NAN, INF = float("nan"), float("inf")
     [
         ("volume", VOLUME_CFG, {"n": 1}, "n=1"),
         ("volume", VOLUME_CFG, {"beta": 3}, "got 3"),
-        ("volume", VOLUME_CFG, {"p": 2, "q": 1}, "p=2, q=1"),
+        ("volume", VOLUME_CFG, {"q": 4}, "q=4"),
         ("volume", VOLUME_CFG, {"deltas": [3.0]}, "got 3.0"),
         ("volume", VOLUME_CFG, {"samples": 10}, "got 10"),
         ("distortion", DISTORTION_CFG, {"k_values": [0]}, "got 0"),
@@ -353,6 +353,14 @@ NAN, INF = float("nan"), float("inf")
         ("awgn", AWGN_CFG, {"threads": 1}, "threads: unknown field"),
         ("beamforming", BEAM_CFG, {"threads": 1}, "threads: unknown field"),
         ("codebook", SAVE_CFG, {"threads": 1}, "threads: unknown field"),
+        ("volume", VOLUME_CFG, {"seed": -3}, "seed must be >= 0, got -3"),
+        ("beamforming", BEAM_CFG, {"design_iters": -1, "codebook_kind": "random"},
+         "design_iters must be >= 0, got -1"),
+        ("codebook", SAVE_CFG, {"iters": -5}, "iters must be >= 0, got -5"),
+        ("codebook", SAVE_CFG, {"train_samples": 0}, "train_samples must be >= 1, got 0"),
+        ("awgn", AWGN_CFG, {"seed": -1}, "seed must be >= 0, got -1"),
+        ("codebook", SAVE_CFG, {"seed": -1}, "seed must be >= 0, got -1"),
+        ("random-opt", OPT_CFG, {"seed": -1, "trials": 0}, "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_config_is_a_config_error(
@@ -371,6 +379,15 @@ def test_bad_config_is_a_config_error(
     assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and shown in err and "Traceback" not in err
+
+
+def test_a_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    for command, base in (("volume", VOLUME_CFG), ("awgn", AWGN_CFG), ("design", DESIGN_CFG)):
+        cfg = write_config(tmp_path, f"{command}.json", base)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be >= 0, got -1\n"
 
 
 def test_threads_below_one_is_a_config_error(tmp_path, capsys):
@@ -406,16 +423,19 @@ def test_verify_says_when_it_skips_the_min_distance(tmp_path, capsys):
 
 
 def test_distortion_and_design_take_either_order_of_p_and_q(tmp_path):
-    # The bound columns at p > q are those of the swapped config.
-    runs = {"distortion": dict(DISTORTION_CFG, k_values=[16, 64], seed=3),
-            "design": dict(DESIGN_CFG, k_values=[16], seed=5)}
-    for name, base in runs.items():
+    # The formula columns at p > q are those of the swapped config.
+    bound_cols = ("drf_lower", "drf_upper", "regime_ok")
+    runs = {"distortion": (dict(DISTORTION_CFG, n=6, k_values=[16, 64], seed=3), bound_cols),
+            "design": (dict(DESIGN_CFG, n=6, k_values=[16], seed=5), bound_cols),
+            "volume": (dict(VOLUME_CFG, n=6), ("closed_form", "lower", "upper")),
+            "random-opt": (dict(OPT_CFG, n_list=[6]), ("K", "d_asymptotic"))}
+    for name, (base, columns) in runs.items():
         bounds = []
         for p, q in ((3, 2), (2, 3)):
-            cfg = write_config(tmp_path, f"{name}{p}{q}.json", dict(base, n=6, p=p, q=q, beta=2))
+            cfg = write_config(tmp_path, f"{name}{p}{q}.json", dict(base, p=p, q=q, beta=2))
             out = tmp_path / f"{name}{p}{q}"
             assert run(name, "--config", cfg, "--out", str(out), "--threads", "1") == 0
-            header, *rows = (out / f"{name}.csv").read_text().splitlines()
-            cols = [header.split(",").index(c) for c in ("drf_lower", "drf_upper", "regime_ok")]
+            header, *rows = (out / f"{name.replace('-', '_')}.csv").read_text().splitlines()
+            cols = [header.split(",").index(c) for c in columns]
             bounds.append([[row.split(",")[c] for c in cols] for row in rows])
         assert bounds[0] == bounds[1]

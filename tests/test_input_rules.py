@@ -60,7 +60,21 @@ INTEGER_SITES = [
     ("n", lambda v: random_opt(n_list=[v])),
     ("trials", lambda v: random_opt(trials=v)),
     ("samples", lambda v: random_opt(samples=v)),
+    ("l_t", lambda v: BeamformingConfig(**dict(BEAM, l_t=v))),
+    ("l_r", lambda v: BeamformingConfig(**dict(BEAM, l_r=v))),
+    ("s", lambda v: BeamformingConfig(**dict(BEAM, s=v))),
+    ("design_iters", lambda v: BeamformingConfig(**BEAM, design_iters=v)),
 ]
+
+SEED_SITES = [
+    ("seed", lambda v: gq.derive_rng(v, 1)),
+    ("seed", lambda v: AwgnConfig(**AWGN, rate=0.5, seed=v)),
+    ("seed", lambda v: BeamformingConfig(**BEAM, seed=v)),
+    ("seed", lambda v: gq.random_codebook(LINE, LINE, 4, seed=v)),
+    ("seed", lambda v: gq.design_maxmin(LINE, LINE, 4, seed=v)),
+    ("seed", lambda v: random_opt(trials=0, seed=v)),
+]
+INTEGER_SITES += SEED_SITES
 
 
 @pytest.mark.parametrize("value", [True, 4.0, 4.5, np.int64(4)], ids=repr)
@@ -69,6 +83,13 @@ INTEGER_SITES = [
 )
 def test_an_integer_is_a_python_int(name, call, value):
     with pytest.raises(gq.DomainError, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [-1, -3], ids=repr)
+@pytest.mark.parametrize("call", [call for _, call in SEED_SITES], ids=range(len(SEED_SITES)))
+def test_a_seed_is_not_negative(call, value):
+    with pytest.raises(gq.DomainError, match=f"^seed must be >= 0, got {value}$"):
         call(value)
 
 
