@@ -333,7 +333,7 @@ def _design_row(c: dict, seed: int, i: int, item: tuple) -> dict:
         codebook_io.save_codebook(cb, path)
     return {
         "K": k,
-        "train_distortion": cb.provenance.trace["best_training_distortion"],
+        "train_distortion": cb.provenance.trace["training_history"][-1],
         "eval_mean": est.mean,
         "eval_stderr": est.stderr,
         "drf_lower": bounds.lower,

@@ -25,20 +25,14 @@ FORMAT_VERSION = 1
 _HEADER_INTS = ("n", "p", "q", "beta", "K")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _entry_rows(bases: np.ndarray) -> list[str]:
-    rows = []
-    for b in bases:
-        flat = np.asarray(b, dtype=np.complex128).reshape(-1)
-        pairs = []
-        for z in flat:
-            pairs.append(_fmt(z.real))
-            pairs.append(_fmt(z.imag))
-        rows.append("[" + ", ".join(pairs) + "]")
-    return rows
+    """One row per entry: its row-major basis as interleaved real/imaginary
+    parts, each with 17 significant digits."""
+    flat = np.ascontiguousarray(bases, dtype=np.complex128).reshape(len(bases), -1)
+    return [
+        "[" + ", ".join(format(x, ".17g") for x in row) + "]"
+        for row in flat.view(np.float64).tolist()
+    ]
 
 
 def save_codebook(codebook: Codebook, path: str) -> None:

@@ -23,8 +23,7 @@ TOL_ORTHO = 1e-10
 TOL_EQ = 1e-9
 # Most samples or trials one call draws.
 _MAX_DRAWS = 1 << 24
-# Most values of one array that a random draw or a Lloyd cell makes: 1 GiB
-# of complex128.
+# Most values of one random draw: 1 GiB of complex128.
 _MAX_DRAW_VALUES = 1 << 26
 
 

@@ -21,6 +21,7 @@ from .errors import CapExceeded, DomainError, SpecMismatch
 from .manifold import (
     TOL_EQ,
     TOL_ORTHO,
+    _MAX_DRAW_VALUES,
     FieldKind,
     GrassmannSpec,
     Plane,
@@ -298,16 +299,19 @@ def _distortion_moments(
     """(count, sum, sum of squares) of min squared distances over fresh draws."""
     entries = _gemm_layout(codebook.stacked_bases)
     min_dim = codebook.min_dim
-    # Kept as is: the draw chunk fixes how the complex normal stream splits
-    # into bases, so changing it changes the estimates and the CSV bytes.
-    per_draw = codebook.size * codebook.source_spec.p * codebook.code_spec.p
-    step = max(64, _DRAW_BUDGET // per_draw)
+    # The draw chunk fixes how the complex normal stream splits into bases, so
+    # changing it changes the estimates and the CSV bytes.  The cap on one
+    # draw's values binds only where a larger chunk would have been refused.
+    source = codebook.source_spec
+    per_draw = codebook.size * source.p * codebook.code_spec.p
+    step = min(max(64, _DRAW_BUDGET // per_draw),
+               max(1, _MAX_DRAW_VALUES // (source.n * source.p)))
     total = 0
     acc = 0.0
     acc_sq = 0.0
     while total < samples:
         m = min(step, samples - total)
-        draws = sample_isotropic_bases(codebook.source_spec, m, rng)
+        draws = sample_isotropic_bases(source, m, rng)
         _, best = _nearest(draws, entries)
         dsq = np.clip(min_dim - best, 0.0, None)
         acc += float(dsq.sum())
@@ -374,6 +378,27 @@ def random_codebook(
             bases[rows] = sample_isotropic_bases(code_spec, rows.size, rng)
 
 
+def _lloyd_centroids(train: np.ndarray, assign: np.ndarray, bases: np.ndarray) -> None:
+    """Lloyd's centroid step, in place: each occupied cell's entry becomes the
+    top-q left singular subspace of its member bases stacked side by side,
+    the dominant q-space of the cell's summed projector.
+
+    Members spanning fewer than q dimensions are completed from the cell's
+    previous entry; empty cells keep their entry.
+    """
+    n, q = bases.shape[1:]
+    counts = np.bincount(assign, minlength=len(bases))
+    ends = np.cumsum(counts)
+    order = np.argsort(assign, kind="stable")
+    for k in np.flatnonzero(counts):
+        members = train[order[ends[k] - counts[k] : ends[k]]]
+        stacked = members.transpose(1, 0, 2).reshape(n, -1)
+        u = np.linalg.svd(stacked, full_matrices=False)[0][:, :q]
+        if u.shape[1] < q:
+            u = np.linalg.qr(np.concatenate([u, bases[k]], axis=1))[0][:, :q]
+        bases[k] = u
+
+
 def design_maxmin(
     source_spec: GrassmannSpec,
     code_spec: GrassmannSpec,
@@ -387,62 +412,33 @@ def design_maxmin(
     """Codebook designed by Lloyd iterations from one Haar draw of ``size``
     entries ("maxmin" names this design and its provenance kind).
 
-    Each of ``iters`` rounds assigns ``train_samples`` isotropic sources by
-    nearest entry, then replaces each entry with the dominant q-dimensional
-    eigenspace of its cell's mean projector (empty cells keep their entry).
-    Returns the codebook with the lowest training distortion seen.  Training
+    Each of ``iters`` rounds assigns ``train_samples`` isotropic sources to
+    their nearest entries, then takes each cell's new entry by
+    :func:`_lloyd_centroids`.  Both steps are optimal for the other's
+    result, so the training distortion never rises, and the last iterate
+    is returned.  The provenance trace records ``iters``, ``train_samples``
+    and the ``training_history`` of the ``iters + 1`` assignments.  Training
     draws are internal to this call; evaluate distortion on a separate
     stream.  Give exactly one of ``rng`` or ``seed`` (recorded in the provenance).
     """
     _check_size(size, 2)
     _check_training(iters, train_samples)
-    # The later arrays are bounded before the first draw (which bounds itself).
+    # The training draw is bounded before the codebook draw (which bounds itself).
     _check_values("a random draw", (train_samples, source_spec.n, source_spec.p))
-    if iters:
-        _check_values("a Lloyd cell projector", (code_spec.n, code_spec.n))
     rng = _resolve_rng(rng, seed)
-    q = code_spec.p
     bases = sample_isotropic_bases(code_spec, size, rng)
     train = sample_isotropic_bases(source_spec, train_samples, rng)
-    min_dim = min(source_spec.p, q)
+    min_dim = min(source_spec.p, code_spec.p)
     history: list[float] = []
-    best_bases = bases.copy()
-    best_distortion = math.inf
-    best_iter = -1
-
     for it in range(iters + 1):
         assign, best = _nearest(train, bases)
-        distortion = float(np.clip(min_dim - best, 0.0, None).mean())
-        history.append(distortion)
-        if distortion < best_distortion:
-            best_distortion = distortion
-            best_bases = bases.copy()
-            best_iter = it
-        if it == iters:
-            break
-        new_bases = bases.copy()
-        for k in range(size):
-            members = train[assign == k]
-            if len(members) == 0:
-                continue
-            proj = np.einsum("snp,smp->nm", members, members.conj()) / len(members)
-            proj = (proj + proj.conj().T) / 2.0
-            _, vecs = np.linalg.eigh(proj)
-            new_bases[k] = vecs[:, -q:]
-        bases = new_bases
+        history.append(float(np.clip(min_dim - best, 0.0, None).mean()))
+        if it < iters:
+            _lloyd_centroids(train, assign, bases)
 
-    trace = {
-        "iters": iters,
-        "train_samples": train_samples,
-        "training_history": history,
-        "best_iter": best_iter,
-        "best_training_distortion": best_distortion,
-    }
+    trace = {"iters": iters, "train_samples": train_samples, "training_history": history}
     return Codebook.from_bases(
-        source_spec,
-        code_spec,
-        best_bases,
-        Provenance(kind="maxmin", seed=seed, trace=trace),
+        source_spec, code_spec, bases, Provenance(kind="maxmin", seed=seed, trace=trace)
     )
 
 

@@ -63,8 +63,10 @@ def test_awgn_window_and_concentration():
 
 def test_awgn_capacity_threshold_ordering():
     below = AwgnConfig(n=12, sigma_sq=1.0, epsilon=0.05, rate=0.5, trials=100, seed=5)
+    # 1000 trials: at the rate's exact error rate 0.8537, err_above < 0.8 has
+    # binomial probability 1.7e-6 (at 100 trials it was 0.053).
     above = AwgnConfig(
-        n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, trials=100, seed=5, clamp_to_cap=True
+        n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, trials=1000, seed=5, clamp_to_cap=True
     )
     err_below = gq.awgn_grassmann_decode_experiment(below)["error_rate"]
     err_above = gq.awgn_grassmann_decode_experiment(above)["error_rate"]

@@ -339,10 +339,10 @@ NAN, INF = float("nan"), float("inf")
          "shape (10000, 50000, 1) exceeds"),
         ("beamforming", BEAM_CFG, {"l_t": 100_000}, "shape (10000, 100000, 1) exceeds"),
         ("awgn", AWGN_CFG, {"n": 10**8, "rates": [1e-8]}, "shape (100000000,) exceeds"),
-        ("design", DESIGN_CFG, {"n": 50_000, "train_samples": 1000},
-         "shape (50000, 50000) exceeds"),
-        ("codebook", SAVE_CFG, {"n": 50_000, "kind": "maxmin", "train_samples": 1000},
-         "shape (50000, 50000) exceeds"),
+        ("design", DESIGN_CFG, {"n": 50_000, "k_values": [2048], "train_samples": 1000},
+         "shape (2048, 50000, 1) exceeds"),
+        ("codebook", SAVE_CFG, {"n": 50_000, "kind": "maxmin", "train_samples": 10_000},
+         "shape (10000, 50000, 1) exceeds"),
         # One spelling per field: r_fb_values only, throughput in bits, threads by flag.
         ("beamforming", BEAM_CFG, {"r_fb": 2}, "r_fb: unknown field"),
         ("beamforming", BEAM_CFG, {"log_base": "bits"}, "log_base: unknown field"),

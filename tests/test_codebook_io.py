@@ -48,6 +48,62 @@ def test_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+TINY_COMPLEX = """{
+  "K": 2,
+  "beta": 2,
+  "format": "grassquant-codebook",
+  "n": 2,
+  "p": 1,
+  "provenance": {
+    "kind": "loaded",
+    "seed": 7
+  },
+  "q": 1,
+  "version": 1,
+  "entries": [
+    [1, 0, 0, 0],
+    [0.70710678118654746, 0, -0, -0.70710678118654746]
+  ]
+}
+"""
+
+TINY_REAL = """{
+  "K": 2,
+  "beta": 1,
+  "format": "grassquant-codebook",
+  "n": 3,
+  "p": 1,
+  "provenance": {
+    "kind": "loaded"
+  },
+  "q": 2,
+  "version": 1,
+  "entries": [
+    [0.59999999999999998, 0, 0, 0, 0.80000000000000004, 0, 0, 0, 0, 0, 1, 0],
+    [1, 0, 0, 0, 0, 0, -0.33333333333333331, 0, 0, 0, 0.94280904158206347, 0]
+  ]
+}
+"""
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    complex_bases = np.array([[[1.0], [0.0]], [[1 / np.sqrt(2)], [-1j / np.sqrt(2)]]])
+    real_bases = np.array([[[0.6, 0], [0.8, 0], [0, 1]],
+                           [[1, 0], [0, -1 / 3], [0, np.sqrt(8) / 3]]])
+    cases = [
+        (2, 1, 1, FieldKind.COMPLEX, complex_bases, gq.Provenance(kind="loaded", seed=7),
+         TINY_COMPLEX),
+        (3, 1, 2, FieldKind.REAL, real_bases, gq.Provenance(kind="loaded"), TINY_REAL),
+    ]
+    for n, p, q, field, bases, provenance, expected in cases:
+        cb = gq.Codebook.from_bases(
+            GrassmannSpec(n, p, field), GrassmannSpec(n, q, field), bases, provenance
+        )
+        path = tmp_path / "tiny.json"
+        save_codebook(cb, str(path))
+        assert path.read_text(encoding="ascii") == expected
+
+
 def test_truncated_file(tmp_path):
     cb = make_codebook()
     path = tmp_path / "cb.json"

@@ -8,6 +8,7 @@ from scipy import integrate
 
 import grassquant as gq
 from grassquant import Codebook, FieldKind, GrassmannSpec, Plane, Provenance
+from grassquant import manifold
 from grassquant import quantization as qz
 
 
@@ -279,6 +280,18 @@ def test_distortion_analytic_single_entry():
         assert abs(est.mean - (n - q) / n) <= 4 * est.stderr
 
 
+
+def test_distortion_draws_in_chunks_within_the_draw_bound(monkeypatch):
+    # At small K the chunk set by the GEMM budget alone holds more values than
+    # one draw may; the chunk is also capped by the draw bound over n p.
+    monkeypatch.setattr(manifold, "_MAX_DRAW_VALUES", 1 << 12)
+    monkeypatch.setattr(qz, "_MAX_DRAW_VALUES", 1 << 12)
+    source, code = specs(16, 1, 1)
+    cb = gq.random_codebook(source, code, 1, np.random.default_rng(3))
+    est = gq.distortion_mc(cb, 2000, np.random.default_rng(4))
+    assert est.samples == 2000
+    assert abs(est.mean - 15 / 16) <= 4 * est.stderr
+
 def test_distortion_near_duplicate_entries():
     source, code = specs(4, 1, 1)
     base = gq.sample_isotropic(code, np.random.default_rng(1))
@@ -402,9 +415,87 @@ def test_design_zero_iters_is_deterministic_greedy():
     a = gq.design_maxmin(source, code, 4, seed=9, iters=0)
     b = gq.design_maxmin(source, code, 4, seed=9, iters=0)
     assert np.array_equal(a.stacked_bases, b.stacked_bases)
-    assert a.provenance.trace["best_iter"] == 0
+    assert len(a.provenance.trace["training_history"]) == 1
     with pytest.raises(gq.DomainError):
         gq.design_maxmin(source, code, 1, seed=9)
+
+
+def test_design_at_large_n_builds_no_n_by_n_matrix():
+    import tracemalloc
+
+    source, code = specs(9000, 1, 1)
+    tracemalloc.start()
+    try:
+        cb = gq.design_maxmin(source, code, 2, seed=1, iters=1, train_samples=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cb.provenance.trace["training_history"]) == 2
+    assert peak < 9000**2 * 16 / 4  # a quarter of one n x n complex matrix
+
+
+@pytest.mark.parametrize(
+    "n, p, q, beta, size",
+    [(4, 1, 2, 1, 8), (4, 2, 1, 1, 16), (5, 2, 2, 1, 12),
+     (4, 1, 2, 2, 16), (5, 2, 2, 2, 8), (6, 3, 2, 2, 32), (5, 1, 3, 2, 64)],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lloyd_training_distortion_never_rises(n, p, q, beta, size, seed):
+    source, code = specs(n, p, q, beta)
+    cb = gq.design_maxmin(source, code, size, seed=seed, iters=6, train_samples=300)
+    history = np.array(cb.provenance.trace["training_history"])
+    assert len(history) == 7
+    assert np.all(history[1:] <= history[:-1] * (1.0 + 1e-12))
+
+
+def lloyd_centroids_reference(train, assign, bases):
+    """Reference centroid step: the dominant q-dimensional eigenspace of each
+    occupied cell's mean projector, built as a dense n x n matrix."""
+    q = bases.shape[2]
+    new_bases = bases.copy()
+    for k in range(len(bases)):
+        members = train[assign == k]
+        if len(members) == 0:
+            continue
+        proj = np.einsum("snp,smp->nm", members, members.conj()) / len(members)
+        proj = (proj + proj.conj().T) / 2.0
+        _, vecs = np.linalg.eigh(proj)
+        new_bases[k] = vecs[:, -q:]
+    return new_bases
+
+
+@pytest.mark.parametrize("n, p, q, beta", [(5, 1, 2, 2), (6, 2, 3, 2), (5, 3, 2, 1), (4, 2, 2, 1)])
+def test_lloyd_centroids_match_the_mean_projector_eigenspace(n, p, q, beta):
+    source, code = specs(n, p, q, beta)
+    rng = gq.derive_rng(4, n, p, q)
+    # Many cells with few members, so some have fewer than q member directions
+    # and some (p > q, one member) have no unique dominant q-space.
+    size, train_samples = 40, 90
+    bases = gq.sample_isotropic_bases(code, size, rng)
+    train = gq.sample_isotropic_bases(source, train_samples, rng)
+    assign = qz._nearest(train, bases)[0]
+    new = bases.copy()
+    qz._lloyd_centroids(train, assign, new)
+    ref = lloyd_centroids_reference(train, assign, bases)
+
+    unique = 0
+    for k in range(size):
+        members = train[assign == k]
+        if len(members) == 0:
+            assert np.array_equal(new[k], bases[k])
+            continue
+        assert np.allclose(new[k].conj().T @ new[k], np.eye(q), atol=1e-12)
+        # Every occupied cell gets an optimal entry: the captured energy
+        # sum ||M^H U||^2 equals the reference's (all of it when m p <= q).
+        energy = [np.sum(np.abs(members.conj().transpose(0, 2, 1) @ u) ** 2)
+                  for u in (new[k], ref[k])]
+        assert energy[0] == pytest.approx(energy[1], rel=1e-12)
+        sv = np.linalg.svd(members.transpose(1, 0, 2).reshape(n, -1), compute_uv=False)
+        sv = np.concatenate([sv, np.zeros(q + 1)])
+        if sv[q - 1] - sv[q] > 1e-6:  # a unique dominant q-space
+            unique += 1
+            assert math.sqrt(manifold._residual_sq(new[k], ref[k])) <= 1e-12
+    assert unique > 0
 
 
 def test_rng_and_seed_together_are_refused():
