@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,8 +422,6 @@ def test_design_zero_iters_is_deterministic_greedy():
 
 
 def test_design_at_large_n_builds_no_n_by_n_matrix():
-    import tracemalloc
-
     source, code = specs(9000, 1, 1)
     tracemalloc.start()
     try:
