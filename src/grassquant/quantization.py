@@ -44,8 +44,21 @@ MAX_CODEBOOK = 1 << 16
 _BLOCK_PAIRS = 1 << 18
 # Fewest sample rows per block, so large codebooks still get matrix GEMMs.
 _BLOCK_MIN_ROWS = 8
-# GEMM outputs (K * p * q per draw) per chunk of Monte-Carlo source draws.
+# Monte-Carlo source draws per chunk: this budget over K * p * q per draw.
+# It once counted the direct form's GEMM outputs; the packed GEMM writes K per
+# draw.  The value stays because it fixes how the normal stream splits into
+# chunks, and so the estimates and the CSV bytes.
 _DRAW_BUDGET = 1 << 23
+# The packed form's rule (see _packs), calibrated on one BLAS thread: its
+# largest multiply-adds per pair relative to the direct form's p * q, in each
+# field (complex: True); the fewest sources and entries that pay for packing;
+# and its largest packed dimension, so that a (d, K) operand holds at most
+# 2^26 values at K = MAX_CODEBOOK.
+_PACKED_MAX_RATIO = {True: 128, False: 32}
+_PACKED_MIN_COUNT = 64
+_PACKED_MAX_DIM = 1 << 10
+# Entries packed at a time, so the (K, n, n) projector stack is never built.
+_PACK_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -61,30 +74,96 @@ class Provenance:
         return {key: value for key, value in vars(self).items() if value is not None}
 
 
-def _sq_overlaps(samples: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """``out[s, k] = ||samples[s]^H entries[k]||_F^2`` for one block of samples.
+def _sq_overlaps(
+    samples: np.ndarray, entries: np.ndarray, packed: "np.ndarray | None" = None
+) -> np.ndarray:
+    """``out[s, k] = ||samples[s]^H entries[k]||_F^2`` for one ``(m, n, p)`` block
+    of samples against the ``(K, n, q)`` entries.
 
-    Entries from :func:`_gemm_layout` are used in place; others are copied.
+    With ``packed``, the entries' projectors from :func:`_packed_entries`, the
+    block is packed and one real GEMM gives ``<P_s, P_k>_F``, the same value.
+    Without it, the direct form sums ``p * q`` GEMMs of columns; entries from
+    :func:`_gemm_layout` are used in place, others are copied.
     """
-    n_s, _, p_a = samples.shape
-    n_k, _, p_b = entries.shape
-    out = np.zeros((n_s, n_k))
-    cols_b = [np.ascontiguousarray(entries[:, :, j].T) for j in range(p_b)]
-    for i in range(p_a):
+    if packed is not None:
+        return _packed(samples) @ packed
+    out = None
+    cols_b = [np.ascontiguousarray(entries[:, :, j].T) for j in range(entries.shape[2])]
+    for i in range(samples.shape[2]):
         a_i = samples[:, :, i].conj()
-        for j in range(p_b):
-            m = a_i @ cols_b[j]
+        for b_j in cols_b:
+            m = a_i @ b_j
+            sq = m.real**2
             if np.iscomplexobj(m):
-                out += m.real**2 + m.imag**2
+                sq += m.imag**2
+            if out is None:
+                out = sq  # the sum's first term, as adding it to zeros would give
             else:
-                out += m**2
+                out += sq
     return out
 
 
 def _gemm_layout(entries: np.ndarray) -> np.ndarray:
     """``entries`` as a ``(K, n, q)`` view whose column blocks ``entries[:, :, j].T``
-    are contiguous, the GEMM operand layout of :func:`_sq_overlaps`."""
+    are contiguous, the operand layout of the direct form of :func:`_sq_overlaps`."""
     return np.ascontiguousarray(entries.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _pack_layout(n: int, complex_field: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Where each packed coordinate sits in a flattened ``n x n`` projector (in
+    float64 units, so complex entries have a real and an imaginary slot), and
+    its weight: ``P_ii``, then ``sqrt(2) Re P_ij`` and, for a complex field,
+    ``sqrt(2) Im P_ij`` for ``i < j``.  So ``<pack(P), pack(Q)> = <P, Q>_F`` for
+    Hermitian ``P`` and ``Q``, in ``n^2`` (complex) or ``n (n + 1) / 2`` (real) reals."""
+    diag = np.arange(n) * (n + 1)
+    upper = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
+    if complex_field:
+        slots = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    else:
+        slots = np.concatenate([diag, upper])
+    weights = np.full(len(slots), math.sqrt(2.0))
+    weights[:n] = 1.0
+    slots.flags.writeable = weights.flags.writeable = False  # shared by the cache
+    return slots, weights
+
+
+def _packed(bases: np.ndarray) -> np.ndarray:
+    """The ``(m, d)`` packed projectors ``B B^H`` of an ``(m, n, p)`` stack."""
+    m, n, _ = bases.shape
+    slots, weights = _pack_layout(n, np.iscomplexobj(bases))
+    proj = bases @ bases.conj().transpose(0, 2, 1)
+    return proj.reshape(m, n * n).view(np.float64)[:, slots] * weights
+
+
+def _packed_entries(entries: np.ndarray) -> np.ndarray:
+    """The ``(d, K)`` packed projectors of the ``(K, n, q)`` entries, the GEMM
+    operand of the packed form, filled ``_PACK_CHUNK`` entries at a time."""
+    k, n, _ = entries.shape
+    slots, _ = _pack_layout(n, np.iscomplexobj(entries))
+    out = np.empty((len(slots), k))
+    for lo in range(0, k, _PACK_CHUNK):
+        out[:, lo : lo + _PACK_CHUNK] = _packed(entries[lo : lo + _PACK_CHUNK]).T
+    return out
+
+
+def _packs(sources: int, p: int, entries: np.ndarray) -> bool:
+    """Whether searching ``entries`` for ``sources`` p-planes takes the packed form.
+
+    Per pair the packed GEMM does ``d`` real multiply-adds where the direct
+    form does ``p * q`` complex (or real) GEMM products and their elementwise
+    passes; packing costs a projector per source and per entry.  So the
+    packed form is taken where ``d <= _PACKED_MAX_DIM``, ``w = d / (p q)`` is at
+    most ``_PACKED_MAX_RATIO`` and there are at least ``max(_PACKED_MIN_COUNT,
+    4 w)`` sources and as many entries.  Wherever it packs for some sources, it
+    packs for more, so a search split into chunks may decide once for all.
+    """
+    k, n, q = entries.shape
+    complex_field = np.iscomplexobj(entries)
+    d = n * n if complex_field else n * (n + 1) // 2
+    ratio = d / (p * q)
+    return (d <= _PACKED_MAX_DIM and ratio <= _PACKED_MAX_RATIO[complex_field]
+            and min(sources, k) >= max(_PACKED_MIN_COUNT, 4.0 * ratio))
 
 
 def _row_blocks(n_s: int, n_k: int):
@@ -102,25 +181,27 @@ def _row_blocks(n_s: int, n_k: int):
         lo = hi
 
 
-def _overlap_blocks(samples: np.ndarray, entries: np.ndarray):
-    """Yield ``(lo, overlaps)`` for consecutive row blocks of ``samples``.
-
-    ``overlaps`` is :func:`_sq_overlaps` of rows ``lo : lo + len(overlaps)``.
-    """
-    entries = _gemm_layout(entries)
-    for lo, hi in _row_blocks(len(samples), len(entries)):
-        yield lo, _sq_overlaps(samples[lo:hi], entries)
-
-
-def _nearest(samples: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    samples: np.ndarray, entries: np.ndarray, packed: "np.ndarray | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, the index of the entry with the largest squared overlap
-    (the nearest entry; ties break to the lowest index) and that overlap."""
+    (the nearest entry; ties break to the lowest index) and that overlap.
+
+    ``packed``, the entries' :func:`_packed_entries`, selects the packed form;
+    without it the form is the one :func:`_packs` picks for ``len(samples)``
+    sources.  A caller that searches one codebook in chunks packs it once.
+    """
+    if packed is None and _packs(len(samples), samples.shape[2], entries):
+        packed = _packed_entries(entries)
+    if packed is None:
+        entries = _gemm_layout(entries)
     idx = np.empty(len(samples), dtype=np.intp)
     best = np.empty(len(samples))
-    for lo, ov in _overlap_blocks(samples, entries):
+    for lo, hi in _row_blocks(len(samples), len(entries)):
+        ov = _sq_overlaps(samples[lo:hi], entries, packed)
         i = ov.argmax(axis=1)
-        idx[lo : lo + len(ov)] = i
-        best[lo : lo + len(ov)] = ov[np.arange(len(ov)), i]
+        idx[lo:hi] = i
+        best[lo:hi] = ov[np.arange(len(ov)), i]
     return idx, best
 
 
@@ -297,12 +378,17 @@ def _distortion_moments(
     codebook: Codebook, samples: int, rng: np.random.Generator
 ) -> tuple[int, float, float]:
     """(count, sum, sum of squares) of min squared distances over fresh draws."""
-    entries = _gemm_layout(codebook.stacked_bases)
+    source = codebook.source_spec
+    entries = codebook.stacked_bases
+    # Either form's operand is made once for all chunks.  Where the rule
+    # declines the packed form, it declines for every (smaller) chunk too.
+    packed = _packed_entries(entries) if _packs(samples, source.p, entries) else None
+    if packed is None:
+        entries = _gemm_layout(entries)
     min_dim = codebook.min_dim
     # The draw chunk fixes how the complex normal stream splits into bases, so
     # changing it changes the estimates and the CSV bytes.  The cap on one
     # draw's values binds only where a larger chunk would have been refused.
-    source = codebook.source_spec
     per_draw = codebook.size * source.p * codebook.code_spec.p
     step = min(max(64, _DRAW_BUDGET // per_draw),
                max(1, _MAX_DRAW_VALUES // (source.n * source.p)))
@@ -312,7 +398,7 @@ def _distortion_moments(
     while total < samples:
         m = min(step, samples - total)
         draws = sample_isotropic_bases(source, m, rng)
-        _, best = _nearest(draws, entries)
+        _, best = _nearest(draws, entries, packed)
         dsq = np.clip(min_dim - best, 0.0, None)
         acc += float(dsq.sum())
         acc_sq += float((dsq**2).sum())

@@ -1,10 +1,12 @@
-"""Known-answer checks on G(2,1)C: Platonic codebooks with closed-form distortion."""
+"""Known-answer checks: Platonic codebooks on G(2,1)C with closed-form distortion,
+and mutually unbiased bases at the orthoplex bound."""
 
 import math
 
 import pytest
 
 import grassquant as gq
+from grassquant import quantization as qz
 from known_codes import (
     LINES,
     OCTAHEDRON,
@@ -12,6 +14,7 @@ from known_codes import (
     TETRAHEDRON,
     TETRAHEDRON_D,
     bloch_codebook,
+    mub_codebook,
 )
 
 CODES = [(TETRAHEDRON, TETRAHEDRON_D, 2.0 / 3.0), (OCTAHEDRON, OCTAHEDRON_D, 0.5)]
@@ -51,3 +54,20 @@ def test_lloyd_at_four_lines_finds_the_tetrahedron(seed):
     cb = gq.design_maxmin(LINES, LINES, 4, seed=seed, iters=20, train_samples=20_000)
     est = gq.distortion_mc(cb, 1 << 18, gq.derive_rng(seed, 1))
     assert math.isclose(est.mean, TETRAHEDRON_D, abs_tol=LLOYD_TOL)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_mub_min_distance_meets_the_orthoplex_bound(n):
+    assert mub_codebook(n).min_pairwise_distance() ** 2 == pytest.approx(
+        1.0 - 1.0 / n, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_mub_distortion_is_the_same_in_both_kernel_forms(n, monkeypatch):
+    cb = mub_codebook(n)
+    means = []
+    for packed in (True, False):
+        monkeypatch.setattr(qz, "_packs", lambda *args, packed=packed: packed)
+        means.append(gq.distortion_mc(cb, 20_000, gq.derive_rng(n)).mean)
+    assert means[0] == pytest.approx(means[1], abs=1e-12)

@@ -118,6 +118,41 @@ def test_nearest_matches_brute_force_across_blocks(data):
         assert min(p, q) - best[s] == pytest.approx(min(brute), abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n, p, q", [(5, 1, 3), (5, 2, 2), (6, 3, 1), (4, 2, 1)])
+def test_both_kernel_forms_match_brute_force(monkeypatch, n, p, q, beta):
+    rng = np.random.default_rng(100 * n + 10 * p + q + beta)
+    source, code = specs(n, p, q, beta)
+    samples = gq.sample_isotropic_bases(source, 21, rng)
+    entries = gq.sample_isotropic_bases(code, 13, rng)
+    brute = np.array([[np.sum(np.abs(a.conj().T @ b) ** 2) for b in entries] for a in samples])
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # blocks of the minimum row count
+    found = []
+    for packed in (False, True):
+        monkeypatch.setattr(qz, "_packs", lambda *args, packed=packed: packed)
+        idx, best = qz._nearest(samples, entries)
+        assert np.array_equal(idx, brute.argmax(axis=1))
+        assert np.allclose(best, brute.max(axis=1), rtol=0, atol=1e-12)
+        found.append(best)
+    assert np.allclose(found[0], found[1], rtol=0, atol=1e-12)
+    direct = qz._sq_overlaps(samples, entries)
+    packed = qz._sq_overlaps(samples, entries, qz._packed_entries(entries))
+    assert np.allclose(direct, brute, rtol=0, atol=1e-12)
+    assert np.allclose(packed, brute, rtol=0, atol=1e-12)
+
+
+def test_kernel_form_rule_choices():
+    def entries(n, q, k, dtype=complex):
+        return np.zeros((k, n, q), dtype)
+
+    assert qz._packs(2000, 2, entries(8, 2, 16384))  # the quantize workload's shape
+    assert not qz._packs(2000, 1, entries(14, 1, 16384))  # d = 196 per product
+    assert not qz._packs(1, 2, entries(8, 2, 16384))  # one source: quantize
+    assert not qz._packs(2000, 2, entries(8, 2, 16))  # too few entries to pay back
+    assert qz._packs(2000, 1, entries(4, 1, 4096, float))
+    assert not qz._packs(2000, 1, entries(8, 1, 4096, float))  # d = 36 per product
+
+
 def test_duplicate_found_across_blocks(monkeypatch):
     monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 8-row blocks: rows 2 and 17 apart
     source, code = specs(5, 2, 2)

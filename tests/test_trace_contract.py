@@ -13,11 +13,15 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 sys.path.insert(0, BENCH)
 
 import spans  # noqa: E402
+from grassquant import quantization as qz  # noqa: E402
 
 COMMANDS = {
     "volume": {"n": 4, "p": 2, "q": 1, "beta": 2, "deltas": [0.5], "samples": 1000},
@@ -77,4 +81,24 @@ def test_traced_calls_give_every_layer_metric_as_strict_json(tmp_path):
     assert set(spans.per_layer_metric_names()) - set(metrics) == {"trace.overhead_s"}
     assert all(math.isfinite(value) for value in metrics.values())
     assert all(value >= 1 for name, value in metrics.items() if name.endswith(".calls"))
+    json.dumps(metrics, allow_nan=False)
+
+
+@pytest.mark.parametrize("n, k, packed", [(16, 4, False), (4, 256, True)])
+def test_traced_distortion_in_each_kernel_form_is_strict_json(tmp_path, n, k, packed):
+    # The commands above all run the direct form; n = 4 at K = 256 packs.
+    payload = {"n": n, "p": 1, "q": 1, "beta": 2, "k_values": [k], "samples": 1000}
+    assert qz._packs(payload["samples"], 1, np.zeros((k, n, 1), complex)) == packed
+    argv = ["distortion", "--config", config(tmp_path, "distortion", payload),
+            "--out", str(tmp_path / "out"), "--threads", "1"]
+    record = traced_call(tmp_path, "distortion", argv)
+    assert record["rc"] == 0 and record["missing"] == []
+    for span in record["spans"]:
+        assert "count_error" not in span[6], span
+    metrics = spans.layer_metrics([record["spans"]], set())
+    kernel = "quantization.overlap_kernel."
+    for name in ("calls", "self_s", "pairs", "flops", "pairs_per_call"):
+        assert kernel + name in metrics
+    assert metrics[kernel + "pairs"] == 1000 * k
+    assert all(math.isfinite(value) for value in metrics.values())
     json.dumps(metrics, allow_nan=False)
