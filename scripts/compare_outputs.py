@@ -1,0 +1,107 @@
+"""Compare the outputs of the benchmark's CLI calls between two checkouts.
+
+Usage::
+
+    python3 scripts/compare_outputs.py PARENT CHANGE [--seeds 1 2]
+
+Every call that ``bench/workloads.make_calls`` gives for the ``quantize``,
+``design`` and ``sample`` workloads at each seed is run once in each
+checkout, with that checkout's ``src`` on ``PYTHONPATH`` and one BLAS thread.
+Each call runs in a fresh temporary directory, as the benchmark runs it,
+and the directory is removed at the end.  Then every CSV file, every codebook
+file (a JSON file that is not a CSV's report: ``design_K*.json``,
+``random_K2048.json``) and every call's standard output are compared byte for
+byte.  The reports' JSON files are not compared, since they record wall times.
+
+Prints each file that differs and a summary line.  Exit code 0 when every
+file is identical, 1 when any differs, 2 when a call fails or a file exists
+in one checkout only.  The workloads are read from this script's checkout;
+nothing is written to either checkout (no bytecode either).
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import workloads  # noqa: E402
+
+WORKLOADS = ("quantize", "design", "sample")
+
+
+def run_calls(checkout: str, workload: str, seed: int, where: str) -> list[str]:
+    """Run the calls of one workload seed in ``where``; the failures, if any."""
+    os.makedirs(os.path.join(where, "cfg"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    failures = []
+    for i, call in enumerate(workloads.make_calls(workload, seed)):
+        if call.config is not None:
+            with open(os.path.join(where, "cfg", call.label + ".json"), "w") as fh:
+                json.dump(call.config, fh)
+        proc = subprocess.run([sys.executable, "-m", "grassquant.cli", *call.argv], cwd=where,
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        with open(os.path.join(where, f"{i}-{call.label}.stdout"), "wb") as fh:
+            fh.write(proc.stdout)
+        if proc.returncode != 0:
+            failures.append(f"{checkout}: {workload} seed {seed} {call.label} exited "
+                            f"{proc.returncode}: {proc.stdout.decode(errors='replace')[-400:]}")
+    return failures
+
+
+def compared_files(where: str) -> set[str]:
+    """The paths, relative to ``where``, of the CSV, codebook and stdout files."""
+    names = {f for f in os.listdir(where) if f.endswith(".stdout")}
+    out = os.path.join(where, "out")
+    produced = os.listdir(out) if os.path.isdir(out) else []
+    csv_stems = {f[:-4] for f in produced if f.endswith(".csv")}
+    for f in produced:
+        if f.endswith(".csv") or (f.endswith(".json") and f[:-5] not in csv_stems):
+            names.add(os.path.join("out", f))
+    return names
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout whose outputs are the reference")
+    parser.add_argument("change", help="checkout whose outputs are compared with them")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+    checkouts = [os.path.abspath(args.parent), os.path.abspath(args.change)]
+    for checkout in checkouts:
+        if not os.path.isdir(os.path.join(checkout, "src", "grassquant")):
+            parser.error(f"{checkout} has no src/grassquant")
+
+    same = differ = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        for workload in WORKLOADS:
+            for seed in args.seeds:
+                dirs = [os.path.join(tmp, side, workload, f"seed{seed}") for side in ("a", "b")]
+                failures = sum((run_calls(c, workload, seed, d) for c, d in zip(checkouts, dirs)), [])
+                names = [compared_files(d) for d in dirs]
+                if names[0] != names[1]:
+                    failures.append(f"{workload} seed {seed}: files in one checkout only: "
+                                    f"{sorted(names[0] ^ names[1])}")
+                if failures:
+                    print("\n".join(failures))
+                    return 2
+                for name in sorted(names[0]):
+                    if filecmp.cmp(*(os.path.join(d, name) for d in dirs), shallow=False):
+                        same += 1
+                    else:
+                        differ += 1
+                        print(f"differs: {workload} seed {seed} {name}")
+                print(f"{workload} seed {seed}: {len(names[0])} files: {', '.join(sorted(names[0]))}")
+    print(f"{same + differ} files compared, {same} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,9 +45,8 @@ _BLOCK_PAIRS = 1 << 18
 # Fewest sample rows per block, so large codebooks still get matrix GEMMs.
 _BLOCK_MIN_ROWS = 8
 # Monte-Carlo source draws per chunk: this budget over K * p * q per draw.
-# It once counted the direct form's GEMM outputs; the packed GEMM writes K per
-# draw.  The value stays because it fixes how the normal stream splits into
-# chunks, and so the estimates and the CSV bytes.
+# The value stays because it fixes how the normal stream splits into chunks,
+# and so the estimates and the CSV bytes.
 _DRAW_BUDGET = 1 << 23
 # The packed form's rule (see _packs), calibrated on one BLAS thread: its
 # largest multiply-adds per pair relative to the direct form's p * q, in each
@@ -82,8 +81,8 @@ def _sq_overlaps(
 
     With ``packed``, the entries' projectors from :func:`_packed_entries`, the
     block is packed and one real GEMM gives ``<P_s, P_k>_F``, the same value.
-    Without it, the direct form sums ``p * q`` GEMMs of columns; entries from
-    :func:`_gemm_layout` are used in place, others are copied.
+    Without it, the direct form sums ``p * q`` GEMMs of columns; it reads
+    entries in the :func:`_gemm_layout` in place and copies others.
     """
     if packed is not None:
         return _packed(samples) @ packed
@@ -105,7 +104,8 @@ def _sq_overlaps(
 
 def _gemm_layout(entries: np.ndarray) -> np.ndarray:
     """``entries`` as a ``(K, n, q)`` view whose column blocks ``entries[:, :, j].T``
-    are contiguous, the operand layout of the direct form of :func:`_sq_overlaps`."""
+    are contiguous, the operand layout of the direct form of :func:`_sq_overlaps`.
+    Codebooks store their entries in it, and the Lloyd loop its iterate."""
     return np.ascontiguousarray(entries.transpose(2, 1, 0)).transpose(2, 1, 0)
 
 
@@ -190,11 +190,10 @@ def _nearest(
     ``packed``, the entries' :func:`_packed_entries`, selects the packed form;
     without it the form is the one :func:`_packs` picks for ``len(samples)``
     sources.  A caller that searches one codebook in chunks packs it once.
+    The direct form reads a codebook's ``stacked_bases`` in place.
     """
     if packed is None and _packs(len(samples), samples.shape[2], entries):
         packed = _packed_entries(entries)
-    if packed is None:
-        entries = _gemm_layout(entries)
     idx = np.empty(len(samples), dtype=np.intp)
     best = np.empty(len(samples))
     for lo, hi in _row_blocks(len(samples), len(entries)):
@@ -280,7 +279,7 @@ class Codebook:
             raise SpecMismatch(
                 f"bases shape {bases.shape} does not match (K, {code_spec.n}, {code_spec.p})"
             )
-        bases = _orthonormal(code_spec, bases)
+        bases = _orthonormal(code_spec, _gemm_layout(bases))  # its copy keeps the layout
         if len(bases) < 1:
             raise DomainError("a codebook needs at least one entry")
         dups = _duplicate_pairs(bases)
@@ -302,7 +301,8 @@ class Codebook:
 
     @property
     def stacked_bases(self) -> np.ndarray:
-        """Read-only ``(K, n, q)`` array of entry bases."""
+        """Read-only ``(K, n, q)`` array of entry bases, in the
+        :func:`_gemm_layout` that the overlap kernel's direct form reads."""
         return self._bases
 
     @functools.cached_property
@@ -327,12 +327,11 @@ class Codebook:
         k, n, q = bases.shape
         if k < 2:
             return math.inf
-        entries = _gemm_layout(bases)
         # A generous bound on the kernel's rounding, as in the duplicate screen.
         rounding = 8.0 * n * q * (q + 1) * np.finfo(float).eps
         least = best = math.inf
         for lo, hi in _row_blocks(k, k):
-            dsq = q - _sq_overlaps(bases[lo:hi], entries[lo:])
+            dsq = q - _sq_overlaps(bases[lo:hi], bases[lo:])
             dsq[np.tril_indices(hi - lo, 0, dsq.shape[1])] = math.inf
             least = min(least, float(dsq.min()))
             i, j = np.nonzero(dsq <= least + rounding)
@@ -380,11 +379,9 @@ def _distortion_moments(
     """(count, sum, sum of squares) of min squared distances over fresh draws."""
     source = codebook.source_spec
     entries = codebook.stacked_bases
-    # Either form's operand is made once for all chunks.  Where the rule
-    # declines the packed form, it declines for every (smaller) chunk too.
+    # The packed operand is made once for all chunks.  Where the rule declines
+    # the packed form, it declines for every (smaller) chunk too.
     packed = _packed_entries(entries) if _packs(samples, source.p, entries) else None
-    if packed is None:
-        entries = _gemm_layout(entries)
     min_dim = codebook.min_dim
     # The draw chunk fixes how the complex normal stream splits into bases, so
     # changing it changes the estimates and the CSV bytes.  The cap on one
@@ -428,11 +425,12 @@ def _resolve_rng(
 
 
 def _check_size(size: int, least: int) -> None:
-    """Range check of a codebook size: ``least <= size <= MAX_CODEBOOK``.  The
-    cap binds first, so an ``inf`` size (``2^bits`` beyond float range) exceeds it."""
+    """Range check of a codebook size: an integer in ``[least, MAX_CODEBOOK]``.
+    An ``inf`` size (``2^bits`` beyond float range) exceeds the cap."""
+    if size != math.inf:
+        _check_int("codebook size", size)
     if size > MAX_CODEBOOK:
         raise CapExceeded(f"codebook size {size} exceeds cap {MAX_CODEBOOK}")
-    _check_int("codebook size", size)
     if size < least:
         raise DomainError(f"codebook size must be >= {least}, got {size}")
 
@@ -512,7 +510,7 @@ def design_maxmin(
     # The training draw is bounded before the codebook draw (which bounds itself).
     _check_values("a random draw", (train_samples, source_spec.n, source_spec.p))
     rng = _resolve_rng(rng, seed)
-    bases = sample_isotropic_bases(code_spec, size, rng)
+    bases = _gemm_layout(sample_isotropic_bases(code_spec, size, rng))
     train = sample_isotropic_bases(source_spec, train_samples, rng)
     min_dim = min(source_spec.p, code_spec.p)
     history: list[float] = []

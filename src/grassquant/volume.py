@@ -116,9 +116,11 @@ def _check_dims(n: int, p: int, q: int, beta: int) -> None:
 def log_coeff_c(n: int, p: int, q: int, beta: int) -> float:
     """Natural log of the leading volume coefficient ``c``.
 
-    Two equivalent gamma-product forms cover ``p + q <= n`` and
-    ``p + q >= n``; they agree on the boundary.  Computed entirely in
-    log space.
+    With ``p <= q``, ``c`` has a product of ``Gamma(beta a / 2) / Gamma(beta b / 2)``
+    over ``(a, b) = (n - i + 1, q - i + 1)``, ``i <= p``, or over ``(n - i + 1,
+    n - p - i + 1)``, ``i <= n - q``: one product for every ``(p, q)``, over the
+    same multisets of arguments.  The branch only takes the one with fewer
+    factors, ``min(p, n - q)``.  Computed entirely in log space.
     """
     _check_dims(n, p, q, beta)
     p, q = min(p, q), max(p, q)

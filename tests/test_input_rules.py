@@ -77,7 +77,7 @@ SEED_SITES = [
 INTEGER_SITES += SEED_SITES
 
 
-@pytest.mark.parametrize("value", [True, 4.0, 4.5, np.int64(4)], ids=repr)
+@pytest.mark.parametrize("value", [True, 4.0, 4.5, np.int64(4), "4"], ids=repr)
 @pytest.mark.parametrize(
     "name, call", INTEGER_SITES, ids=[f"{i}-{name}" for i, (name, _) in enumerate(INTEGER_SITES)]
 )
@@ -91,6 +91,16 @@ def test_an_integer_is_a_python_int(name, call, value):
 def test_a_seed_is_not_negative(call, value):
     with pytest.raises(gq.DomainError, match=f"^seed must be >= 0, got {value}$"):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gq.random_codebook(LINE, LINE, math.inf, seed=0),
+    lambda: gq.design_maxmin(LINE, LINE, math.inf, seed=0),
+    lambda: AwgnConfig(**AWGN, rate=200.0),  # 2^1600 overflows a float
+], ids=range(3))
+def test_an_infinite_codebook_size_exceeds_the_cap(call):
+    with pytest.raises(gq.CapExceeded, match="^codebook size inf exceeds cap"):
+        call()
 
 
 REAL_SITES = [

@@ -11,6 +11,9 @@ import grassquant as gq
 from grassquant import Codebook, FieldKind, GrassmannSpec, Plane, Provenance
 from grassquant import manifold
 from grassquant import quantization as qz
+from grassquant.codebook_io import load_codebook, save_codebook
+
+import known_codes
 
 
 def specs(n, p, q, beta=2):
@@ -240,6 +243,70 @@ def test_min_pairwise_distance_matches_brute_force(monkeypatch):
             )
             assert brute == gq.chordal_distance(planes[i], planes[j])
             assert cb.min_pairwise_distance() == pytest.approx(brute, abs=1e-12)
+
+
+def made_codebooks(tmp_path, n, p, q, beta, k, seed):
+    """A random, a designed and a loaded codebook of size ``k`` on one shape."""
+    source, code = specs(n, p, q, beta)
+    path = tmp_path / f"loaded_{n}{p}{q}{beta}.json"
+    save_codebook(gq.random_codebook(source, code, k, seed=seed + 1), str(path))
+    return {
+        "random": gq.random_codebook(source, code, k, seed=seed),
+        "designed": gq.design_maxmin(source, code, k, seed=seed, iters=4, train_samples=2000),
+        "loaded": load_codebook(str(path)),
+    }
+
+
+def test_one_source_search_does_not_copy_the_codebook():
+    source, code = specs(8, 2, 2)
+    cb = gq.random_codebook(source, code, 16384, seed=3)
+    plane = gq.sample_isotropic(source, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        gq.quantize(plane, cb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cb.stacked_bases.nbytes / 2
+
+
+@pytest.mark.parametrize("n, p, q, beta", [(6, 2, 3, 1), (8, 2, 2, 2)])
+def test_codebooks_are_stored_in_the_direct_form_layout(tmp_path, n, p, q, beta):
+    for kind, cb in made_codebooks(tmp_path, n, p, q, beta, 32, seed=5).items():
+        bases = cb.stacked_bases
+        assert not bases.flags.writeable, kind
+        assert all(bases[:, :, j].T.flags.c_contiguous for j in range(q)), kind
+
+
+@pytest.mark.parametrize("n, p, q, beta", [(6, 2, 3, 1), (8, 2, 2, 2)])
+def test_search_in_place_equals_search_of_a_copy(monkeypatch, n, p, q, beta):
+    source, code = specs(n, p, q, beta)
+    cb = gq.random_codebook(source, code, 300, seed=6)
+    samples = gq.sample_isotropic_bases(source, 200, np.random.default_rng(7))
+    copy = np.ascontiguousarray(cb.stacked_bases)
+    for packed in (False, True):
+        monkeypatch.setattr(qz, "_packs", lambda *args, packed=packed: packed)
+        idx, best = qz._nearest(samples, cb.stacked_bases)
+        idx_copy, best_copy = qz._nearest(samples, copy)
+        assert np.array_equal(idx, idx_copy)
+        assert np.array_equal(best.view(np.uint64), best_copy.view(np.uint64))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n, p, q", [(5, 1, 2), (6, 2, 2), (5, 3, 2)])
+def test_min_distance_meets_the_simplex_bound(tmp_path, n, p, q, beta):
+    # Rankin's simplex bound on projectors (Conway, Hardin & Sloane 1996):
+    # d_min^2 <= q (n - q) / n * K / (K - 1) for K planes in G_{n,q}.
+    k = 12
+    bound = q * (n - q) / n * k / (k - 1)
+    for kind, cb in made_codebooks(tmp_path, n, p, q, beta, k, seed=8).items():
+        assert 0.0 < cb.min_pairwise_distance() ** 2 <= bound + 1e-12, kind
+
+
+def test_tetrahedron_meets_the_simplex_bound():
+    # Four lines in C^2: q (n - q) / n * K / (K - 1) = 1/2 * 4/3.
+    tetrahedron = known_codes.bloch_codebook(known_codes.TETRAHEDRON)
+    assert tetrahedron.min_pairwise_distance() ** 2 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_quantize_singleton_and_spec_mismatch():

@@ -59,6 +59,30 @@ def test_coeff_c_branch_agreement_on_boundary():
                 assert gq.coeff_c(n, p, q, beta) == pytest.approx(a, rel=1e-12)
 
 
+def test_log_coeff_c_other_gamma_product_is_the_same_off_the_boundary():
+    # log_coeff_c writes out the product with min(p, n - q) factors; the
+    # other one has the same value at every shape, not only where p + q = n.
+    def other(n, p, q, beta):
+        h = beta / 2.0
+        if p + q <= n:
+            ratios = [(n - i + 1, n - p - i + 1) for i in range(1, n - q + 1)]
+        else:
+            ratios = [(n - i + 1, q - i + 1) for i in range(1, p + 1)]
+        return math.fsum([-math.lgamma(h * p * (n - q) + 1.0)]
+                         + [math.lgamma(h * a) - math.lgamma(h * b) for a, b in ratios])
+
+    sides = set()
+    for n in range(2, 14):
+        for q in range(1, n):
+            for p in range(1, q + 1):
+                sides.add((p + q > n) - (p + q < n))
+                for beta in (1, 2):
+                    want = gq.log_coeff_c(n, p, q, beta)
+                    assert abs(other(n, p, q, beta) - want) <= 1e-12 * max(1.0, abs(want)), (
+                        n, p, q, beta)
+    assert sides == {-1, 0, 1}
+
+
 def test_coeff_c_domain_errors():
     assert gq.coeff_c(4, 2, 1, 2) == gq.coeff_c(4, 1, 2, 2)  # p > q: either order
     with pytest.raises(gq.DomainError):
