@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, SpecMismatch
 from .manifold import (
-    FieldKind, GrassmannSpec, _check_draws, _check_int, _check_mc_samples, _gaussian_matrix
+    FieldKind, GrassmannSpec, _check_draws, _check_flag, _check_int, _check_mc_samples,
+    _check_real, _gaussian_matrix,
 )
 from .quantization import (
     MAX_CODEBOOK,
@@ -59,16 +60,17 @@ class AwgnConfig:
         GrassmannSpec(self.n, 1, self.field)  # n is an integer, field a FieldKind
         if self.n < 4:
             raise DomainError(f"block length n must be >= 4, got {self.n}")
-        if not 0 < self.sigma_sq < math.inf:
-            raise DomainError(f"sigma_sq must be positive and finite, got {self.sigma_sq}")
-        if not 0.0 < self.epsilon < 0.25:
-            raise DomainError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
+        _check_real("sigma_sq", self.sigma_sq, "be positive and finite", lambda v: v > 0)
+        _check_real("epsilon", self.epsilon, "lie in (0, 1/4)", lambda v: 0.0 < v < 0.25)
         if (self.rate is None) == (self.codebook_size is None):
             raise DomainError("give exactly one of rate or codebook_size")
-        if self.rate is not None and not 0 < self.rate < math.inf:
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
+        if self.rate is not None:
+            _check_real("rate", self.rate, "be positive and finite", lambda v: v > 0)
+        else:
+            _check_int("codebook size", self.codebook_size)
         _check_draws("trials", self.trials, 1)
         _check_seed(self.seed)
+        _check_flag("clamp_to_cap", self.clamp_to_cap)
         _check_size(self.effective_size, 1)  # the cap binds only without clamp_to_cap
 
     @property
@@ -169,8 +171,7 @@ class BeamformingConfig:
         for name in ("l_t", "l_r", "s"):
             _check_int(name, getattr(self, name))
         self.source_spec, self.code_spec  # the specs check 1 <= l_r, s <= l_t - 1
-        if not 0 < self.rho < math.inf:
-            raise DomainError(f"rho must be positive and finite, got {self.rho}")
+        _check_real("rho", self.rho, "be positive and finite", lambda v: v > 0)
         _check_int("r_fb", self.r_fb)
         max_r_fb = MAX_CODEBOOK.bit_length() - 1
         if not 1 <= self.r_fb <= max_r_fb:
@@ -225,14 +226,9 @@ def _log_det_throughput(
 ) -> np.ndarray:
     """log2 det(I + (rho/s) H Q Q^H H^H) per trial, in bits."""
     m = h @ q_sel  # (T, l_r, s)
-    l_r = h.shape[1]
-    if s <= l_r:
-        gram = np.einsum("trs,tru->tsu", m.conj(), m)
-        eye = np.eye(s)
-    else:
-        gram = np.einsum("trs,tus->tru", m, m.conj())
-        eye = np.eye(l_r)
-    return np.linalg.slogdet(eye + (rho / s) * gram)[1] * (1.0 / math.log(2.0))
+    # det(I + (rho/s) M M^H) = det(I + (rho/s) M^H M) (Sylvester): the s x s Gram.
+    gram = np.einsum("trs,tru->tsu", m.conj(), m)
+    return np.linalg.slogdet(np.eye(s) + (rho / s) * gram)[1] * (1.0 / math.log(2.0))
 
 
 def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:

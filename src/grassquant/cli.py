@@ -41,7 +41,7 @@ from .errors import (
     DomainError,
     GrassquantError,
 )
-from .manifold import FieldKind, GrassmannSpec, _check_mc_samples
+from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, _is_kind
 from .quantization import (
     _check_size,
     _codebook_builder,
@@ -132,9 +132,7 @@ _EXPECTED = {int: "an integer", float: "a finite number", bool: "a boolean", str
 
 
 def _checked(name: str, value, kind):
-    # bool is not an int here, an int is a float, and a float must be finite.
-    ok = type(value) is kind or (kind is float and type(value) is int)
-    if not ok or (kind is float and not abs(value) <= sys.float_info.max):
+    if not _is_kind(value, kind):
         raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
     return float(value) if kind is float else value
 

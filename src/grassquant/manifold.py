@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,32 @@ _MAX_DRAWS = 1 << 24
 _MAX_DRAW_VALUES = 1 << 26
 
 
-def _check_int(name: str, value) -> None:
-    """Raise :class:`DomainError` unless ``value`` is a Python ``int`` (not a bool or numpy int)."""
-    if type(value) is not int:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+def _is_kind(value, kind: type) -> bool:
+    """Whether ``value`` has the JSON kind ``kind``: ``int``, ``bool`` and ``str`` by exact
+    type, ``float`` as a finite ``int`` or ``float`` (not a bool; numpy ``float64`` is one)."""
+    if kind is float:
+        return (type(value) is int or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+def _check_real(name: str, value, rule: str, within=lambda v: True, kind: type = float) -> None:
+    """Raise :class:`DomainError` ``<name> must <rule>`` unless ``value`` has the
+    JSON kind ``kind`` (by default a finite real) and ``within(value)`` holds."""
+    if not (_is_kind(value, kind) and within(value)):
+        raise DomainError(f"{name} must {rule}, got {value!r}")
+
+
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a Python ``int`` (not a bool
+    or numpy int), and at least ``least`` when that is given."""
+    _check_real(name, value, "be an integer", kind=int)
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_flag(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a ``bool``."""
+    _check_real(name, value, "be a boolean", kind=bool)
 
 
 def _check_mc_samples(name: str, count: int) -> None:
@@ -49,9 +72,7 @@ def _check_values(what: str, shape: tuple[int, ...]) -> None:
 
 def _check_draws(name: str, count: int, least: int) -> None:
     """Raise :class:`DomainError` unless ``least <= count <= 2^24`` samples or trials."""
-    _check_int(name, count)
-    if count < least:
-        raise DomainError(f"{name} must be >= {least}, got {count}")
+    _check_int(name, count, least)
     if count > _MAX_DRAWS:
         raise DomainError(f"{name} must be <= {_MAX_DRAWS}, got {count}")
 
@@ -233,9 +254,7 @@ def sample_isotropic(spec: GrassmannSpec, rng: np.random.Generator) -> Plane:
 
 def haar_unitary(n: int, field: FieldKind, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n orthogonal (real) or unitary (complex) matrix."""
-    _check_int("n", n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     g = _gaussian_matrix((n, n), field, rng)
     return _haar_orthonormalize(g)
 

@@ -28,6 +28,7 @@ from .manifold import (
     _check_draws,
     _check_int,
     _check_mc_samples,
+    _check_real,
     _check_values,
     _orthonormal,
     _residual_sq,
@@ -568,9 +569,7 @@ def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     factors taken as exactly 1.  ``regime_ok`` is set when
     ``(cK)^(-2/t) <= 1``, the high-rate regime the bounds assume.
     """
-    _check_int("size", size)
-    if size < 1:
-        raise DomainError(f"size must be >= 1, got {size}")
+    _check_int("size", size, 1)
     log_c = log_coeff_c(n, p, q, beta)
     t = _degree(n, p, q, beta)
     ck = math.exp(log_c) * size
@@ -598,8 +597,7 @@ def rdf_bounds(n: int, p: int, q: int, beta: int, distortion: float) -> BoundPai
     A side beyond float range, as at large ``t``, is ``inf``; see
     :func:`rdf_bounds_log2` for its finite base-2 log.
     """
-    if not 0.0 < distortion <= 1.0:
-        raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
+    _check_real("distortion", distortion, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
     log_c = log_coeff_c(n, p, q, beta)
     t = _degree(n, p, q, beta)
     c = math.exp(log_c)
@@ -620,8 +618,7 @@ def rdf_bounds(n: int, p: int, q: int, beta: int, distortion: float) -> BoundPai
 def rdf_bounds_log2(n: int, p: int, q: int, beta: int, distortion: float) -> tuple[float, float]:
     """Base-2 logs of the rate-distortion bounds; finite where the linear
     values of :func:`rdf_bounds` may overflow."""
-    if not 0.0 < distortion <= 1.0:
-        raise DomainError(f"distortion must lie in (0, 1], got {distortion}")
+    _check_real("distortion", distortion, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
     log_c = log_coeff_c(n, p, q, beta)
     t = _degree(n, p, q, beta)
     ln2 = math.log(2.0)
@@ -638,11 +635,8 @@ def asymptotic_drf(p: int, beta: int, rbar: float) -> float:
     value when the result is <= 1.
     """
     FieldKind.from_beta(beta)
-    _check_int("p", p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if not 0 <= rbar < math.inf:
-        raise DomainError(f"rbar must be non-negative and finite, got {rbar}")
+    _check_int("p", p, 1)
+    _check_real("rbar", rbar, "be non-negative and finite", lambda v: v >= 0)
     return p * 2.0 ** (-2.0 * rbar / (beta * p))
 
 
@@ -651,8 +645,8 @@ def asymptotic_rate(p: int, beta: int, distortion: float) -> float:
     :func:`asymptotic_drf`."""
     FieldKind.from_beta(beta)
     _check_int("p", p)
-    if not 0.0 < distortion <= p:  # empty for p < 1
-        raise DomainError(f"distortion must lie in (0, p] = (0, {p}], got {distortion}")
+    # The range is empty for p < 1.
+    _check_real("distortion", distortion, f"lie in (0, p] = (0, {p}]", lambda v: 0.0 < v <= p)
     return beta * p / 2.0 * math.log2(p / distortion)
 
 
@@ -669,10 +663,8 @@ def _random_opt_plan(
     """Range checks of :func:`random_code_optimality_experiment`; one point
     per ``n``, in the form :func:`_random_opt_row` takes."""
     _check_mc_samples("samples", samples)
-    if not 0 < rbar < math.inf:
-        raise DomainError(f"rbar must be positive and finite, got {rbar}")
-    if not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be finite, got {epsilon}")
+    _check_real("rbar", rbar, "be positive and finite", lambda v: v > 0)
+    _check_real("epsilon", epsilon, "be finite")
     _check_draws("trials", trials, 0)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {n_list}")

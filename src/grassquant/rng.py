@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 from .manifold import _check_int
 
 
 def _check_seed(seed: int) -> None:
     """Raise :class:`DomainError` unless ``seed`` is a non-negative Python ``int``."""
-    _check_int("seed", seed)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_int("seed", seed, 0)
 
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:

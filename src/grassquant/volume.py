@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
-    FieldKind, GrassmannSpec, _check_int, _check_mc_samples, sample_isotropic_bases
+    FieldKind, GrassmannSpec, _check_flag, _check_int, _check_mc_samples, _check_real,
+    sample_isotropic_bases,
 )
 
 # Sample chunk bound for Monte-Carlo passes, sized for ~100 MB working sets.
@@ -56,10 +58,8 @@ class VolumeEstimate:
     samples: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise DomainError(f"volume must lie in [0, 1], got {self.value}")
-        if self.stderr < 0.0:
-            raise DomainError(f"stderr must be non-negative, got {self.stderr}")
+        _check_real("volume", self.value, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        _check_real("stderr", self.stderr, "be non-negative", lambda v: v >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,8 @@ class BallSpec:
     def __post_init__(self) -> None:
         _check_dims(self.n, self.p, self.q, self.beta)
         max_radius = math.sqrt(min(self.p, self.q))
-        if not 0.0 <= self.radius <= max_radius + 1e-12:
-            raise DomainError(
-                f"radius must lie in [0, sqrt(min(p, q))] = [0, {max_radius:.6g}], "
-                f"got {self.radius}"
-            )
+        rule = f"lie in [0, sqrt(min(p, q))] = [0, {max_radius:.6g}]"
+        _check_real("radius", self.radius, rule, lambda v: 0.0 <= v <= max_radius + 1e-12)
 
     @property
     def degree(self) -> int:
@@ -176,6 +173,7 @@ def ball_volume_approx(spec: BallSpec, include_correction: bool = False) -> Volu
     Valid for ``radius <= 1``; the result is clamped into [0, 1].  The
     remainder beyond the second-order term is not modeled.
     """
+    _check_flag("include_correction", include_correction)
     _require_unit_radius(spec)
     value = _leading_term(spec)
     if include_correction:
@@ -259,20 +257,20 @@ def ball_volume_mc_grid(
     p: int,
     q: int,
     beta: int,
-    radii: np.ndarray,
+    radii: Sequence[float],
     samples: int,
     rng: np.random.Generator,
 ) -> list[VolumeEstimate]:
     """Monte-Carlo volumes for several radii from one shared distance sample.
 
+    ``radii`` is a sequence of reals, each a valid :class:`BallSpec` radius.
     Estimates across the grid share samples (cheap, and monotone in the
     radius by construction) and are therefore correlated.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
+    if len(radii) == 0:
         return []
     for r in radii:
-        BallSpec(n, p, q, beta, float(r))  # validates each radius
+        BallSpec(n, p, q, beta, r)  # validates each radius
     _check_mc_samples("samples", samples)
     dsq = chordal_sq_to_canonical(n, p, q, beta, samples, rng)
     estimates = []

@@ -28,6 +28,11 @@ LINES = GrassmannSpec(2, 1, FieldKind.COMPLEX)
 
 TETRAHEDRON = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+# The cyclic permutations of (0, +-1, +-phi), phi the golden ratio.
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+ICOSAHEDRON = [
+    v for a in (1, -1) for b in (_PHI, -_PHI) for v in ((0, a, b), (a, b, 0), (b, 0, a))
+]
 
 
 def bloch_codebook(points) -> Codebook:
@@ -50,6 +55,7 @@ def polytope_distortion(k: int, m: int, r: float) -> float:
 # Vertices 2r apart along an edge of the dual: r is half the angle between neighbours.
 TETRAHEDRON_D = polytope_distortion(4, 3, math.acos(-1.0 / 3.0) / 2.0)
 OCTAHEDRON_D = polytope_distortion(6, 4, math.pi / 4.0)
+ICOSAHEDRON_D = polytope_distortion(12, 5, math.acos(1.0 / math.sqrt(5.0)) / 2.0)
 
 
 def mub_codebook(n: int) -> Codebook:

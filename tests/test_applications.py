@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import grassquant as gq
+from grassquant import applications as app
 from grassquant import (
     AwgnConfig,
     BeamformingConfig,
@@ -219,3 +220,21 @@ def test_beamforming_unequal_dimensions_run():
     row = gq.beamforming_throughput_experiment(cfg)
     assert 0.0 < row["trace_mean"] < 1.0  # one principal angle only
     assert row["identity_gap"] <= 5 * row["identity_sigma"]
+
+
+@pytest.mark.parametrize("l_t, l_r, s", [(4, 1, 2), (5, 2, 3)])
+def test_more_streams_than_receive_antennas(l_t, l_r, s):
+    # s > l_r: the s x s Gram M^H M gives det(I + (rho/s) M M^H) by Sylvester's identity.
+    rho = 10.0
+    rng = gq.derive_rng(3)
+    h = (rng.standard_normal((20, l_r, l_t)) + 1j * rng.standard_normal((20, l_r, l_t))) / 2**0.5
+    q = gq.sample_isotropic_bases(GrassmannSpec(l_t, s, FieldKind.COMPLEX), 20, rng)
+    m = h @ q
+    direct = np.linalg.slogdet(np.eye(l_r) + (rho / s) * m @ m.conj().swapaxes(1, 2))[1]
+    np.testing.assert_allclose(
+        app._log_det_throughput(h, q, rho, s), direct / math.log(2.0), rtol=0, atol=1e-12
+    )
+    cfg = BeamformingConfig(
+        l_t=l_t, l_r=l_r, s=s, rho=rho, r_fb=2, trials=1000, seed=5, design_iters=2
+    )
+    assert gq.beamforming_throughput_experiment(cfg)["bound_ok"]

@@ -1,11 +1,14 @@
 """One rule per scalar input, at every library entry that takes one.
 
-An integer is a Python ``int`` (not a bool, a float or a numpy integer),
-and a real parameter is finite and in range.  Each refusal is a
-``DomainError`` that names the field, never a ``TypeError`` from numpy or a
-NaN or zero result.
+An integer is a Python ``int`` (not a bool, a float or a numpy integer); a
+real parameter is an ``int`` or a ``float`` (numpy ``float64`` is one), not
+a bool or a string, finite and in range; a flag is a ``bool``.  Each refusal
+is a ``DomainError`` that names the field, never a ``TypeError`` from numpy,
+a NaN or zero result, or a value taken for its truth.
 """
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -75,6 +78,9 @@ SEED_SITES = [
     ("seed", lambda v: random_opt(trials=0, seed=v)),
 ]
 INTEGER_SITES += SEED_SITES
+INTEGER_SITES.append(
+    ("codebook size", lambda v: AwgnConfig(**AWGN, codebook_size=v, clamp_to_cap=True))
+)
 
 
 @pytest.mark.parametrize("value", [True, 4.0, 4.5, np.int64(4), "4"], ids=repr)
@@ -136,3 +142,85 @@ def test_rdf_bounds_beyond_float_range_are_inf(n, p, q, beta, distortion, log2_l
     lower, upper = gq.rdf_bounds_log2(n, p, q, beta, distortion)
     assert lower == pytest.approx(log2_lower, abs=0.05)
     assert upper == pytest.approx(log2_upper, abs=0.05)
+
+
+SPEC = gq.BallSpec(4, 1, 1, 2, 0.5)
+MC = gq.VolumeMethod.MONTE_CARLO
+
+# (name in the message, call, the annotated public parameter the row covers)
+REAL_RULE_SITES = [
+    ("radius", lambda v: gq.BallSpec(4, 1, 1, 2, v), "BallSpec.radius"),
+    ("radius", lambda v: gq.barg_nogin_approx(4, 1, 2, v), "barg_nogin_approx.radius"),
+    ("radius", lambda v: gq.ball_volume_mc_grid(4, 1, 1, 2, [0.5, v], 1000, rng()), None),
+    ("volume", lambda v: gq.VolumeEstimate(v, 0.0, MC), "VolumeEstimate.value"),
+    ("stderr", lambda v: gq.VolumeEstimate(0.5, v, MC), "VolumeEstimate.stderr"),
+    ("sigma_sq", lambda v: AwgnConfig(**dict(AWGN, sigma_sq=v), rate=0.5), "AwgnConfig.sigma_sq"),
+    ("epsilon", lambda v: AwgnConfig(**dict(AWGN, epsilon=v), rate=0.5), "AwgnConfig.epsilon"),
+    ("rate", lambda v: AwgnConfig(**AWGN, rate=v), "AwgnConfig.rate"),
+    ("rho", lambda v: BeamformingConfig(**dict(BEAM, rho=v)), "BeamformingConfig.rho"),
+    ("distortion", lambda v: gq.rdf_bounds(4, 1, 1, 2, v), "rdf_bounds.distortion"),
+    ("distortion", lambda v: gq.rdf_bounds_log2(4, 1, 1, 2, v), "rdf_bounds_log2.distortion"),
+    ("distortion", lambda v: gq.asymptotic_rate(1, 2, v), "asymptotic_rate.distortion"),
+    ("rbar", lambda v: gq.asymptotic_drf(1, 2, v), "asymptotic_drf.rbar"),
+    ("rbar", lambda v: random_opt(rbar=v), "random_code_optimality_experiment.rbar"),
+    ("epsilon", lambda v: random_opt(epsilon=v), "random_code_optimality_experiment.epsilon"),
+]
+
+FLAG_SITES = [
+    ("clamp_to_cap", lambda v: AwgnConfig(**AWGN, rate=0.5, clamp_to_cap=v),
+     "AwgnConfig.clamp_to_cap"),
+    ("include_correction", lambda v: gq.ball_volume_approx(SPEC, include_correction=v),
+     "ball_volume_approx.include_correction"),
+]
+
+# Result records hold computed values; they are not inputs.
+RESULT_RECORDS = {"PrincipalAngles", "DistortionEstimate", "BoundPair"}
+
+
+@pytest.mark.parametrize(
+    "value", ["0.5", True, 10**400, math.nan, math.inf, -math.inf],
+    ids=["str", "bool", "10**400", "nan", "inf", "-inf"],
+)
+@pytest.mark.parametrize(
+    "name, call, param", REAL_RULE_SITES,
+    ids=[f"{i}-{name}" for i, (name, *_) in enumerate(REAL_RULE_SITES)],
+)
+def test_a_real_is_a_finite_int_or_float(name, call, param, value):
+    with pytest.raises(gq.DomainError, match=f"^{name} must "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+@pytest.mark.parametrize("name, call, param", FLAG_SITES, ids=[name for name, *_ in FLAG_SITES])
+def test_a_flag_is_a_bool(name, call, param, value):
+    with pytest.raises(gq.DomainError, match=f"^{name} must be a boolean, got "):
+        call(value)
+
+
+def test_numpy_float64_radii_are_reals():
+    assert gq.BallSpec(4, 1, 1, 2, np.float64(0.5)).radius == 0.5
+    grid = gq.ball_volume_mc_grid(4, 1, 1, 2, np.linspace(0.1, 0.5, 3), 1000, rng())
+    assert [est.value for est in grid] == sorted(est.value for est in grid)
+    assert len(grid) == 3
+    assert gq.ball_volume_mc_grid(4, 1, 1, 2, [], 0, rng()) == []  # no draw, no samples check
+
+
+def _annotation(param: inspect.Parameter) -> str:
+    ann = param.annotation
+    return ann if isinstance(ann, str) else inspect.formatannotation(ann)
+
+
+def test_every_public_real_or_flag_parameter_is_in_a_table():
+    annotated = set()
+    for public in gq.__all__:
+        obj = getattr(gq, public)
+        if public in RESULT_RECORDS or not (
+            inspect.isfunction(obj) or dataclasses.is_dataclass(obj)
+        ):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if _annotation(param) in ("float", "float | None", "bool"):
+                annotated.add(f"{public}.{param.name}")
+    covered = {param for *_, param in REAL_RULE_SITES + FLAG_SITES}
+    assert "AwgnConfig.rate" in annotated  # the walk sees the annotations
+    assert annotated <= covered, sorted(annotated - covered)
