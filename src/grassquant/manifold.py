@@ -224,8 +224,12 @@ def _gaussian_matrix(
 ) -> np.ndarray:
     _check_values("a random draw", shape)
     if field is FieldKind.COMPLEX:
-        # Circular complex normal, each part of unit variance (QR ignores the scale).
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # Circular complex normal, each part of unit variance (QR ignores the scale),
+        # filled in place: the real parts are drawn first, then the imaginary parts.
+        g = np.empty(shape, np.complex128)
+        g.real = rng.standard_normal(shape)
+        g.imag = rng.standard_normal(shape)
+        return g
     return rng.standard_normal(shape)
 
 

@@ -28,12 +28,14 @@ import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
-    FieldKind, GrassmannSpec, _check_flag, _check_int, _check_mc_samples, _check_real,
-    sample_isotropic_bases,
+    FieldKind, _check_flag, _check_int, _check_mc_samples, _check_real, _gaussian_matrix,
 )
 
-# Sample chunk bound for Monte-Carlo passes, sized for ~100 MB working sets.
+# Samples per Monte-Carlo draw.  Like ``quantization._DRAW_BUDGET``, the value stays
+# because it fixes how the normal stream splits into draws, and so the volume CSV bytes.
 _MC_CHUNK = 1 << 17
+# Bytes of a draw that one Gram-Schmidt block reads, so that its columns stay in cache.
+_GS_BLOCK_BYTES = 1 << 20
 
 
 class VolumeMethod(enum.Enum):
@@ -229,6 +231,32 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
     return VolumeEstimate(value=min(value, 1.0), stderr=0.0, method=VolumeMethod.BARG_NOGIN)
 
 
+def _head_mass(g: np.ndarray, q: int) -> np.ndarray:
+    """``||Q[:q, :]||_F^2`` for the orthonormal factor Q of each ``(n, p)`` draw in ``g``.
+
+    Classical Gram-Schmidt with one re-orthogonalisation pass, whose Q is orthonormal
+    to working precision unless the draw is numerically rank deficient (Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 2005), vectorised over the
+    draws: the Python loop runs over the p columns only.  Q is the QR factor whose
+    R has a positive diagonal, the Haar basis of the draw (Mezzadri, Notices AMS
+    2007); no basis is kept.
+    """
+    m, n, p = g.shape
+    rows = max(1, _GS_BLOCK_BYTES // (n * p * g.itemsize))
+    mass = np.zeros(m)
+    for start in range(0, m, rows):
+        # Column j of the block is cols[j], an (n, rows) slab with the draws last.
+        cols = g[start : start + rows].transpose(2, 1, 0).copy()
+        for j in range(p):
+            v = cols[j]
+            for _ in range(2 if j else 0):
+                coef = np.einsum("inb,nb->ib", cols[:j].conj(), v)
+                v -= np.einsum("inb,ib->nb", cols[:j], coef)
+            v /= np.sqrt(np.einsum("nb,nb->b", v.conj(), v).real)
+            mass[start : start + rows] += np.einsum("nb,nb->b", v[:q].conj(), v[:q]).real
+    return mass
+
+
 def chordal_sq_to_canonical(
     n: int, p: int, q: int, beta: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -236,17 +264,19 @@ def chordal_sq_to_canonical(
     for ``p`` and ``q`` in either order.
 
     Ball volumes are center-independent, so the canonical coordinate plane
-    serves as the center.  Returns a length-``samples`` array.
+    serves as the center.  Each draw of the normal stream is the Gaussian matrix
+    that :func:`sample_isotropic_bases` would orthonormalise; the distance,
+    ``min(p, q) - ||Q[:q, :]||_F^2``, takes only the mass of the first q rows of
+    its orthonormal factor (:func:`_head_mass`).  Returns a length-``samples``
+    array.
     """
     _check_dims(n, p, q, beta)
-    spec = GrassmannSpec(n, p, FieldKind.from_beta(beta))
+    field = FieldKind.from_beta(beta)
     out = np.empty(samples)
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        bases = sample_isotropic_bases(spec, m, rng)
-        # ||B^H C||_F^2 for C = [e_1..e_q] is the mass of the first q rows.
-        overlap = np.sum(np.abs(bases[:, :q, :]) ** 2, axis=(1, 2))
+        overlap = _head_mass(_gaussian_matrix((m, n, p), field, rng), q)
         out[done : done + m] = np.clip(min(p, q) - overlap, 0.0, None)
         done += m
     return out

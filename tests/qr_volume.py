@@ -1,0 +1,23 @@
+"""The QR route to the volume Monte-Carlo statistic, kept as the reference for
+``volume.chordal_sq_to_canonical``.
+
+It replays the same normal stream, draw by draw (``volume._MC_CHUNK`` samples
+each), through ``sample_isotropic_bases``: phase-corrected LAPACK QR builds every
+Haar basis, and the squared distance to span(e_1..e_q) is ``min(p, q)`` less the
+mass of the basis's first q rows.
+"""
+
+import numpy as np
+
+from grassquant import FieldKind, GrassmannSpec, sample_isotropic_bases
+from grassquant import volume
+
+
+def chordal_sq_to_canonical(n, p, q, beta, samples, rng):
+    spec = GrassmannSpec(n, p, FieldKind.from_beta(beta))
+    out = np.empty(samples)
+    for done in range(0, samples, volume._MC_CHUNK):
+        bases = sample_isotropic_bases(spec, min(volume._MC_CHUNK, samples - done), rng)
+        overlap = np.sum(np.abs(bases[:, :q, :]) ** 2, axis=(1, 2))
+        out[done : done + len(bases)] = np.clip(min(p, q) - overlap, 0.0, None)
+    return out

@@ -9,7 +9,10 @@ import pytest
 import grassquant as gq
 from grassquant import cli
 from grassquant import quantization as qz
+from grassquant import volume
 from grassquant.rng import derive_rng
+
+import qr_volume
 
 
 def write_config(tmp_path, name, payload):
@@ -77,6 +80,27 @@ def test_volume_rows_regenerate_from_embedded_seed(tmp_path):
         spec = gq.BallSpec(4, 1, 1, 2, row["delta"])
         redo = gq.ball_volume_mc(spec, 2000, derive_rng(seed, index))
         assert redo.value == row["mc"]
+
+
+@pytest.mark.parametrize("dims", [(6, 2, 3, 2), (7, 3, 2, 1)])
+def test_volume_csv_is_the_qr_routes(tmp_path, monkeypatch, dims):
+    # The mc column does not move: the estimator, run on the QR route's statistic,
+    # writes the same bytes.
+    n, p, q, beta = dims
+    payload = dict(VOLUME_CFG, n=n, p=p, q=q, beta=beta, deltas=[0.6, 0.8, 1.0], samples=5000)
+    cfg = write_config(tmp_path, "vol.json", payload)
+    assert run("volume", "--config", cfg, "--out", str(tmp_path / "gs")) == 0
+    calls = []
+
+    def qr_statistic(*args):
+        calls.append(args)
+        return qr_volume.chordal_sq_to_canonical(*args)
+
+    monkeypatch.setattr(volume, "chordal_sq_to_canonical", qr_statistic)
+    assert run("volume", "--config", cfg, "--out", str(tmp_path / "qr")) == 0
+    assert len(calls) == len(payload["deltas"])
+    gs_csv, qr_csv = ((tmp_path / d / "volume.csv").read_bytes() for d in ("gs", "qr"))
+    assert gs_csv == qr_csv
 
 
 def test_seed_override_changes_output(tmp_path):

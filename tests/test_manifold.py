@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import grassquant as gq
 from grassquant import FieldKind, GrassmannSpec, Plane
+from grassquant import manifold
 
 FIELDS = [FieldKind.REAL, FieldKind.COMPLEX]
 
@@ -52,6 +53,15 @@ def test_distinct_seeds_give_distinct_planes(field):
     p1 = gq.sample_isotropic(spec, np.random.default_rng(1))
     p2 = gq.sample_isotropic(spec, np.random.default_rng(2))
     assert gq.chordal_distance(p1, p2) > 0
+
+
+@pytest.mark.parametrize("shape", [(7,), (50, 6, 3)])
+def test_complex_draw_is_real_then_imaginary_bit_for_bit(shape):
+    g = manifold._gaussian_matrix(shape, FieldKind.COMPLEX, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert g.dtype == np.complex128 and g.shape == shape
+    assert np.array_equal(g.view(float).view(np.uint64), ref.view(float).view(np.uint64))
 
 
 def test_haar_mean_projection_real():

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import grassquant as gq
 from grassquant import BallSpec, FieldKind, GrassmannSpec, VolumeMethod
+from grassquant import manifold, volume
+
+import qr_volume
 
 
 def direct_coeff(n, p, q, beta):
@@ -127,6 +131,52 @@ def test_canonical_distances_have_one_law_in_either_order():
     for x, y in [(a, b)] + [(a <= r * r, b <= r * r) for r in (0.6, 0.8, 1.0)]:
         se = math.sqrt((x.var() + y.var()) / samples)
         assert abs(x.mean() - y.mean()) <= 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "n, p, q, beta, samples",
+    [
+        (6, 2, 3, 2, 20_000),  # p < q
+        (7, 3, 2, 1, 20_000),  # p > q
+        (5, 2, 2, 2, 20_000),  # p = q
+        (6, 3, 3, 1, 20_000),
+        (7, 1, 3, 1, 20_000),  # p = 1
+        (5, 1, 1, 2, 20_000),
+        (6, 4, 1, 2, 20_000),
+        (6, 2, 3, 2, volume._MC_CHUNK + 1000),  # two draws
+    ],
+)
+def test_canonical_distances_equal_the_qr_route(n, p, q, beta, samples):
+    # The same normal stream through phase-corrected LAPACK QR: equal distances up
+    # to rounding, and equal hit counts, so the volume CSV keeps its bytes.
+    dsq = gq.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    ref = qr_volume.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    assert np.max(np.abs(dsq - ref)) <= 1e-12
+    for r in np.linspace(0.0, math.sqrt(min(p, q)), 41):
+        assert np.count_nonzero(dsq <= r * r) == np.count_nonzero(ref <= r * r), r
+
+
+@pytest.mark.parametrize("field", [FieldKind.REAL, FieldKind.COMPLEX])
+def test_head_mass_stays_accurate_on_nearly_parallel_columns(field):
+    # Condition numbers near 1e7: one Gram-Schmidt pass loses orthogonality by about
+    # eps * cond^2 (mass errors near 1e-3); the second pass keeps them near eps * cond.
+    g = manifold._gaussian_matrix((500, 6, 3), field, np.random.default_rng(3))
+    g[:, :, 1:] = g[:, :, :1] + 1e-6 * g[:, :, 1:]
+    ref = np.sum(np.abs(manifold._haar_orthonormalize(g)[:, :2, :]) ** 2, axis=(1, 2))
+    assert np.max(np.abs(volume._head_mass(g, 2) - ref)) <= 1e-7
+
+
+def test_canonical_distances_keep_no_basis():
+    # One full draw at (6, 2, 3) complex: the peak is the draw and one real part of it,
+    # with no basis, QR workspace or complex temporary of the draw's size beside them.
+    n, p, q, samples = 6, 2, 3, volume._MC_CHUNK
+    tracemalloc.start()
+    try:
+        gq.chordal_sq_to_canonical(n, p, q, 2, samples, np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (samples * n * p * 16) < 2.0
 
 
 def test_coeff_c1_exact_case_zeros():
