@@ -40,11 +40,16 @@ from .volume import _check_dims, _degree, log_coeff_c
 # Desk-scale cap on the sizes of the codebooks this module builds.
 MAX_CODEBOOK = 1 << 16
 
-# Overlap block size: about this many sample-entry pairs (2 MB of float64),
-# so a block's GEMM outputs and its reduction stay in cache.
-_BLOCK_PAIRS = 1 << 18
-# Fewest sample rows per block, so large codebooks still get matrix GEMMs.
-_BLOCK_MIN_ROWS = 8
+# Tile budget of the nearest and closest-pair walk (see _tile_shape): about
+# this many sample-entry pairs per packed-form tile (512 KB of float64), so
+# that a tile's GEMM output stays in L2 while its running reduction reads it.
+# A direct-form tile holds half as many: each of its p * q products writes a
+# complex GEMM output and its squares.  Calibrated on one BLAS thread.
+_BLOCK_PAIRS = 1 << 16
+# Fewest sample rows per tile where the entries are many: an entry tile is at
+# most _BLOCK_PAIRS / _BLOCK_MIN_ROWS wide (half that in the direct form), so
+# one sample tile, packed once, serves several entry tiles.
+_BLOCK_MIN_ROWS = 128
 # Monte-Carlo source draws per chunk: this budget over K * p * q per draw.
 # The value stays because it fixes how the normal stream splits into chunks,
 # and so the estimates and the CSV bytes.
@@ -75,20 +80,26 @@ class Provenance:
 
 
 def _sq_overlaps(
-    samples: np.ndarray, entries: np.ndarray, packed: "np.ndarray | None" = None
+    samples: np.ndarray,
+    entries: np.ndarray,
+    packed: "np.ndarray | None" = None,
+    packed_samples: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """``out[s, k] = ||samples[s]^H entries[k]||_F^2`` for one ``(m, n, p)`` block
-    of samples against the ``(K, n, q)`` entries.
+    """``out[s, k] = ||samples[s]^H entries[k]||_F^2`` for one ``(m, n, p)`` tile
+    of samples against a ``(T, n, q)`` tile of entries.
 
-    With ``packed``, the entries' projectors from :func:`_packed_entries`, the
-    block is packed and one real GEMM gives ``<P_s, P_k>_F``, the same value.
-    Without it, the direct form sums ``p * q`` GEMMs of columns; it reads
-    entries in the :func:`_gemm_layout` in place and copies others.
+    With ``packed``, the entry tile's ``(d, T)`` columns of
+    :func:`_packed_entries`, one real GEMM gives ``<P_s, P_k>_F``, the same
+    value; the sample tile is packed here unless ``packed_samples`` holds its
+    :func:`_packed` already.  Without it, the direct form sums ``p * q`` GEMMs
+    of columns, read in place: entries in the :func:`_gemm_layout` (or tiles of
+    them) give BLAS operands, others fall back to numpy's own loop, which
+    rounds differently.
     """
     if packed is not None:
-        return _packed(samples) @ packed
+        return (_packed(samples) if packed_samples is None else packed_samples) @ packed
     out = None
-    cols_b = [np.ascontiguousarray(entries[:, :, j].T) for j in range(entries.shape[2])]
+    cols_b = [entries[:, :, j].T for j in range(entries.shape[2])]
     for i in range(samples.shape[2]):
         a_i = samples[:, :, i].conj()
         for b_j in cols_b:
@@ -167,19 +178,58 @@ def _packs(sources: int, p: int, entries: np.ndarray) -> bool:
             and min(sources, k) >= max(_PACKED_MIN_COUNT, 4.0 * ratio))
 
 
-def _row_blocks(n_s: int, n_k: int):
-    """Yield ``(lo, hi)`` bounds of consecutive blocks of ``n_s`` sample rows
-    against ``n_k`` entries."""
-    step = max(_BLOCK_MIN_ROWS, _BLOCK_PAIRS // n_k)
+def _tile_shape(n_k: int, packed: bool) -> tuple[int, int]:
+    """``(rows, width)`` of the walk's tiles against ``n_k`` entries in the
+    packed or the direct form: about ``_BLOCK_PAIRS`` pairs (half that in the
+    direct form), at most that over ``_BLOCK_MIN_ROWS`` entries wide, and at
+    least 2 on each axis that has 2."""
+    budget = _BLOCK_PAIRS if packed else _BLOCK_PAIRS // 2
+    width = min(n_k, max(2, budget // _BLOCK_MIN_ROWS))
+    return max(2, budget // width), width
+
+
+def _spans(total: int, step: int):
+    """Yield ``(lo, hi)`` bounds of consecutive spans of ``step`` (>= 2) that
+    cover ``range(total)``.  A one-row or one-column GEMM would take numpy's
+    matrix-vector path, which rounds differently, so a last span of one joins
+    the span before it."""
     lo = 0
-    while lo < n_s:
+    while lo < total:
         hi = lo + step
-        # A one-row block would take numpy's matrix-vector path, which
-        # rounds differently; the last row joins the block before it.
-        if hi >= n_s - 1:
-            hi = n_s
+        if hi >= total - 1:
+            hi = total
         yield lo, hi
         lo = hi
+
+
+def _walk(
+    samples: np.ndarray,
+    entries: np.ndarray,
+    packed: "np.ndarray | None" = None,
+    upper: bool = False,
+):
+    """Yield ``(r0, r1, c0, ov)``, the squared overlaps ``ov`` of the sample rows
+    ``r0:r1`` against the entries ``c0:c0 + ov.shape[1]``, one tile of
+    :func:`_tile_shape` at a time, entry tiles inside row tiles.
+
+    ``packed``, the entries' :func:`_packed_entries`, selects the packed form:
+    each sample tile is packed once for all its entry tiles.  The direct form
+    lays ``entries`` out once (no copy where they are in the
+    :func:`_gemm_layout` already) and reads entry tiles as column slices of it.
+    With ``upper`` (samples and entries the same stack), only tiles holding a
+    pair ``r < c`` are computed.  Every tile goes through :func:`_sq_overlaps`.
+    """
+    if packed is None:
+        entries = _gemm_layout(entries)
+    rows, width = _tile_shape(len(entries), packed is not None)
+    for r0, r1 in _spans(len(samples), rows):
+        block = samples[r0:r1]
+        packed_block = None if packed is None else _packed(block)
+        for c0, c1 in _spans(len(entries), width):
+            if upper and c1 <= r0 + 1:
+                continue
+            tile = None if packed is None else packed[:, c0:c1]
+            yield r0, r1, c0, _sq_overlaps(block, entries[c0:c1], tile, packed_block)
 
 
 def _nearest(
@@ -191,17 +241,23 @@ def _nearest(
     ``packed``, the entries' :func:`_packed_entries`, selects the packed form;
     without it the form is the one :func:`_packs` picks for ``len(samples)``
     sources.  A caller that searches one codebook in chunks packs it once.
+    The search is :func:`_walk` with a running argmax: a later entry tile
+    wins only where its overlap is strictly larger, so the result is the
+    argmax of the tiles' overlaps, bit for bit, ties included.  (Where a
+    GEMM kernel rounds a tile's edge unlike one GEMM over all entries, those
+    overlaps differ from one :func:`_sq_overlaps` call in the last bits.)
     The direct form reads a codebook's ``stacked_bases`` in place.
     """
     if packed is None and _packs(len(samples), samples.shape[2], entries):
         packed = _packed_entries(entries)
-    idx = np.empty(len(samples), dtype=np.intp)
-    best = np.empty(len(samples))
-    for lo, hi in _row_blocks(len(samples), len(entries)):
-        ov = _sq_overlaps(samples[lo:hi], entries, packed)
+    idx = np.zeros(len(samples), dtype=np.intp)
+    best = np.full(len(samples), -np.inf)
+    for r0, r1, c0, ov in _walk(samples, entries, packed):
         i = ov.argmax(axis=1)
-        idx[lo:hi] = i
-        best[lo:hi] = ov[np.arange(len(ov)), i]
+        v = ov[np.arange(len(ov)), i]
+        wins = v > best[r0:r1]
+        np.copyto(best[r0:r1], v, where=wins)
+        np.copyto(idx[r0:r1], i + c0, where=wins)
     return idx, best
 
 
@@ -319,25 +375,30 @@ class Codebook:
     def min_pairwise_distance(self) -> float:
         """Smallest chordal distance between two entries (inf for K = 1).
 
-        An O(K^2) walk of row blocks ``[lo, hi)`` against the entries ``lo:``
-        by the overlap kernel, ``q - ||A^H B||_F^2``, which cancels near zero.
-        Every pair whose kernel value lies within a rounding bound of the
-        least so far is measured again by the stable projection residual.
+        An O(K^2) :func:`_walk` of the upper triangle, in the form
+        :func:`_packs` picks for K sources, with a running maximum of the
+        squared overlap ``||A^H B||_F^2``; ``q`` minus it cancels near zero.
+        Every pair whose overlap lies within a rounding bound of the largest
+        so far is measured again by the stable projection residual.
         """
         bases = self._bases
         k, n, q = bases.shape
         if k < 2:
             return math.inf
-        # A generous bound on the kernel's rounding, as in the duplicate screen.
-        rounding = 8.0 * n * q * (q + 1) * np.finfo(float).eps
-        least = best = math.inf
-        for lo, hi in _row_blocks(k, k):
-            dsq = q - _sq_overlaps(bases[lo:hi], bases[lo:])
-            dsq[np.tril_indices(hi - lo, 0, dsq.shape[1])] = math.inf
-            least = min(least, float(dsq.min()))
-            i, j = np.nonzero(dsq <= least + rounding)
+        packed = _packed_entries(bases) if _packs(k, q, bases) else None
+        # A generous bound on the kernel's rounding, as in the duplicate screen:
+        # each value is a sum over n (direct) or d (packed) products.
+        terms = n if packed is None else len(packed)
+        rounding = 8.0 * terms * q * (q + 1) * np.finfo(float).eps
+        top = -math.inf
+        best = math.inf
+        for r0, r1, c0, ov in _walk(bases, bases, packed, upper=True):
+            if c0 < r1:  # a tile on the diagonal: keep the pairs r < c
+                ov[np.tril_indices(r1 - r0, r0 - c0, ov.shape[1])] = -math.inf
+            top = max(top, float(ov.max()))
+            i, j = np.nonzero(ov >= top - rounding)
             if i.size:
-                best = min(best, float(_residual_sq(bases[lo + i], bases[lo + j]).min()))
+                best = min(best, float(_residual_sq(bases[r0 + i], bases[c0 + j]).min()))
         return math.sqrt(best)
 
 

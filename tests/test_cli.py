@@ -435,14 +435,26 @@ def test_sizes_beyond_float_range_are_capped(tmp_path):
     assert row["skipped"] is True and row["skip_reason"] == "cap_exceeded"
 
 
-def test_verify_says_when_it_skips_the_min_distance(tmp_path, capsys):
-    payload = {"n": 4, "p": 1, "q": 1, "beta": 2, "K": 4097, "kind": "random", "seed": 2}
+def verify_lines(tmp_path, capsys, k):
+    """The ``codebook verify`` output lines of a saved random K-line codebook in C^4."""
+    payload = {"n": 4, "p": 1, "q": 1, "beta": 2, "K": k, "kind": "random", "seed": 2}
     cfg = write_config(tmp_path, "big.json", payload)
     assert run("codebook", "save", "--config", cfg, "--out", str(tmp_path / "cbs")) == 0
     path = capsys.readouterr().out.strip()
     assert run("codebook", "verify", "--path", path) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "min pairwise distance: skipped (K = 4097 > 4096)" in lines
+    return capsys.readouterr().out.splitlines()
+
+
+def test_verify_says_when_it_skips_the_min_distance(tmp_path, capsys):
+    lines = verify_lines(tmp_path, capsys, 16385)
+    assert "min pairwise distance: skipped (K = 16385 > 16384)" in lines
+    assert lines[-1] == "OK"
+
+
+def test_verify_gives_the_min_distance_up_to_the_cap(tmp_path, capsys):
+    lines = verify_lines(tmp_path, capsys, 16384)
+    distance = [line for line in lines if line.startswith("min pairwise distance: ")]
+    assert len(distance) == 1 and float(distance[0].split(": ")[1]) > 0.0
     assert lines[-1] == "OK"
 
 

@@ -292,6 +292,132 @@ def test_search_in_place_equals_search_of_a_copy(monkeypatch, n, p, q, beta):
         assert np.array_equal(best.view(np.uint64), best_copy.view(np.uint64))
 
 
+def counted_tiles(monkeypatch):
+    """The ``(sources, entries)`` shape of every overlap-kernel call from now on."""
+    shapes = []
+    kernel = qz._sq_overlaps
+
+    def counted(samples, entries, *args):
+        shapes.append((len(samples), len(entries)))
+        return kernel(samples, entries, *args)
+
+    monkeypatch.setattr(qz, "_sq_overlaps", counted)
+    return shapes
+
+
+def recorded_walk(monkeypatch):
+    """Every tile ``(r0, r1, c0, overlaps)`` the walk yields from now on."""
+    tiles = []
+    walk = qz._walk
+
+    def recorded(*args, **kwargs):
+        for r0, r1, c0, ov in walk(*args, **kwargs):
+            tiles.append((r0, r1, c0, ov.copy()))
+            yield r0, r1, c0, ov
+
+    monkeypatch.setattr(qz, "_walk", recorded)
+    return tiles
+
+
+@pytest.mark.parametrize("tiles", [1, 2])
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("n, p, q, beta", [(6, 2, 3, 1), (8, 2, 2, 2)])
+def test_walk_keeps_a_running_argmax_over_its_tiles(monkeypatch, n, p, q, beta, packed, tiles):
+    # S = tiles * R + 1 sources against K = tiles * T + 1 entries, at the
+    # production tile shape: each one-wide remainder joins the last tile, so
+    # the walk makes tiles^2 GEMMs and none of one row or one column.
+    rows, width = qz._tile_shape(qz.MAX_CODEBOOK, packed)
+    source, code = specs(n, p, q, beta)
+    rng = np.random.default_rng(10 * n + beta)
+    samples = gq.sample_isotropic_bases(source, tiles * rows + 1, rng)
+    entries = qz._gemm_layout(gq.sample_isotropic_bases(code, tiles * width + 1, rng))
+    full = qz._sq_overlaps(samples, entries, qz._packed_entries(entries) if packed else None)
+    monkeypatch.setattr(qz, "_packs", lambda *args: packed)
+    walked = recorded_walk(monkeypatch)
+    idx, best = qz._nearest(samples, entries)
+    assert len(walked) == tiles**2
+    assembled = np.full_like(full, np.nan)
+    for r0, r1, c0, ov in walked:
+        assert min(ov.shape) >= 2
+        assembled[r0:r1, c0 : c0 + ov.shape[1]] = ov
+    if tiles == 1:  # one GEMM of the whole: the kernel's own bits
+        assert np.array_equal(assembled.view(np.uint64), full.view(np.uint64))
+    # A tile's GEMM may round its edge unlike one GEMM over all entries.
+    assert np.allclose(assembled, full, rtol=0, atol=1e-14)
+    expected = assembled.argmax(axis=1)
+    assert np.array_equal(idx, expected)
+    assert np.array_equal(best.view(np.uint64),
+                          assembled[np.arange(len(full)), expected].view(np.uint64))
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_tie_across_an_entry_tile_breaks_to_the_lowest_index(monkeypatch, packed):
+    _, width = qz._tile_shape(qz.MAX_CODEBOOK, packed)
+    source, code = specs(6, 1, 2)
+    rng = np.random.default_rng(11)
+    i = 3
+    entries = gq.sample_isotropic_bases(code, width + 5, rng)
+    entries[i + width] = entries[i]  # the same basis in the next entry tile
+    entries = qz._gemm_layout(entries)
+    # Sources inside entry i's plane: overlap 1 with entries i and i + T alone.
+    samples = entries[i] @ gq.sample_isotropic_bases(GrassmannSpec(2, 1), 4, rng)
+    monkeypatch.setattr(qz, "_packs", lambda *args: packed)
+    walked = recorded_walk(monkeypatch)
+    idx, best = qz._nearest(samples, entries)
+    (_, _, _, first), (_, _, c0, second) = walked
+    assert c0 == width and second.shape[1] == 5
+    assert np.array_equal(first[:, i], second[:, i])  # entries i and i + T tie, bit for bit
+    assert np.all(first.argmax(axis=1) == i)
+    assert np.all(idx == i)
+    assert np.array_equal(best, first[:, i])
+
+
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_min_pairwise_distance_finds_a_near_duplicate_across_tiles(monkeypatch, packed, beta):
+    # At the production tile shape, K = T + 150 entries make two entry tiles
+    # and several row tiles; the planted pair (100, T + 100) is in neither
+    # the same row tile nor the same entry tile, at a distance of about 1e-7.
+    rows, width = qz._tile_shape(qz.MAX_CODEBOOK, packed)
+    k, (i, j) = width + 150, (100, width + 100)
+    source, code = specs(6, 2, 3, beta)
+    rng = np.random.default_rng(12 + beta)
+    bases = gq.sample_isotropic_bases(code, k, rng)
+    bases[j] = np.linalg.qr(bases[i] + 1e-7 * rng.standard_normal(bases[i].shape))[0]
+    cb = Codebook.from_bases(source, code, bases, Provenance(kind="loaded"))
+    bases = cb.stacked_bases
+    brute = np.full((k, k), np.inf)
+    for a in range(k - 1):
+        rest = bases[a + 1 :]
+        resid = bases[a] - rest @ (rest.conj().transpose(0, 2, 1) @ bases[a])
+        brute[a, a + 1 :] = np.sum(np.abs(resid) ** 2, axis=(1, 2))
+    assert np.unravel_index(brute.argmin(), brute.shape) == (i, j)
+    assert 1e-8 < math.sqrt(brute.min()) < 1e-6
+    monkeypatch.setattr(qz, "_packs", lambda *args: packed)
+    shapes = counted_tiles(monkeypatch)
+    assert cb.min_pairwise_distance() == pytest.approx(math.sqrt(brute.min()), rel=1e-6)
+    # Only tiles that hold a pair above the diagonal are computed.
+    tiles = [(r0, c1) for r0 in range(0, k - 1, rows) for c1 in (width, k) if c1 > r0 + 1]
+    assert len(shapes) == len(tiles)
+
+
+def test_nearest_search_holds_less_than_one_codebook_of_temporaries():
+    # 512 sources against K = 16384 lines in C^14 (the direct form): the
+    # walk's tiles keep each GEMM output in cache, so the search's temporaries
+    # stay below the codebook's own size.
+    source, code = specs(14, 1, 1)
+    cb = gq.random_codebook(source, code, 16384, seed=3)
+    samples = gq.sample_isotropic_bases(source, 512, np.random.default_rng(4))
+    assert not qz._packs(len(samples), 1, cb.stacked_bases)
+    tracemalloc.start()
+    try:
+        qz._nearest(samples, cb.stacked_bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cb.stacked_bases.nbytes
+
+
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("n, p, q", [(5, 1, 2), (6, 2, 2), (5, 3, 2)])
 def test_min_distance_meets_the_simplex_bound(tmp_path, n, p, q, beta):
