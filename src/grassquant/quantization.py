@@ -62,7 +62,8 @@ _DRAW_BUDGET = 1 << 23
 _PACKED_MAX_RATIO = {True: 128, False: 32}
 _PACKED_MIN_COUNT = 64
 _PACKED_MAX_DIM = 1 << 10
-# Entries packed at a time, so the (K, n, n) projector stack is never built.
+# Bases packed at a time, so no (K, n, n) or (N, n, n) projector stack of a
+# whole codebook or training set is built.
 _PACK_CHUNK = 1024
 
 
@@ -140,23 +141,41 @@ def _pack_layout(n: int, complex_field: bool) -> tuple[np.ndarray, np.ndarray]:
     return slots, weights
 
 
+def _packed_dim(n: int, complex_field: bool) -> int:
+    """Reals per packed projector in ``n`` dimensions: ``n^2`` (complex) or
+    ``n (n + 1) / 2`` (real)."""
+    return n * n if complex_field else n * (n + 1) // 2
+
+
 def _packed(bases: np.ndarray) -> np.ndarray:
-    """The ``(m, d)`` packed projectors ``B B^H`` of an ``(m, n, p)`` stack."""
+    """The ``(m, d)`` packed projectors ``B B^H`` of an ``(m, n, p)`` stack,
+    made ``_PACK_CHUNK`` bases at a time."""
     m, n, _ = bases.shape
     slots, weights = _pack_layout(n, np.iscomplexobj(bases))
-    proj = bases @ bases.conj().transpose(0, 2, 1)
-    return proj.reshape(m, n * n).view(np.float64)[:, slots] * weights
+    out = np.empty((m, len(slots)))
+    for lo in range(0, m, _PACK_CHUNK):
+        chunk = bases[lo : lo + _PACK_CHUNK]
+        proj = chunk @ chunk.conj().transpose(0, 2, 1)
+        np.multiply(proj.reshape(len(chunk), n * n).view(np.float64)[:, slots], weights,
+                    out=out[lo : lo + _PACK_CHUNK])
+    return out
 
 
 def _packed_entries(entries: np.ndarray) -> np.ndarray:
     """The ``(d, K)`` packed projectors of the ``(K, n, q)`` entries, the GEMM
     operand of the packed form, filled ``_PACK_CHUNK`` entries at a time."""
     k, n, _ = entries.shape
-    slots, _ = _pack_layout(n, np.iscomplexobj(entries))
-    out = np.empty((len(slots), k))
+    out = np.empty((_packed_dim(n, np.iscomplexobj(entries)), k))
     for lo in range(0, k, _PACK_CHUNK):
         out[:, lo : lo + _PACK_CHUNK] = _packed(entries[lo : lo + _PACK_CHUNK]).T
     return out
+
+
+def _packable(n: int, p: int, q: int, complex_field: bool) -> bool:
+    """The shape clauses of :func:`_packs`: whether p-planes against q-planes
+    in ``n`` dimensions are ever packed."""
+    d = _packed_dim(n, complex_field)
+    return d <= _PACKED_MAX_DIM and d / (p * q) <= _PACKED_MAX_RATIO[complex_field]
 
 
 def _packs(sources: int, p: int, entries: np.ndarray) -> bool:
@@ -172,18 +191,22 @@ def _packs(sources: int, p: int, entries: np.ndarray) -> bool:
     """
     k, n, q = entries.shape
     complex_field = np.iscomplexobj(entries)
-    d = n * n if complex_field else n * (n + 1) // 2
-    ratio = d / (p * q)
-    return (d <= _PACKED_MAX_DIM and ratio <= _PACKED_MAX_RATIO[complex_field]
+    ratio = _packed_dim(n, complex_field) / (p * q)
+    return (_packable(n, p, q, complex_field)
             and min(sources, k) >= max(_PACKED_MIN_COUNT, 4.0 * ratio))
 
 
-def _tile_shape(n_k: int, packed: bool) -> tuple[int, int]:
+def _tile_shape(n_k: int, packed: bool, upper: bool = False) -> tuple[int, int]:
     """``(rows, width)`` of the walk's tiles against ``n_k`` entries in the
     packed or the direct form: about ``_BLOCK_PAIRS`` pairs (half that in the
-    direct form), at most that over ``_BLOCK_MIN_ROWS`` entries wide, and at
-    least 2 on each axis that has 2."""
+    direct form), and at least 2 on each axis that has 2.  A walk of the
+    upper triangle takes square tiles, whose diagonal tiles hold the fewest
+    pairs below the diagonal for the budget; other walks take tiles at most
+    the budget over ``_BLOCK_MIN_ROWS`` entries wide."""
     budget = _BLOCK_PAIRS if packed else _BLOCK_PAIRS // 2
+    if upper:
+        side = max(2, math.isqrt(budget))
+        return side, side
     width = min(n_k, max(2, budget // _BLOCK_MIN_ROWS))
     return max(2, budget // width), width
 
@@ -207,13 +230,15 @@ def _walk(
     entries: np.ndarray,
     packed: "np.ndarray | None" = None,
     upper: bool = False,
+    packed_samples: "np.ndarray | None" = None,
 ):
     """Yield ``(r0, r1, c0, ov)``, the squared overlaps ``ov`` of the sample rows
     ``r0:r1`` against the entries ``c0:c0 + ov.shape[1]``, one tile of
     :func:`_tile_shape` at a time, entry tiles inside row tiles.
 
     ``packed``, the entries' :func:`_packed_entries`, selects the packed form:
-    each sample tile is packed once for all its entry tiles.  The direct form
+    each sample tile is packed once for all its entry tiles, or read as rows
+    of ``packed_samples``, the samples' :func:`_packed`.  The direct form
     lays ``entries`` out once (no copy where they are in the
     :func:`_gemm_layout` already) and reads entry tiles as column slices of it.
     With ``upper`` (samples and entries the same stack), only tiles holding a
@@ -221,10 +246,12 @@ def _walk(
     """
     if packed is None:
         entries = _gemm_layout(entries)
-    rows, width = _tile_shape(len(entries), packed is not None)
+    rows, width = _tile_shape(len(entries), packed is not None, upper)
     for r0, r1 in _spans(len(samples), rows):
         block = samples[r0:r1]
-        packed_block = None if packed is None else _packed(block)
+        packed_block = None
+        if packed is not None:
+            packed_block = _packed(block) if packed_samples is None else packed_samples[r0:r1]
         for c0, c1 in _spans(len(entries), width):
             if upper and c1 <= r0 + 1:
                 continue
@@ -233,14 +260,21 @@ def _walk(
 
 
 def _nearest(
-    samples: np.ndarray, entries: np.ndarray, packed: "np.ndarray | None" = None
+    samples: np.ndarray,
+    entries: np.ndarray,
+    packed: "np.ndarray | None" = None,
+    packed_samples: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, the index of the entry with the largest squared overlap
     (the nearest entry; ties break to the lowest index) and that overlap.
 
     ``packed``, the entries' :func:`_packed_entries`, selects the packed form;
     without it the form is the one :func:`_packs` picks for ``len(samples)``
-    sources.  A caller that searches one codebook in chunks packs it once.
+    sources.  A caller that searches one codebook in chunks packs it once;
+    one that searches one sample set many times (the Lloyd loop) packs the
+    samples once and passes their :func:`_packed` as ``packed_samples``, which
+    the packed form reads in place of packing each sample tile (the same
+    rows, bit for bit) and the direct form ignores.
     The search is :func:`_walk` with a running argmax: a later entry tile
     wins only where its overlap is strictly larger, so the result is the
     argmax of the tiles' overlaps, bit for bit, ties included.  (Where a
@@ -252,7 +286,7 @@ def _nearest(
         packed = _packed_entries(entries)
     idx = np.zeros(len(samples), dtype=np.intp)
     best = np.full(len(samples), -np.inf)
-    for r0, r1, c0, ov in _walk(samples, entries, packed):
+    for r0, r1, c0, ov in _walk(samples, entries, packed, packed_samples=packed_samples):
         i = ov.argmax(axis=1)
         v = ov[np.arange(len(ov)), i]
         wins = v > best[r0:r1]
@@ -524,25 +558,66 @@ def random_codebook(
             bases[rows] = sample_isotropic_bases(code_spec, rows.size, rng)
 
 
-def _lloyd_centroids(train: np.ndarray, assign: np.ndarray, bases: np.ndarray) -> None:
-    """Lloyd's centroid step, in place: each occupied cell's entry becomes the
-    top-q left singular subspace of its member bases stacked side by side,
-    the dominant q-space of the cell's summed projector.
+def _packed_training(train: np.ndarray, q: int) -> "np.ndarray | None":
+    """The training set's :func:`_packed`, which every Lloyd assignment and
+    centroid step against q-planes reads; ``None`` where :func:`_packable`
+    declines the shape (large n, or large ``d / (p q)``).  There the
+    per-cell SVD of :func:`_lloyd_centroids` is the faster centroid step,
+    and the packed set would outweigh the training draw several times."""
+    _, n, p = train.shape
+    return _packed(train) if _packable(n, p, q, np.iscomplexobj(train)) else None
 
-    Members spanning fewer than q dimensions are completed from the cell's
-    previous entry; empty cells keep their entry.
+
+def _lloyd_centroids(
+    train: np.ndarray,
+    assign: np.ndarray,
+    bases: np.ndarray,
+    packed: "np.ndarray | None" = None,
+) -> None:
+    """Lloyd's centroid step, in place: each occupied cell's entry becomes the
+    dominant q-space, the top-q eigenvectors, of the cell's summed projector
+    ``sum B B^H`` over its member bases.
+
+    The sums come from ``packed``, the training set's
+    :func:`_packed_training` (made here if not given): one ``bincount`` per
+    packed coordinate sums the members' rows for every cell at once.  Each
+    occupied cell's sum is unpacked into the upper triangle of an ``n x n``
+    matrix, and one batched ``eigh`` gives every centroid.  Where the shape
+    is not packed (large n), each entry is the top-q left singular subspace
+    of the cell's member bases side by side, one SVD per cell: the same
+    subspace, with no ``n x n`` matrix.
+
+    Members spanning fewer than q dimensions (``count * p < q``) are completed
+    from the cell's previous entry; empty cells keep their entry.
     """
-    n, q = bases.shape[1:]
+    _, n, q = bases.shape
+    p = train.shape[2]
     counts = np.bincount(assign, minlength=len(bases))
-    ends = np.cumsum(counts)
-    order = np.argsort(assign, kind="stable")
-    for k in np.flatnonzero(counts):
-        members = train[order[ends[k] - counts[k] : ends[k]]]
-        stacked = members.transpose(1, 0, 2).reshape(n, -1)
-        u = np.linalg.svd(stacked, full_matrices=False)[0][:, :q]
-        if u.shape[1] < q:
-            u = np.linalg.qr(np.concatenate([u, bases[k]], axis=1))[0][:, :q]
-        bases[k] = u
+    cells = np.flatnonzero(counts)
+    if packed is None:
+        packed = _packed_training(train, q)
+    if packed is None:
+        ends = np.cumsum(counts)
+        order = np.argsort(assign, kind="stable")
+        for k in cells:
+            members = train[order[ends[k] - counts[k] : ends[k]]]
+            stacked = members.transpose(1, 0, 2).reshape(n, -1)
+            u = np.linalg.svd(stacked, full_matrices=False)[0][:, :q]
+            if u.shape[1] < q:
+                u = np.linalg.qr(np.concatenate([u, bases[k]], axis=1))[0][:, :q]
+            bases[k] = u
+        return
+    slots, weights = _pack_layout(n, np.iscomplexobj(train))
+    proj = np.zeros((len(cells), n, n), dtype=train.dtype)
+    flat = proj.reshape(len(cells), n * n).view(np.float64)
+    for j, slot in enumerate(slots):
+        flat[:, slot] = np.bincount(assign, packed[:, j], minlength=len(bases))[cells] / weights[j]
+    vecs = np.linalg.eigh(proj, UPLO="U")[1][:, :, ::-1]  # by falling eigenvalue
+    for i in np.flatnonzero(counts[cells] * p < q):
+        rank = counts[cells[i]] * p
+        span = np.concatenate([vecs[i, :, :rank], bases[cells[i]]], axis=1)
+        vecs[i, :, :q] = np.linalg.qr(span)[0][:, :q]
+    bases[cells] = vecs[:, :, :q]
 
 
 def design_maxmin(
@@ -560,7 +635,10 @@ def design_maxmin(
 
     Each of ``iters`` rounds assigns ``train_samples`` isotropic sources to
     their nearest entries, then takes each cell's new entry by
-    :func:`_lloyd_centroids`.  Both steps are optimal for the other's
+    :func:`_lloyd_centroids`: the dominant eigenspace of the cell's summed
+    projector.  The sources are packed once per call
+    (:func:`_packed_training`), and every assignment and centroid step reads
+    that one ``(N, d)`` array.  Both steps are optimal for the other's
     result, so the training distortion never rises, and the last iterate
     is returned.  The provenance trace records ``iters``, ``train_samples``
     and the ``training_history`` of the ``iters + 1`` assignments.  Training
@@ -574,13 +652,14 @@ def design_maxmin(
     rng = _resolve_rng(rng, seed)
     bases = _gemm_layout(sample_isotropic_bases(code_spec, size, rng))
     train = sample_isotropic_bases(source_spec, train_samples, rng)
+    packed = _packed_training(train, code_spec.p)
     min_dim = min(source_spec.p, code_spec.p)
     history: list[float] = []
     for it in range(iters + 1):
-        assign, best = _nearest(train, bases)
+        assign, best = _nearest(train, bases, packed_samples=packed)
         history.append(float(np.clip(min_dim - best, 0.0, None).mean()))
         if it < iters:
-            _lloyd_centroids(train, assign, bases)
+            _lloyd_centroids(train, assign, bases, packed)
 
     trace = {"iters": iters, "train_samples": train_samples, "training_history": history}
     return Codebook.from_bases(

@@ -156,8 +156,7 @@ def test_kernel_form_rule_choices():
     assert not qz._packs(2000, 1, entries(8, 1, 4096, float))  # d = 36 per product
 
 
-def test_duplicate_found_across_blocks(monkeypatch):
-    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 8-row blocks: rows 2 and 17 apart
+def test_duplicate_found_across_blocks():
     source, code = specs(5, 2, 2)
     rng = np.random.default_rng(3)
     bases = gq.sample_isotropic_bases(code, 20, rng)
@@ -290,6 +289,12 @@ def test_search_in_place_equals_search_of_a_copy(monkeypatch, n, p, q, beta):
         idx_copy, best_copy = qz._nearest(samples, copy)
         assert np.array_equal(idx, idx_copy)
         assert np.array_equal(best.view(np.uint64), best_copy.view(np.uint64))
+    # Samples packed once, in chunks other than the walk's sample tiles, as
+    # the Lloyd loop packs its training set: the same rows, the same search.
+    monkeypatch.setattr(qz, "_PACK_CHUNK", 64)
+    idx_pre, best_pre = qz._nearest(samples, cb.stacked_bases, packed_samples=qz._packed(samples))
+    assert np.array_equal(idx, idx_pre)
+    assert np.array_equal(best.view(np.uint64), best_pre.view(np.uint64))
 
 
 def counted_tiles(monkeypatch):
@@ -375,11 +380,12 @@ def test_tie_across_an_entry_tile_breaks_to_the_lowest_index(monkeypatch, packed
 @pytest.mark.parametrize("packed", [False, True])
 @pytest.mark.parametrize("beta", [1, 2])
 def test_min_pairwise_distance_finds_a_near_duplicate_across_tiles(monkeypatch, packed, beta):
-    # At the production tile shape, K = T + 150 entries make two entry tiles
-    # and several row tiles; the planted pair (100, T + 100) is in neither
-    # the same row tile nor the same entry tile, at a distance of about 1e-7.
-    rows, width = qz._tile_shape(qz.MAX_CODEBOOK, packed)
-    k, (i, j) = width + 150, (100, width + 100)
+    # At the production shape of the upper walk's square tiles, of side T,
+    # K = T + 150 entries make two tiles on each axis; the planted pair
+    # (100, T + 100) lies in no tile on the diagonal, at a distance of about 1e-7.
+    side, width = qz._tile_shape(qz.MAX_CODEBOOK, packed, upper=True)
+    assert side == width
+    k, (i, j) = side + 150, (100, side + 100)
     source, code = specs(6, 2, 3, beta)
     rng = np.random.default_rng(12 + beta)
     bases = gq.sample_isotropic_bases(code, k, rng)
@@ -396,9 +402,9 @@ def test_min_pairwise_distance_finds_a_near_duplicate_across_tiles(monkeypatch, 
     monkeypatch.setattr(qz, "_packs", lambda *args: packed)
     shapes = counted_tiles(monkeypatch)
     assert cb.min_pairwise_distance() == pytest.approx(math.sqrt(brute.min()), rel=1e-6)
-    # Only tiles that hold a pair above the diagonal are computed.
-    tiles = [(r0, c1) for r0 in range(0, k - 1, rows) for c1 in (width, k) if c1 > r0 + 1]
-    assert len(shapes) == len(tiles)
+    # Only tiles that hold a pair above the diagonal are computed: of the
+    # 2 x 2 tiles, all but the one below it.
+    assert shapes == [(side, side), (side, 150), (150, 150)]
 
 
 def test_nearest_search_holds_less_than_one_codebook_of_temporaries():
@@ -723,6 +729,103 @@ def test_lloyd_centroids_match_the_mean_projector_eigenspace(n, p, q, beta):
             unique += 1
             assert math.sqrt(manifold._residual_sq(new[k], ref[k])) <= 1e-12
     assert unique > 0
+
+
+def svd_centroids(train, assign, bases):
+    """The per-cell SVD centroid step, written out: each occupied cell's entry
+    is the top-q left singular subspace of its members side by side, completed
+    from the previous entry where the members span fewer than q dimensions."""
+    n, q = bases.shape[1:]
+    for k in np.unique(assign):
+        members = train[assign == k]
+        u = np.linalg.svd(members.transpose(1, 0, 2).reshape(n, -1), full_matrices=False)[0][:, :q]
+        if u.shape[1] < q:
+            u = np.linalg.qr(np.concatenate([u, bases[k]], axis=1))[0][:, :q]
+        bases[k] = u
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n, p, q", [(5, 1, 2), (6, 2, 2), (5, 3, 2)])
+def test_packed_and_svd_centroid_steps_agree(monkeypatch, n, p, q, beta):
+    # p < q, p = q and p > q, with many cells of few members: some empty, and
+    # (p < q) some whose members span fewer than q dimensions.
+    source, code = specs(n, p, q, beta)
+    rng = gq.derive_rng(5, n, p, q, beta)
+    size, train_samples = 40, 90
+    bases = gq.sample_isotropic_bases(code, size, rng)
+    train = gq.sample_isotropic_bases(source, train_samples, rng)
+    assign = qz._nearest(train, bases)[0]
+    counts = np.bincount(assign, minlength=size)
+    assert np.any(counts == 0)
+    assert np.any((counts > 0) & (counts * p < q)) == (p < q)
+    assert qz._packed_training(train, q) is not None
+    packed = bases.copy()
+    qz._lloyd_centroids(train, assign, packed)
+    # The dimension rule sends every shape to the per-cell SVD.
+    monkeypatch.setattr(qz, "_PACKED_MAX_DIM", 0)
+    assert qz._packed_training(train, q) is None
+    per_cell = bases.copy()
+    qz._lloyd_centroids(train, assign, per_cell)
+
+    compared = 0
+    for k in range(size):
+        members = train[assign == k]
+        if len(members) == 0:
+            assert np.array_equal(packed[k], bases[k]) and np.array_equal(per_cell[k], bases[k])
+            continue
+        energy = [np.sum(np.abs(members.conj().transpose(0, 2, 1) @ u) ** 2)
+                  for u in (packed[k], per_cell[k])]
+        assert energy[0] == pytest.approx(energy[1], rel=1e-12)
+        # Eigenvalues of the summed projector, falling, padded with zeros.
+        sv = np.linalg.svd(members.transpose(1, 0, 2).reshape(n, -1), compute_uv=False)
+        eig = np.concatenate([sv**2, np.zeros(q + 1)])
+        rank = len(members) * p
+        # A unique dominant q-space, or a completion of a well-posed member span.
+        if eig[q - 1] - eig[q] > 1e-6 or (rank < q and eig[rank - 1] > 1e-6):
+            compared += 1
+            assert math.sqrt(manifold._residual_sq(packed[k], per_cell[k])) <= 1e-12
+    assert compared > 0
+
+
+def lloyd_with_svd_centroids(source, code, size, seed, iters, train_samples):
+    """The Lloyd loop of ``design_maxmin``, on its draws, with the per-cell SVD
+    centroid step: the final assignment and the training history."""
+    rng = gq.derive_rng(seed)
+    bases = qz._gemm_layout(gq.sample_isotropic_bases(code, size, rng))
+    train = gq.sample_isotropic_bases(source, train_samples, rng)
+    history = []
+    for it in range(iters + 1):
+        assign, best = qz._nearest(train, bases)
+        history.append(float(np.clip(min(source.p, code.p) - best, 0.0, None).mean()))
+        if it < iters:
+            svd_centroids(train, assign, bases)
+    return train, assign, history
+
+
+@pytest.mark.parametrize("n, p, q, size", [(6, 2, 3, 64), (4, 2, 1, 16)])
+def test_lloyd_trajectory_matches_the_per_cell_svd_step(n, p, q, size):
+    source, code = specs(n, p, q)
+    train, assign, history = lloyd_with_svd_centroids(source, code, size, 6, 6, 2000)
+    cb = gq.design_maxmin(source, code, size, seed=6, iters=6, train_samples=2000)
+    assert np.array_equal(qz._nearest(train, cb.stacked_bases)[0], assign)
+    np.testing.assert_allclose(cb.provenance.trace["training_history"], history, rtol=1e-12, atol=0)
+
+
+def test_design_holds_a_few_training_draws_of_memory():
+    # The design workload's largest call.  The training set is packed once, a
+    # chunk at a time, and the centroid step builds only a K x n x n stack,
+    # so the peak stays within five training draws.  It measures 3.7, the
+    # same as with the per-cell SVD step: the QR of the draw sets the peak.
+    source, code = specs(6, 2, 3)
+    train_samples = 10_000
+    draw = train_samples * source.n * source.p * 16
+    tracemalloc.start()
+    try:
+        gq.design_maxmin(source, code, 256, seed=1, iters=8, train_samples=train_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * draw
 
 
 def test_rng_and_seed_together_are_refused():
