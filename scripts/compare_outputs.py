@@ -11,7 +11,9 @@ Each call runs in a fresh temporary directory, as the benchmark runs it,
 and the directory is removed at the end.  Then every CSV file, every codebook
 file (a JSON file that is not a CSV's report: ``design_K*.json``,
 ``random_K2048.json``) and every call's standard output are compared byte for
-byte.  The reports' JSON files are not compared, since they record wall times.
+byte.  Each CSV's JSON report is compared with its ``wall_time_s`` removed,
+the one field that differs from run to run; its other fields, such as the
+``bound_ok`` or ``dsq_var`` that only the report's rows carry, must match.
 
 Prints each file that differs and a summary line.  Exit code 0 when every
 file is identical, 1 when any differs, 2 when a call fails or a file exists
@@ -57,15 +59,26 @@ def run_calls(checkout: str, workload: str, seed: int, where: str) -> list[str]:
 
 
 def compared_files(where: str) -> set[str]:
-    """The paths, relative to ``where``, of the CSV, codebook and stdout files."""
+    """The paths, relative to ``where``, of the CSV, JSON and stdout files."""
     names = {f for f in os.listdir(where) if f.endswith(".stdout")}
     out = os.path.join(where, "out")
     produced = os.listdir(out) if os.path.isdir(out) else []
-    csv_stems = {f[:-4] for f in produced if f.endswith(".csv")}
-    for f in produced:
-        if f.endswith(".csv") or (f.endswith(".json") and f[:-5] not in csv_stems):
-            names.add(os.path.join("out", f))
+    names.update(os.path.join("out", f) for f in produced if f.endswith((".csv", ".json")))
     return names
+
+
+def same_file(paths: list[str], report: bool) -> bool:
+    """Whether the two files match: byte for byte, or for a report, as JSON
+    text with ``wall_time_s`` removed."""
+    if not report:
+        return filecmp.cmp(*paths, shallow=False)
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.pop("wall_time_s", None)
+        texts.append(json.dumps(doc))
+    return texts[0] == texts[1]
 
 
 def main(argv=None) -> int:
@@ -93,7 +106,8 @@ def main(argv=None) -> int:
                     print("\n".join(failures))
                     return 2
                 for name in sorted(names[0]):
-                    if filecmp.cmp(*(os.path.join(d, name) for d in dirs), shallow=False):
+                    report = name.endswith(".json") and name[:-5] + ".csv" in names[0]
+                    if same_file([os.path.join(d, name) for d in dirs], report):
                         same += 1
                     else:
                         differ += 1

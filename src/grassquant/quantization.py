@@ -35,7 +35,7 @@ from .manifold import (
     sample_isotropic_bases,
 )
 from .rng import _check_seed, derive_rng
-from .volume import _check_dims, _degree, log_coeff_c
+from .volume import _check_dims, _degree, _exp, log_coeff_c
 
 # Desk-scale cap on the sizes of the codebooks this module builds.
 MAX_CODEBOOK = 1 << 16
@@ -90,15 +90,15 @@ def _sq_overlaps(
     of samples against a ``(T, n, q)`` tile of entries.
 
     With ``packed``, the entry tile's ``(d, T)`` columns of
-    :func:`_packed_entries`, one real GEMM gives ``<P_s, P_k>_F``, the same
-    value; the sample tile is packed here unless ``packed_samples`` holds its
-    :func:`_packed` already.  Without it, the direct form sums ``p * q`` GEMMs
-    of columns, read in place: entries in the :func:`_gemm_layout` (or tiles of
+    :func:`_packed_entries`, and ``packed_samples``, the sample tile's
+    ``(m, d)`` rows of :func:`_packed`, one real GEMM gives ``<P_s, P_k>_F``,
+    the same value.  Without them, the direct form sums ``p * q`` GEMMs of
+    columns, read in place: entries in the :func:`_gemm_layout` (or tiles of
     them) give BLAS operands, others fall back to numpy's own loop, which
     rounds differently.
     """
     if packed is not None:
-        return (_packed(samples) if packed_samples is None else packed_samples) @ packed
+        return packed_samples @ packed
     out = None
     cols_b = [entries[:, :, j].T for j in range(entries.shape[2])]
     for i in range(samples.shape[2]):
@@ -147,12 +147,13 @@ def _packed_dim(n: int, complex_field: bool) -> int:
     return n * n if complex_field else n * (n + 1) // 2
 
 
-def _packed(bases: np.ndarray) -> np.ndarray:
+def _packed(bases: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """The ``(m, d)`` packed projectors ``B B^H`` of an ``(m, n, p)`` stack,
-    made ``_PACK_CHUNK`` bases at a time."""
+    made ``_PACK_CHUNK`` bases at a time, into ``out`` (any ``(m, d)`` view) if given."""
     m, n, _ = bases.shape
     slots, weights = _pack_layout(n, np.iscomplexobj(bases))
-    out = np.empty((m, len(slots)))
+    if out is None:
+        out = np.empty((m, len(slots)))
     for lo in range(0, m, _PACK_CHUNK):
         chunk = bases[lo : lo + _PACK_CHUNK]
         proj = chunk @ chunk.conj().transpose(0, 2, 1)
@@ -163,11 +164,10 @@ def _packed(bases: np.ndarray) -> np.ndarray:
 
 def _packed_entries(entries: np.ndarray) -> np.ndarray:
     """The ``(d, K)`` packed projectors of the ``(K, n, q)`` entries, the GEMM
-    operand of the packed form, filled ``_PACK_CHUNK`` entries at a time."""
+    operand of the packed form, whose columns :func:`_packed` fills."""
     k, n, _ = entries.shape
     out = np.empty((_packed_dim(n, np.iscomplexobj(entries)), k))
-    for lo in range(0, k, _PACK_CHUNK):
-        out[:, lo : lo + _PACK_CHUNK] = _packed(entries[lo : lo + _PACK_CHUNK]).T
+    _packed(entries, out.T)
     return out
 
 
@@ -237,8 +237,8 @@ def _walk(
     :func:`_tile_shape` at a time, entry tiles inside row tiles.
 
     ``packed``, the entries' :func:`_packed_entries`, selects the packed form:
-    each sample tile is packed once for all its entry tiles, or read as rows
-    of ``packed_samples``, the samples' :func:`_packed`.  The direct form
+    the walk packs each sample tile once for all its entry tiles, or reads it
+    as rows of ``packed_samples``, the samples' :func:`_packed`.  The direct form
     lays ``entries`` out once (no copy where they are in the
     :func:`_gemm_layout` already) and reads entry tiles as column slices of it.
     With ``upper`` (samples and entries the same stack), only tiles holding a
@@ -271,10 +271,9 @@ def _nearest(
     ``packed``, the entries' :func:`_packed_entries`, selects the packed form;
     without it the form is the one :func:`_packs` picks for ``len(samples)``
     sources.  A caller that searches one codebook in chunks packs it once;
-    one that searches one sample set many times (the Lloyd loop) packs the
-    samples once and passes their :func:`_packed` as ``packed_samples``, which
-    the packed form reads in place of packing each sample tile (the same
-    rows, bit for bit) and the direct form ignores.
+    one that searches one sample set many times (the Lloyd loop) passes the
+    samples' :func:`_packed` as ``packed_samples``, which the packed form
+    reads as its sample tiles (the same rows, bit for bit).
     The search is :func:`_walk` with a running argmax: a later entry tile
     wins only where its overlap is strictly larger, so the result is the
     argmax of the tiles' overlaps, bit for bit, ties included.  (Where a
@@ -410,7 +409,8 @@ class Codebook:
         """Smallest chordal distance between two entries (inf for K = 1).
 
         An O(K^2) :func:`_walk` of the upper triangle, in the form
-        :func:`_packs` picks for K sources, with a running maximum of the
+        :func:`_packs` picks for K sources (packed once: sample tiles are row
+        slices of the transposed operand), with a running maximum of the
         squared overlap ``||A^H B||_F^2``; ``q`` minus it cancels near zero.
         Every pair whose overlap lies within a rounding bound of the largest
         so far is measured again by the stable projection residual.
@@ -426,7 +426,8 @@ class Codebook:
         rounding = 8.0 * terms * q * (q + 1) * np.finfo(float).eps
         top = -math.inf
         best = math.inf
-        for r0, r1, c0, ov in _walk(bases, bases, packed, upper=True):
+        packed_rows = None if packed is None else packed.T
+        for r0, r1, c0, ov in _walk(bases, bases, packed, upper=True, packed_samples=packed_rows):
             if c0 < r1:  # a tile on the diagonal: keep the pairs r < c
                 ov[np.tril_indices(r1 - r0, r0 - c0, ov.shape[1])] = -math.inf
             top = max(top, float(ov.max()))
@@ -558,34 +559,23 @@ def random_codebook(
             bases[rows] = sample_isotropic_bases(code_spec, rows.size, rng)
 
 
-def _packed_training(train: np.ndarray, q: int) -> "np.ndarray | None":
-    """The training set's :func:`_packed`, which every Lloyd assignment and
-    centroid step against q-planes reads; ``None`` where :func:`_packable`
-    declines the shape (large n, or large ``d / (p q)``).  There the
-    per-cell SVD of :func:`_lloyd_centroids` is the faster centroid step,
-    and the packed set would outweigh the training draw several times."""
-    _, n, p = train.shape
-    return _packed(train) if _packable(n, p, q, np.iscomplexobj(train)) else None
-
-
 def _lloyd_centroids(
     train: np.ndarray,
     assign: np.ndarray,
     bases: np.ndarray,
-    packed: "np.ndarray | None" = None,
+    packed: "np.ndarray | None",
 ) -> None:
     """Lloyd's centroid step, in place: each occupied cell's entry becomes the
     dominant q-space, the top-q eigenvectors, of the cell's summed projector
     ``sum B B^H`` over its member bases.
 
-    The sums come from ``packed``, the training set's
-    :func:`_packed_training` (made here if not given): one ``bincount`` per
-    packed coordinate sums the members' rows for every cell at once.  Each
+    With ``packed``, the training set's :func:`_packed`, one ``bincount`` per
+    packed coordinate sums the members' rows for every cell at once; each
     occupied cell's sum is unpacked into the upper triangle of an ``n x n``
-    matrix, and one batched ``eigh`` gives every centroid.  Where the shape
-    is not packed (large n), each entry is the top-q left singular subspace
-    of the cell's member bases side by side, one SVD per cell: the same
-    subspace, with no ``n x n`` matrix.
+    matrix, and one batched ``eigh`` gives every centroid.  With ``None``,
+    each entry is the top-q left singular subspace of the cell's member bases
+    side by side, one SVD per cell: the same subspace, with no ``n x n``
+    matrix.
 
     Members spanning fewer than q dimensions (``count * p < q``) are completed
     from the cell's previous entry; empty cells keep their entry.
@@ -594,30 +584,26 @@ def _lloyd_centroids(
     p = train.shape[2]
     counts = np.bincount(assign, minlength=len(bases))
     cells = np.flatnonzero(counts)
-    if packed is None:
-        packed = _packed_training(train, q)
-    if packed is None:
+    if packed is not None:
+        slots, weights = _pack_layout(n, np.iscomplexobj(train))
+        proj = np.zeros((len(cells), n, n), dtype=train.dtype)
+        flat = proj.reshape(len(cells), n * n).view(np.float64)
+        for j, slot in enumerate(slots):
+            sums = np.bincount(assign, packed[:, j], minlength=len(bases))
+            flat[:, slot] = sums[cells] / weights[j]
+        top = np.linalg.eigh(proj, UPLO="U")[1][:, :, ::-1][:, :, :q]  # by falling eigenvalue
+    else:
+        top = np.empty((len(cells), n, q), dtype=train.dtype)
         ends = np.cumsum(counts)
         order = np.argsort(assign, kind="stable")
-        for k in cells:
-            members = train[order[ends[k] - counts[k] : ends[k]]]
-            stacked = members.transpose(1, 0, 2).reshape(n, -1)
+        for i, k in enumerate(cells):
+            stacked = train[order[ends[k] - counts[k] : ends[k]]].transpose(1, 0, 2).reshape(n, -1)
             u = np.linalg.svd(stacked, full_matrices=False)[0][:, :q]
-            if u.shape[1] < q:
-                u = np.linalg.qr(np.concatenate([u, bases[k]], axis=1))[0][:, :q]
-            bases[k] = u
-        return
-    slots, weights = _pack_layout(n, np.iscomplexobj(train))
-    proj = np.zeros((len(cells), n, n), dtype=train.dtype)
-    flat = proj.reshape(len(cells), n * n).view(np.float64)
-    for j, slot in enumerate(slots):
-        flat[:, slot] = np.bincount(assign, packed[:, j], minlength=len(bases))[cells] / weights[j]
-    vecs = np.linalg.eigh(proj, UPLO="U")[1][:, :, ::-1]  # by falling eigenvalue
+            top[i, :, : u.shape[1]] = u
     for i in np.flatnonzero(counts[cells] * p < q):
-        rank = counts[cells[i]] * p
-        span = np.concatenate([vecs[i, :, :rank], bases[cells[i]]], axis=1)
-        vecs[i, :, :q] = np.linalg.qr(span)[0][:, :q]
-    bases[cells] = vecs[:, :, :q]
+        span = np.concatenate([top[i, :, : counts[cells[i]] * p], bases[cells[i]]], axis=1)
+        top[i] = np.linalg.qr(span)[0][:, :q]
+    bases[cells] = top
 
 
 def design_maxmin(
@@ -636,14 +622,15 @@ def design_maxmin(
     Each of ``iters`` rounds assigns ``train_samples`` isotropic sources to
     their nearest entries, then takes each cell's new entry by
     :func:`_lloyd_centroids`: the dominant eigenspace of the cell's summed
-    projector.  The sources are packed once per call
-    (:func:`_packed_training`), and every assignment and centroid step reads
-    that one ``(N, d)`` array.  Both steps are optimal for the other's
-    result, so the training distortion never rises, and the last iterate
-    is returned.  The provenance trace records ``iters``, ``train_samples``
-    and the ``training_history`` of the ``iters + 1`` assignments.  Training
-    draws are internal to this call; evaluate distortion on a separate
-    stream.  Give exactly one of ``rng`` or ``seed`` (recorded in the provenance).
+    projector.  Where :func:`_packable` accepts the shape, the sources are
+    packed once per call, and every assignment and centroid step reads that
+    one ``(N, d)`` array; elsewhere (large n) the centroid step is a per-cell
+    SVD.  Both steps are optimal for the other's result, so the training
+    distortion never rises, and the last iterate is returned.  The provenance
+    trace records ``iters``, ``train_samples`` and the ``training_history`` of
+    the ``iters + 1`` assignments.  Training draws are internal to this call;
+    evaluate distortion on a separate stream.  Give exactly one of ``rng`` or
+    ``seed`` (recorded in the provenance).
     """
     _check_size(size, 2)
     _check_training(iters, train_samples)
@@ -652,7 +639,8 @@ def design_maxmin(
     rng = _resolve_rng(rng, seed)
     bases = _gemm_layout(sample_isotropic_bases(code_spec, size, rng))
     train = sample_isotropic_bases(source_spec, train_samples, rng)
-    packed = _packed_training(train, code_spec.p)
+    packable = _packable(source_spec.n, source_spec.p, code_spec.p, np.iscomplexobj(train))
+    packed = _packed(train) if packable else None
     min_dim = min(source_spec.p, code_spec.p)
     history: list[float] = []
     for it in range(iters + 1):
@@ -712,7 +700,7 @@ def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     _check_int("size", size, 1)
     log_c = log_coeff_c(n, p, q, beta)
     t = _degree(n, p, q, beta)
-    ck = math.exp(log_c) * size
+    ck = _exp(log_c) * size
     # Plain powers where safe: keeps round-number anchors exact.
     if math.isfinite(ck) and ck > 0.0:
         base = ck ** (-2.0 / t)
@@ -740,7 +728,7 @@ def rdf_bounds(n: int, p: int, q: int, beta: int, distortion: float) -> BoundPai
     _check_real("distortion", distortion, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
     log_c = log_coeff_c(n, p, q, beta)
     t = _degree(n, p, q, beta)
-    c = math.exp(log_c)
+    c = _exp(log_c)
 
     def size(arg: float) -> float:
         try:  # plain powers where safe keep round-number anchors exact

@@ -134,9 +134,17 @@ def log_coeff_c(n: int, p: int, q: int, beta: int) -> float:
     )
 
 
+def _exp(x: float) -> float:
+    """``exp(x)``, ``inf`` beyond float range, where callers take their log-space branches."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def coeff_c(n: int, p: int, q: int, beta: int) -> float:
-    """Leading volume coefficient ``c`` (may be subnormal for very large n)."""
-    return math.exp(log_coeff_c(n, p, q, beta))
+    """Leading volume coefficient ``c`` (subnormal or ``inf`` for very large n)."""
+    return _exp(log_coeff_c(n, p, q, beta))
 
 
 def coeff_c1(n: int, p: int, q: int, beta: int) -> float:
@@ -156,10 +164,10 @@ def _leading_term(spec: BallSpec) -> float:
     if spec.radius == 0.0:
         return 0.0
     log_c = log_coeff_c(spec.n, spec.p, spec.q, spec.beta)
-    c = math.exp(log_c)
+    c = _exp(log_c)
     if math.isfinite(c) and c > 0.0:
         return c * spec.radius**spec.degree
-    return math.exp(log_c + spec.degree * math.log(spec.radius))
+    return _exp(log_c + spec.degree * math.log(spec.radius))
 
 
 def _require_unit_radius(spec: BallSpec) -> None:
@@ -211,6 +219,9 @@ def ball_volume_bounds(spec: BallSpec) -> tuple[VolumeEstimate, VolumeEstimate]:
         p, q = min(spec.p, spec.q), max(spec.p, spec.q)
         exponent = spec.beta * p * (q - p + 1) / 2.0 - p
         lower = (1.0 - dsq) ** exponent * lead
+        if math.isinf(lead) and exponent > 0.0:  # c d^t beyond float range: in logs
+            log_lead = log_coeff_c(spec.n, p, q, spec.beta) + spec.degree * math.log(spec.radius)
+            lower = _exp(log_lead + exponent * math.log1p(-dsq)) if dsq < 1.0 else 0.0
         upper = lead
     lower = min(max(lower, 0.0), 1.0)
     upper = min(max(upper, 0.0), 1.0)

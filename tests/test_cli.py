@@ -124,6 +124,15 @@ def test_config_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run("volume", "--config", str(broken), "--out", str(tmp_path)) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+    absent = str(tmp_path / "absent.json")
+    assert run("volume", "--config", absent, "--out", str(tmp_path)) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+    cfg = write_config(tmp_path, "list.json", [VOLUME_CFG])
+    assert run("volume", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
     cfg = write_config(tmp_path, "badsamples.json", dict(VOLUME_CFG, samples=10))
     assert run("volume", "--config", cfg, "--out", str(tmp_path)) == 2
@@ -385,6 +394,8 @@ NAN, INF = float("nan"), float("inf")
         ("awgn", AWGN_CFG, {"seed": -1}, "seed must be >= 0, got -1"),
         ("codebook", SAVE_CFG, {"seed": -1}, "seed must be >= 0, got -1"),
         ("random-opt", OPT_CFG, {"seed": -1, "trials": 0}, "seed must be >= 0, got -1"),
+        ("volume", VOLUME_CFG, {"deltas": 0.1}, "deltas: expected a non-empty list, got 0.1"),
+        ("distortion", DISTORTION_CFG, {"k_values": []}, "k_values: expected a non-empty list"),
     ],
 )
 def test_bad_config_is_a_config_error(

@@ -105,7 +105,9 @@ def test_principal_angles_containment():
     pa = gq.principal_angles(line, plane)
     assert pa.cosines.shape == (1,)
     assert pa.cosines[0] == 1.0
+    assert pa.angles.tolist() == [0.0]
     assert gq.chordal_distance(line, plane) < 1e-12
+    assert not gq.same_plane(line, plane)  # p != q: never the same point
 
 
 def test_pair_errors():

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_nearest_matches_brute_force_across_blocks(data):
     samples = gq.sample_isotropic_bases(source, count, rng)
     entries = gq.sample_isotropic_bases(code, k, rng)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qz, "_BLOCK_PAIRS", 1)  # blocks of the minimum row count
+        mp.setattr(qz, "_BLOCK_PAIRS", 1)  # tiles of the minimum shape, 2 x 2
         idx, best = qz._nearest(samples, entries)
     for s, a in enumerate(samples):
         brute = []
@@ -129,7 +130,7 @@ def test_both_kernel_forms_match_brute_force(monkeypatch, n, p, q, beta):
     samples = gq.sample_isotropic_bases(source, 21, rng)
     entries = gq.sample_isotropic_bases(code, 13, rng)
     brute = np.array([[np.sum(np.abs(a.conj().T @ b) ** 2) for b in entries] for a in samples])
-    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # blocks of the minimum row count
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # tiles of the minimum shape, 2 x 2
     found = []
     for packed in (False, True):
         monkeypatch.setattr(qz, "_packs", lambda *args, packed=packed: packed)
@@ -139,7 +140,7 @@ def test_both_kernel_forms_match_brute_force(monkeypatch, n, p, q, beta):
         found.append(best)
     assert np.allclose(found[0], found[1], rtol=0, atol=1e-12)
     direct = qz._sq_overlaps(samples, entries)
-    packed = qz._sq_overlaps(samples, entries, qz._packed_entries(entries))
+    packed = qz._sq_overlaps(samples, entries, qz._packed_entries(entries), qz._packed(samples))
     assert np.allclose(direct, brute, rtol=0, atol=1e-12)
     assert np.allclose(packed, brute, rtol=0, atol=1e-12)
 
@@ -224,12 +225,12 @@ def test_duplicate_pairs_of_many_copies_are_bounded():
 
 
 def test_min_pairwise_distance_matches_brute_force(monkeypatch):
-    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 8-row blocks: [0, 8), [8, 16), [16, 20)
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)  # 2 x 2 tiles: [0, 2), [2, 4), ..., [18, 20)
     for beta in (1, 2):
         source, code = specs(6, 2, 3, beta)
         rng = np.random.default_rng(beta)
-        # Each planted close pair is the nearest in turn: across blocks,
-        # inside a middle block and inside the last block; the last two lie
+        # Each planted close pair is the nearest in turn: across tiles,
+        # inside a middle tile and inside the last tile; the last two lie
         # where the overlap kernel alone cancels to zero or loses digits.
         for (i, j), eps in (((2, 17), 1e-2), ((9, 12), 1e-3), ((18, 19), 1e-4),
                             ((4, 13), 1e-7), ((10, 11), 1e-8)):
@@ -336,7 +337,8 @@ def test_walk_keeps_a_running_argmax_over_its_tiles(monkeypatch, n, p, q, beta, 
     rng = np.random.default_rng(10 * n + beta)
     samples = gq.sample_isotropic_bases(source, tiles * rows + 1, rng)
     entries = qz._gemm_layout(gq.sample_isotropic_bases(code, tiles * width + 1, rng))
-    full = qz._sq_overlaps(samples, entries, qz._packed_entries(entries) if packed else None)
+    full = (qz._sq_overlaps(samples, entries, qz._packed_entries(entries), qz._packed(samples))
+            if packed else qz._sq_overlaps(samples, entries))
     monkeypatch.setattr(qz, "_packs", lambda *args: packed)
     walked = recorded_walk(monkeypatch)
     idx, best = qz._nearest(samples, entries)
@@ -405,6 +407,27 @@ def test_min_pairwise_distance_finds_a_near_duplicate_across_tiles(monkeypatch, 
     # Only tiles that hold a pair above the diagonal are computed: of the
     # 2 x 2 tiles, all but the one below it.
     assert shapes == [(side, side), (side, 150), (150, 150)]
+
+
+def test_min_pairwise_distance_packs_the_codebook_once(monkeypatch):
+    # K = 1000 makes 4 sample tiles of the upper walk in the packed form; each
+    # is a row slice of the one packed operand, not a packing of its own.
+    source, code = specs(6, 2, 3)
+    cb = gq.random_codebook(source, code, 1000, seed=14)
+    bases = cb.stacked_bases
+    assert qz._packs(len(bases), code.p, bases)
+    brute = min(float(manifold._residual_sq(bases[a], bases[a + 1 :]).min())
+                for a in range(len(bases) - 1))
+    calls = []
+    packed = qz._packed
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return packed(*args, **kwargs)
+
+    monkeypatch.setattr(qz, "_packed", counted)
+    assert cb.min_pairwise_distance() == pytest.approx(math.sqrt(brute), rel=1e-12)
+    assert calls == [1000]
 
 
 def test_nearest_search_holds_less_than_one_codebook_of_temporaries():
@@ -580,7 +603,8 @@ def test_distortion_threads_deterministic():
 def test_random_codebook_basics():
     source, code = specs(4, 1, 1)
     single = gq.random_codebook(source, code, 1, seed=5)
-    assert single.size == 1
+    assert single.size == len(single) == 1
+    assert single.min_pairwise_distance() == math.inf
     assert single.provenance.kind == "random"
     assert single.provenance.seed == 5
     a = gq.random_codebook(source, code, 6, np.random.default_rng(1))
@@ -707,28 +731,29 @@ def test_lloyd_centroids_match_the_mean_projector_eigenspace(n, p, q, beta):
     bases = gq.sample_isotropic_bases(code, size, rng)
     train = gq.sample_isotropic_bases(source, train_samples, rng)
     assign = qz._nearest(train, bases)[0]
-    new = bases.copy()
-    qz._lloyd_centroids(train, assign, new)
     ref = lloyd_centroids_reference(train, assign, bases)
 
-    unique = 0
-    for k in range(size):
-        members = train[assign == k]
-        if len(members) == 0:
-            assert np.array_equal(new[k], bases[k])
-            continue
-        assert np.allclose(new[k].conj().T @ new[k], np.eye(q), atol=1e-12)
-        # Every occupied cell gets an optimal entry: the captured energy
-        # sum ||M^H U||^2 equals the reference's (all of it when m p <= q).
-        energy = [np.sum(np.abs(members.conj().transpose(0, 2, 1) @ u) ** 2)
-                  for u in (new[k], ref[k])]
-        assert energy[0] == pytest.approx(energy[1], rel=1e-12)
-        sv = np.linalg.svd(members.transpose(1, 0, 2).reshape(n, -1), compute_uv=False)
-        sv = np.concatenate([sv, np.zeros(q + 1)])
-        if sv[q - 1] - sv[q] > 1e-6:  # a unique dominant q-space
-            unique += 1
-            assert math.sqrt(manifold._residual_sq(new[k], ref[k])) <= 1e-12
-    assert unique > 0
+    for packed in (qz._packed(train), None):  # the batched eigh, then the per-cell SVD
+        new = bases.copy()
+        qz._lloyd_centroids(train, assign, new, packed)
+        unique = 0
+        for k in range(size):
+            members = train[assign == k]
+            if len(members) == 0:
+                assert np.array_equal(new[k], bases[k])
+                continue
+            assert np.allclose(new[k].conj().T @ new[k], np.eye(q), atol=1e-12)
+            # Every occupied cell gets an optimal entry: the captured energy
+            # sum ||M^H U||^2 equals the reference's (all of it when m p <= q).
+            energy = [np.sum(np.abs(members.conj().transpose(0, 2, 1) @ u) ** 2)
+                      for u in (new[k], ref[k])]
+            assert energy[0] == pytest.approx(energy[1], rel=1e-12)
+            sv = np.linalg.svd(members.transpose(1, 0, 2).reshape(n, -1), compute_uv=False)
+            sv = np.concatenate([sv, np.zeros(q + 1)])
+            if sv[q - 1] - sv[q] > 1e-6:  # a unique dominant q-space
+                unique += 1
+                assert math.sqrt(manifold._residual_sq(new[k], ref[k])) <= 1e-12
+        assert unique > 0
 
 
 def svd_centroids(train, assign, bases):
@@ -746,7 +771,7 @@ def svd_centroids(train, assign, bases):
 
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("n, p, q", [(5, 1, 2), (6, 2, 2), (5, 3, 2)])
-def test_packed_and_svd_centroid_steps_agree(monkeypatch, n, p, q, beta):
+def test_packed_and_svd_centroid_steps_agree(n, p, q, beta):
     # p < q, p = q and p > q, with many cells of few members: some empty, and
     # (p < q) some whose members span fewer than q dimensions.
     source, code = specs(n, p, q, beta)
@@ -758,14 +783,10 @@ def test_packed_and_svd_centroid_steps_agree(monkeypatch, n, p, q, beta):
     counts = np.bincount(assign, minlength=size)
     assert np.any(counts == 0)
     assert np.any((counts > 0) & (counts * p < q)) == (p < q)
-    assert qz._packed_training(train, q) is not None
     packed = bases.copy()
-    qz._lloyd_centroids(train, assign, packed)
-    # The dimension rule sends every shape to the per-cell SVD.
-    monkeypatch.setattr(qz, "_PACKED_MAX_DIM", 0)
-    assert qz._packed_training(train, q) is None
+    qz._lloyd_centroids(train, assign, packed, qz._packed(train))
     per_cell = bases.copy()
-    qz._lloyd_centroids(train, assign, per_cell)
+    qz._lloyd_centroids(train, assign, per_cell, None)
 
     compared = 0
     for k in range(size):
@@ -940,6 +961,21 @@ def test_rdf_log2_matches_linear_and_scales():
         d = gq.drf_bounds(n, 2, 3, 2, 4096)
         assert math.isfinite(d.lower) and d.lower > 0
         assert math.isfinite(d.upper) and d.upper >= d.lower
+
+
+def test_rate_bounds_where_c_leaves_float_range():
+    # log c = 710.61 exceeds log(max float) = 709.78: c is inf, and the
+    # log-space branches give each bound.
+    n, p, q, beta = 742, 26, 716, 2
+    assert gq.log_coeff_c(n, p, q, beta) > math.log(sys.float_info.max)
+    assert gq.coeff_c(n, p, q, beta) == math.inf
+    d = gq.drf_bounds(n, p, q, beta, 1 << 20)
+    assert 0.0 < d.lower <= d.upper <= 1.0 and d.regime_ok
+    assert gq.rdf_bounds_log2(n, p, q, beta, d.lower)[0] == pytest.approx(20.0, rel=1e-12)
+    b = gq.rdf_bounds(n, p, q, beta, 0.5)
+    lo, hi = gq.rdf_bounds_log2(n, p, q, beta, 0.5)
+    assert math.log2(b.lower) == pytest.approx(lo, rel=1e-12)
+    assert math.log2(b.upper) == pytest.approx(hi, rel=1e-12)
 
 
 def test_asymptotics():

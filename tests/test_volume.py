@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -191,7 +192,10 @@ def test_ball_spec_validation():
         BallSpec(4, 1, 1, 2, 1.5)  # beyond sqrt(p)
     with pytest.raises(gq.DomainError):
         BallSpec(4, 1, 1, 3, 0.5)
-    BallSpec(4, 1, 1, 2, 0.0)  # measure-zero ball is allowed
+    zero = BallSpec(4, 1, 1, 2, 0.0)  # measure-zero ball is allowed
+    assert zero.field is FieldKind.COMPLEX
+    assert gq.ball_volume_approx(zero).value == 0.0
+    assert [v.value for v in gq.ball_volume_bounds(zero)] == [0.0, 0.0]
 
 
 def test_closed_form_values():
@@ -318,6 +322,26 @@ def test_log_space_scales_to_large_n():
                 value = gq.log_coeff_c(n, p, q, beta)
                 assert math.isfinite(value)
     assert gq.coeff_c(256, 128, 128, 1) >= 0.0  # may underflow, never NaN
+
+
+def test_ball_volumes_where_c_leaves_float_range():
+    n, p, q, beta = 742, 26, 716, 2
+    log_c = gq.log_coeff_c(n, p, q, beta)
+    assert log_c > math.log(sys.float_info.max)
+    spec = BallSpec(n, p, q, beta, 0.5)
+    expected = math.exp(log_c + spec.degree * math.log(0.5))
+    assert expected >= sys.float_info.min  # a normal float
+    assert gq.ball_volume_approx(spec).value == pytest.approx(expected, rel=1e-12)
+    lo, hi = gq.ball_volume_bounds(spec)
+    assert lo.value == 0.0  # (1 - d^2)^17940 underflows
+    assert hi.value == pytest.approx(expected, rel=1e-12)
+    # Where c d^t itself leaves float range, the closed form clamps to 1 and
+    # the lower bound is its log-space value, which underflows.
+    for d in (0.99999, 1.0):
+        spec = BallSpec(n, p, q, beta, d)
+        assert gq.ball_volume_approx(spec).value == 1.0
+        lo, hi = gq.ball_volume_bounds(spec)
+        assert (lo.value, hi.value) == (0.0, 1.0)
 
 
 def test_log_coeff_c_matches_gammaln_form():
