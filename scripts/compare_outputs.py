@@ -15,7 +15,9 @@ byte.  Each CSV's JSON report is compared with its ``wall_time_s`` removed,
 the one field that differs from run to run; its other fields, such as the
 ``bound_ok`` or ``dsq_var`` that only the report's rows carry, must match.
 
-Prints each file that differs and a summary line.  Exit code 0 when every
+Prints each file that differs, and for a CSV the largest relative drift
+``|a - b| / max(|a|, |b|)`` of each column that differs, then a summary line.
+Exit code 0 when every
 file is identical, 1 when any differs, 2 when a call fails or a file exists
 in one checkout only.  The workloads are read from this script's checkout;
 nothing is written to either checkout (no bytecode either).
@@ -24,9 +26,13 @@ nothing is written to either checkout (no bytecode either).
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import io
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -81,6 +87,33 @@ def same_file(paths: list[str], report: bool) -> bool:
     return texts[0] == texts[1]
 
 
+def _drift(a: str, b: str) -> float:
+    """Relative drift of one CSV value: 0 when equal, ``inf`` for differing text."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+
+
+def drift_summary(a_text: str, b_text: str) -> str:
+    """The largest relative drift of each column that differs between two CSV
+    texts, as ``column drift`` pairs; a non-numeric value that differs reads ``inf``."""
+    a_rows, b_rows = (list(csv.reader(io.StringIO(t))) for t in (a_text, b_text))
+    if a_rows[:1] != b_rows[:1] or [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+        return "header or row shape differs"
+    header = a_rows[0] if a_rows else []
+    drift = dict.fromkeys(header, 0.0)
+    for a_row, b_row in zip(a_rows[1:], b_rows[1:]):
+        for name, a, b in zip(header, a_row, b_row):
+            drift[name] = max(drift[name], _drift(a, b))
+    return ", ".join(f"{name} {d:.2g}" for name, d in drift.items() if d) or "none"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout whose outputs are the reference")
@@ -107,11 +140,15 @@ def main(argv=None) -> int:
                     return 2
                 for name in sorted(names[0]):
                     report = name.endswith(".json") and name[:-5] + ".csv" in names[0]
-                    if same_file([os.path.join(d, name) for d in dirs], report):
+                    paths = [os.path.join(d, name) for d in dirs]
+                    if same_file(paths, report):
                         same += 1
-                    else:
-                        differ += 1
-                        print(f"differs: {workload} seed {seed} {name}")
+                        continue
+                    differ += 1
+                    print(f"differs: {workload} seed {seed} {name}")
+                    if name.endswith(".csv"):
+                        texts = [pathlib.Path(path).read_text(encoding="utf-8") for path in paths]
+                        print(f"  largest relative drift: {drift_summary(*texts)}")
                 print(f"{workload} seed {seed}: {len(names[0])} files: {', '.join(sorted(names[0]))}")
     print(f"{same + differ} files compared, {same} identical, {differ} differ")
     return 1 if differ else 0

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, SpecMismatch
 from .manifold import (
     FieldKind, GrassmannSpec, _check_draws, _check_flag, _check_int, _check_mc_samples,
-    _check_real, _gaussian_matrix,
+    _check_real, _gaussian_matrix, _haar_orthonormalize,
 )
 from .quantization import (
     MAX_CODEBOOK,
@@ -204,12 +204,23 @@ def right_singular_plane_bases(h: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(vh, -2, -1))
 
 
+def _row_space_bases(h: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of span(H^H) for stacked channels ``h`` of shape (T, l_r, l_t),
+    ``l_r <= l_t``: the right singular planes of :func:`right_singular_plane_bases`,
+    in another basis, from the Q factor of H^H instead of an SVD per channel.
+    Every overlap with a plane is basis-invariant, so the nearest entry is the same."""
+    return _haar_orthonormalize(np.conj(np.swapaxes(h, -2, -1)))
+
+
 def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
     """Feedback index: the entry nearest to the channel's right singular plane.
 
     ``h`` is an ``l_r x l_t`` realization; the codebook quantizes
     ``G_{l_t, l_r}`` with beamforming planes in ``G_{l_t, s}``.  Distance
     uses ``min(s, l_r)`` principal angles; ties break to the lowest index.
+    A channel with non-finite entries, or whose rows Gram-Schmidt finds exactly
+    dependent (a zero channel), has no plane to select by and raises
+    :class:`DomainError`.
     """
     h = np.asarray(h, dtype=np.complex128)
     src = codebook.source_spec
@@ -217,7 +228,10 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
         raise SpecMismatch(
             f"channel shape {h.shape} does not match (l_r, l_t) = ({src.p}, {src.n})"
         )
-    v = right_singular_plane_bases(h[None, :, :])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = _row_space_bases(h[None, :, :])
+    if not np.isfinite(v).all():
+        raise DomainError("channel entries must be finite, with linearly independent rows")
     return int(_nearest(v, codebook.stacked_bases)[0][0])
 
 
@@ -253,7 +267,7 @@ def beamforming_throughput_experiment(cfg: BeamformingConfig) -> dict:
     h = _gaussian_matrix(
         (cfg.trials, cfg.l_r, cfg.l_t), FieldKind.COMPLEX, derive_rng(cfg.seed, 1)
     ) / math.sqrt(2.0)
-    v = right_singular_plane_bases(h)
+    v = _row_space_bases(h)
     sel, trace_samples = _nearest(v, codebook.stacked_bases)
     q_sel = codebook.stacked_bases[sel]
     throughput = _log_det_throughput(h, q_sel, cfg.rho, cfg.s)

@@ -29,13 +29,12 @@ import numpy as np
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
     FieldKind, _check_flag, _check_int, _check_mc_samples, _check_real, _gaussian_matrix,
+    _orthonormal_blocks,
 )
 
 # Samples per Monte-Carlo draw.  Like ``quantization._DRAW_BUDGET``, the value stays
 # because it fixes how the normal stream splits into draws, and so the volume CSV bytes.
 _MC_CHUNK = 1 << 17
-# Bytes of a draw that one Gram-Schmidt block reads, so that its columns stay in cache.
-_GS_BLOCK_BYTES = 1 << 20
 
 
 class VolumeMethod(enum.Enum):
@@ -243,28 +242,14 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
 
 
 def _head_mass(g: np.ndarray, q: int) -> np.ndarray:
-    """``||Q[:q, :]||_F^2`` for the orthonormal factor Q of each ``(n, p)`` draw in ``g``.
-
-    Classical Gram-Schmidt with one re-orthogonalisation pass, whose Q is orthonormal
-    to working precision unless the draw is numerically rank deficient (Giraud,
-    Langou, Rozloznik & van den Eshof, Numer. Math. 2005), vectorised over the
-    draws: the Python loop runs over the p columns only.  Q is the QR factor whose
-    R has a positive diagonal, the Haar basis of the draw (Mezzadri, Notices AMS
-    2007); no basis is kept.
-    """
-    m, n, p = g.shape
-    rows = max(1, _GS_BLOCK_BYTES // (n * p * g.itemsize))
-    mass = np.zeros(m)
-    for start in range(0, m, rows):
-        # Column j of the block is cols[j], an (n, rows) slab with the draws last.
-        cols = g[start : start + rows].transpose(2, 1, 0).copy()
-        for j in range(p):
-            v = cols[j]
-            for _ in range(2 if j else 0):
-                coef = np.einsum("inb,nb->ib", cols[:j].conj(), v)
-                v -= np.einsum("inb,ib->nb", cols[:j], coef)
-            v /= np.sqrt(np.einsum("nb,nb->b", v.conj(), v).real)
-            mass[start : start + rows] += np.einsum("nb,nb->b", v[:q].conj(), v[:q]).real
+    """``||Q[:q, :]||_F^2`` for the Haar Q factor of each ``(n, p)`` draw in ``g``,
+    summed column by column over the blocks of :func:`manifold._orthonormal_blocks`;
+    no basis is kept."""
+    mass = np.zeros(len(g))
+    for start, cols in _orthonormal_blocks(g):
+        block = mass[start : start + cols.shape[-1]]
+        for v in cols:
+            block += np.einsum("nb,nb->b", v[:q].conj(), v[:q]).real
     return mass
 
 

@@ -5,6 +5,8 @@ import pytest
 
 import grassquant as gq
 from grassquant import applications as app
+from grassquant import manifold
+from grassquant import quantization as qz
 from grassquant import (
     AwgnConfig,
     BeamformingConfig,
@@ -159,6 +161,39 @@ def test_beamforming_selection_matches_brute_force():
         # Smaller-dimensional plane goes first in the distance call.
         brute = [gq.chordal_distance(entry, v_plane) for entry in cb.entries]
         assert gq.beamforming_selection(h, cb) == int(np.argmin(brute))
+
+
+@pytest.mark.parametrize("l_r, l_t, gram_schmidt", [(1, 4, True), (2, 4, True), (3, 5, True),
+                                                    (4, 30, False)])
+def test_row_space_bases_span_the_right_singular_planes(l_r, l_t, gram_schmidt):
+    # span(H^H) is the right singular plane: the same projector, whichever path
+    # of the shape rule orthonormalises H^H.
+    assert manifold._gram_schmidt_wins(l_t, l_r, True) is gram_schmidt
+    rng = np.random.default_rng(l_r * l_t)
+    h = (rng.standard_normal((2000, l_r, l_t)) + 1j * rng.standard_normal((2000, l_r, l_t))) / math.sqrt(2)
+    projectors = [v @ np.swapaxes(v.conj(), 1, 2)
+                  for v in (app._row_space_bases(h.copy()), gq.right_singular_plane_bases(h))]
+    assert np.max(np.abs(projectors[0] - projectors[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_beamforming_selection_matches_the_svd_route(s):
+    # The index the right singular plane's SVD basis selects, over a sweep of seeds.
+    source = GrassmannSpec(4, 2, FieldKind.COMPLEX)
+    code = GrassmannSpec(4, s, FieldKind.COMPLEX)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        cb = gq.random_codebook(source, code, 16, rng)
+        h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / math.sqrt(2)
+        v = gq.right_singular_plane_bases(h[None])
+        assert gq.beamforming_selection(h, cb) == int(qz._nearest(v, cb.stacked_bases)[0][0]), seed
+
+
+def test_beamforming_selection_refuses_a_channel_without_a_row_space():
+    cb = gq.random_codebook(GrassmannSpec(4, 2), GrassmannSpec(4, 1), 4, np.random.default_rng(1))
+    for h in (np.zeros((2, 4)), np.full((2, 4), np.nan)):
+        with pytest.raises(gq.DomainError, match="linearly independent rows"):
+            gq.beamforming_selection(h, cb)
 
 
 def test_beamforming_selection_k1_and_mismatch():

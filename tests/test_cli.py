@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import grassquant as gq
-from grassquant import cli
+from grassquant import cli, manifold
 from grassquant import quantization as qz
 from grassquant import volume
 from grassquant.rng import derive_rng
@@ -97,6 +97,7 @@ def test_volume_csv_is_the_qr_routes(tmp_path, monkeypatch, dims):
         return qr_volume.chordal_sq_to_canonical(*args)
 
     monkeypatch.setattr(volume, "chordal_sq_to_canonical", qr_statistic)
+    monkeypatch.setattr(manifold, "_gram_schmidt_wins", lambda *shape: False)
     assert run("volume", "--config", cfg, "--out", str(tmp_path / "qr")) == 0
     assert len(calls) == len(payload["deltas"])
     gs_csv, qr_csv = ((tmp_path / d / "volume.csv").read_bytes() for d in ("gs", "qr"))

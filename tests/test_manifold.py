@@ -81,6 +81,64 @@ def test_haar_mean_projection_complex():
     assert abs(mass.mean() - 0.25) < 3.5 * math.sqrt(var / 100_000)
 
 
+# (n, p, field, whether Gram-Schmidt takes the shape): both sides of the shape
+# rule in each field, lines (p = 1) and square matrices (haar_unitary).
+HAAR_SHAPES = [
+    (5, 1, FieldKind.COMPLEX, True),
+    (6, 2, FieldKind.COMPLEX, True),
+    (8, 8, FieldKind.COMPLEX, True),
+    (200, 1, FieldKind.COMPLEX, False),
+    (16, 8, FieldKind.COMPLEX, False),
+    (3, 1, FieldKind.REAL, True),
+    (12, 6, FieldKind.REAL, True),
+    (600, 1, FieldKind.REAL, True),
+    (64, 16, FieldKind.REAL, False),
+    (24, 24, FieldKind.REAL, False),
+]
+
+
+@pytest.mark.parametrize("n, p, field, gram_schmidt", HAAR_SHAPES)
+def test_haar_q_factor_convention_on_both_paths(n, p, field, gram_schmidt, monkeypatch):
+    # Q^H G = R is upper triangular with a positive real diagonal (Mezzadri's Haar
+    # convention), Q is orthonormal, and the Gram-Schmidt and QR paths agree.
+    assert manifold._gram_schmidt_wins(n, p, field is FieldKind.COMPLEX) is gram_schmidt
+    g = manifold._gaussian_matrix((300, n, p), field, np.random.default_rng(n + p))
+    q = manifold._haar_orthonormalize(g.copy())
+    r = np.swapaxes(q.conj(), 1, 2) @ g
+    assert np.max(np.abs(np.tril(r, -1)), initial=0.0) <= 1e-13
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) <= 1e-13
+    assert np.max(np.abs(np.swapaxes(q.conj(), 1, 2) @ q - np.eye(p))) <= 1e-14
+    for path in (True, False):
+        monkeypatch.setattr(manifold, "_gram_schmidt_wins", lambda *shape: path)
+        assert np.max(np.abs(manifold._haar_orthonormalize(g.copy()) - q)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, p, field, gram_schmidt", HAAR_SHAPES)
+def test_haar_columns_are_uniform_on_the_sphere(n, p, field, gram_schmidt):
+    # Every column of a Haar basis is a uniform unit vector, so the squared modulus
+    # of its first entry follows Beta(beta/2, beta (n - 1)/2).
+    from scipy import stats  # scipy is a test dependency only
+
+    g = manifold._gaussian_matrix((2000, n, p), field, np.random.default_rng(10 * n + p))
+    q = manifold._haar_orthonormalize(g)
+    law = stats.beta(field.beta / 2, field.beta * (n - 1) / 2)
+    for j in {0, p - 1}:
+        assert stats.kstest(np.abs(q[:, 0, j]) ** 2, law.cdf).pvalue > 1e-3, j
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("count", [0, 1])
+def test_haar_sampler_draws_zero_and_one_bases(field, count):
+    for n, p in ((6, 2), (64, 16)):
+        bases = gq.sample_isotropic_bases(GrassmannSpec(n, p, field), count, np.random.default_rng(2))
+        assert bases.shape == (count, n, p) and bases.dtype == field.dtype
+        gram = np.swapaxes(bases.conj(), 1, 2) @ bases
+        assert np.max(np.abs(gram - np.eye(p)), initial=0.0) <= 1e-14
+    u = gq.haar_unitary(1, field, np.random.default_rng(3))
+    assert u.shape == (1, 1) and abs(abs(u[0, 0]) - 1.0) <= 1e-15
+
+
 def test_principal_angles_identity():
     spec = GrassmannSpec(5, 2)
     plane = gq.sample_isotropic(spec, np.random.default_rng(3))

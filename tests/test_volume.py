@@ -145,12 +145,14 @@ def test_canonical_distances_have_one_law_in_either_order():
         (5, 1, 1, 2, 20_000),
         (6, 4, 1, 2, 20_000),
         (6, 2, 3, 2, volume._MC_CHUNK + 1000),  # two draws
+        (20, 5, 8, 2, 20_000),  # LAPACK QR's side of the shape rule
     ],
 )
-def test_canonical_distances_equal_the_qr_route(n, p, q, beta, samples):
+def test_canonical_distances_equal_the_qr_route(n, p, q, beta, samples, monkeypatch):
     # The same normal stream through phase-corrected LAPACK QR: equal distances up
     # to rounding, and equal hit counts, so the volume CSV keeps its bytes.
     dsq = gq.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    monkeypatch.setattr(manifold, "_gram_schmidt_wins", lambda *shape: False)
     ref = qr_volume.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
     assert np.max(np.abs(dsq - ref)) <= 1e-12
     for r in np.linspace(0.0, math.sqrt(min(p, q)), 41):
@@ -163,7 +165,7 @@ def test_head_mass_stays_accurate_on_nearly_parallel_columns(field):
     # eps * cond^2 (mass errors near 1e-3); the second pass keeps them near eps * cond.
     g = manifold._gaussian_matrix((500, 6, 3), field, np.random.default_rng(3))
     g[:, :, 1:] = g[:, :, :1] + 1e-6 * g[:, :, 1:]
-    ref = np.sum(np.abs(manifold._haar_orthonormalize(g)[:, :2, :]) ** 2, axis=(1, 2))
+    ref = np.sum(np.abs(np.linalg.qr(g)[0][:, :2, :]) ** 2, axis=(1, 2))
     assert np.max(np.abs(volume._head_mass(g, 2) - ref)) <= 1e-7
 
 
