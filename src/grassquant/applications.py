@@ -218,9 +218,6 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
     ``h`` is an ``l_r x l_t`` realization; the codebook quantizes
     ``G_{l_t, l_r}`` with beamforming planes in ``G_{l_t, s}``.  Distance
     uses ``min(s, l_r)`` principal angles; ties break to the lowest index.
-    A channel with non-finite entries, or whose rows Gram-Schmidt finds exactly
-    dependent (a zero channel), has no plane to select by and raises
-    :class:`DomainError`.
     """
     h = np.asarray(h, dtype=np.complex128)
     src = codebook.source_spec
@@ -228,10 +225,7 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
         raise SpecMismatch(
             f"channel shape {h.shape} does not match (l_r, l_t) = ({src.p}, {src.n})"
         )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v = _row_space_bases(h[None, :, :])
-    if not np.isfinite(v).all():
-        raise DomainError("channel entries must be finite, with linearly independent rows")
+    v = right_singular_plane_bases(h[None, :, :])
     return int(_nearest(v, codebook.stacked_bases)[0][0])
 
 

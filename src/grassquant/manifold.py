@@ -239,58 +239,50 @@ def _gaussian_matrix(
 
 
 def _gram_schmidt_wins(n: int, p: int, complex_field: bool) -> bool:
-    """Whether :func:`_orthonormal_blocks` takes batched Gram-Schmidt for ``(n, p)``
+    """Whether :func:`_haar_orthonormalize` takes batched Gram-Schmidt for ``(n, p)``
     matrices rather than a LAPACK QR per matrix.
 
     Per matrix, QR pays a fixed LAPACK cost per column, and Gram-Schmidt about
     ``2 n p^2`` multiply-adds in loops over the batch, so Gram-Schmidt wins while
-    ``n p`` is at most ``_GS_MAX_SIZE`` for the field.  A real line (``p = 1``) is
-    only a norm and a scale, and wins at every ``n``.
+    ``n p`` is at most ``_GS_MAX_SIZE`` for the field.
     """
-    return n * p <= _GS_MAX_SIZE[complex_field] or (p == 1 and not complex_field)
+    return n * p <= _GS_MAX_SIZE[complex_field]
 
 
-def _orthonormal_blocks(g: np.ndarray):
-    """Yield ``(start, cols)`` over blocks of about ``_GS_BLOCK_BYTES`` of the
-    ``(m, n, p)`` stack ``g``: ``cols[j]``, an ``(n, rows)`` slab with the matrices
-    last, is column j of the Q factor of each matrix in ``g[start : start + rows]``.
+def _haar_orthonormalize(g: np.ndarray) -> np.ndarray:
+    """Overwrite each ``(n, p)`` matrix of ``g`` (one matrix or a stack) with its Q
+    factor and return ``g``.
 
     Q is the QR factor whose R has a positive real diagonal, the Haar basis of a
     Gaussian draw (Mezzadri, Notices AMS 2007).  Where :func:`_gram_schmidt_wins`,
     it comes from classical Gram-Schmidt with one re-orthogonalisation pass, whose Q
     is orthonormal to working precision unless the matrix is numerically rank
     deficient (Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 2005),
-    vectorised over the matrices: the Python loop runs over the p columns only.
-    Elsewhere it comes from LAPACK QR with the phases of R's diagonal moved into Q.
+    vectorised over the matrices in blocks of about ``_GS_BLOCK_BYTES``: the Python
+    loop runs over the p columns only.  Elsewhere it comes from LAPACK QR with the
+    phases of R's diagonal moved into Q.
     """
-    m, n, p = g.shape
+    stack = g[None] if g.ndim == 2 else g
+    m, n, p = stack.shape
     rows = max(1, _GS_BLOCK_BYTES // (n * p * g.itemsize))
     gram_schmidt = _gram_schmidt_wins(n, p, np.iscomplexobj(g))
     for start in range(0, m, rows):
+        block = stack[start : start + rows]
         if gram_schmidt:
-            cols = g[start : start + rows].transpose(2, 1, 0).copy()
+            # Column j of the block is cols[j], an (n, rows) slab with the matrices last.
+            cols = block.transpose(2, 1, 0).copy()
             for j in range(p):
                 v = cols[j]
                 for _ in range(2 if j else 0):
                     coef = np.einsum("inb,nb->ib", cols[:j].conj(), v)
                     v -= np.einsum("inb,ib->nb", cols[:j], coef)
                 v /= np.sqrt(np.einsum("nb,nb->b", v.conj(), v).real)
+            block[...] = cols.transpose(2, 1, 0)
         else:
-            q, r = np.linalg.qr(g[start : start + rows])
+            q, r = np.linalg.qr(block)
             d = np.diagonal(r, axis1=-2, axis2=-1)
             mag = np.abs(d)
-            q *= np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)[..., None, :]
-            cols = q.transpose(2, 1, 0)
-        yield start, cols
-
-
-def _haar_orthonormalize(g: np.ndarray) -> np.ndarray:
-    """Overwrite each ``(n, p)`` matrix of ``g`` (one matrix or a stack) with its Q
-    factor from :func:`_orthonormal_blocks`, Haar-distributed for a Gaussian draw,
-    and return ``g``."""
-    stack = g[None] if g.ndim == 2 else g
-    for start, cols in _orthonormal_blocks(stack):
-        stack[start : start + cols.shape[-1]] = cols.transpose(2, 1, 0)
+            block[...] = q * np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)[..., None, :]
     return g
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
     FieldKind, _check_flag, _check_int, _check_mc_samples, _check_real, _gaussian_matrix,
-    _orthonormal_blocks,
+    _haar_orthonormalize,
 )
 
 # Samples per Monte-Carlo draw.  Like ``quantization._DRAW_BUDGET``, the value stays
@@ -242,15 +242,12 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
 
 
 def _head_mass(g: np.ndarray, q: int) -> np.ndarray:
-    """``||Q[:q, :]||_F^2`` for the Haar Q factor of each ``(n, p)`` draw in ``g``,
-    summed column by column over the blocks of :func:`manifold._orthonormal_blocks`;
-    no basis is kept."""
-    mass = np.zeros(len(g))
-    for start, cols in _orthonormal_blocks(g):
-        block = mass[start : start + cols.shape[-1]]
-        for v in cols:
-            block += np.einsum("nb,nb->b", v[:q].conj(), v[:q]).real
-    return mass
+    """``||Q[:q, :]||_F^2`` for the Haar Q factor of each ``(n, p)`` draw in ``g``.
+    :func:`manifold._haar_orthonormalize` overwrites the draw with Q, so no basis is
+    kept beside it; the squares are summed over a real view of the first q rows."""
+    g = _haar_orthonormalize(g)
+    head = (g.view(np.float64) if np.iscomplexobj(g) else g)[:, :q, :]
+    return np.einsum("bnk,bnk->b", head, head)
 
 
 def chordal_sq_to_canonical(

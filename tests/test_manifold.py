@@ -91,7 +91,7 @@ HAAR_SHAPES = [
     (16, 8, FieldKind.COMPLEX, False),
     (3, 1, FieldKind.REAL, True),
     (12, 6, FieldKind.REAL, True),
-    (600, 1, FieldKind.REAL, True),
+    (600, 1, FieldKind.REAL, False),
     (64, 16, FieldKind.REAL, False),
     (24, 24, FieldKind.REAL, False),
 ]
