@@ -2,14 +2,16 @@
 
 Subcommands: ``volume``, ``distortion``, ``design``, ``random-opt``,
 ``awgn``, ``beamforming``, and ``codebook {save,load,verify}``.  Each
-experiment reads the JSON types of its config fields (numbers must be
-finite; a key no field reads is rejected), builds the library objects of
-every sweep row before any row runs, and writes a CSV of sweep rows plus
-a JSON report into the output directory.  The range checks are the
-library's own: a ``DomainError`` or ``CapExceeded`` raised by a
-config-driven command is reported as a config error.  The CSV is byte-identical across runs for the same config
-and seed (wall time lives only in the JSON report); rows are sub-seeded
-from ``(seed, row_index)`` so parallelism never changes results.
+experiment reads the fields of its config (a required field must be
+present, a list field must be a non-empty list, and a key no field reads is
+rejected), builds the library objects of every sweep row before any row
+runs, and writes a CSV of sweep rows plus a JSON report into the output
+directory.  Every value goes to the library as parsed, and each scalar rule
+is the library's own: a ``DomainError`` or ``CapExceeded`` raised by a
+config-driven command is reported as a config error.  The CSV is
+byte-identical across runs for the same config and seed (wall time lives
+only in the JSON report); rows are sub-seeded from ``(seed, row_index)`` so
+parallelism never changes results.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -41,9 +43,10 @@ from .errors import (
     DomainError,
     GrassquantError,
 )
-from .manifold import FieldKind, GrassmannSpec, _check_mc_samples, _is_kind
+from .manifold import FieldKind, GrassmannSpec, _check_flag, _check_mc_samples, _check_real
 from .quantization import (
     _check_size,
+    _check_training,
     _codebook_builder,
     _random_opt_plan,
     _random_opt_row,
@@ -52,9 +55,10 @@ from .quantization import (
     drf_bounds,
     random_codebook,
 )
-from .rng import _seed_sequence, derive_rng
+from .rng import _check_seed, _seed_sequence, derive_rng
 from .volume import (
     BallSpec,
+    _check_dims,
     ball_volume_approx,
     ball_volume_bounds,
     ball_volume_mc,
@@ -130,47 +134,53 @@ CSV_COLUMNS = {
 # ---------------------------------------------------------------------------
 # config fields
 
-_EXPECTED = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
+# The fields of each config: a bare name is required, a ``(name, default)``
+# pair is optional.  ``main`` reads ``seed``; any other key is unknown.
+_DIMS = ("n", "p", "q", "beta")
+_FIELDS = {
+    "volume": (*_DIMS, ("deltas", DEFAULT_DELTAS), ("samples", 100_000)),
+    "distortion": (*_DIMS, "k_values", ("samples", 10_000)),
+    "design": (*_DIMS, "k_values", ("iters", 8), ("train_samples", 10_000),
+               ("eval_samples", 20_000), ("save_codebooks", False)),
+    "random-opt": ("p", "q", "beta", "rbar", "n_list", ("trials", 20), ("epsilon", 0.05),
+                   ("samples", 2000)),
+    "awgn": ("n", "sigma_sq", "epsilon", ("beta", 2), ("trials", 200), ("rates", []),
+             ("k_values", []), ("clamp_to_cap", False)),
+    "beamforming": ("l_t", "l_r", "s", "rho", "r_fb_values", ("trials", 10_000),
+                    ("codebook_kind", "maxmin"), ("design_iters", 8)),
+    "codebook save": (*_DIMS, "K", ("kind", "random"), ("name", ""), ("iters", 8),
+                      ("train_samples", 10_000)),
+}
+# The fields that hold a sweep: each must be a non-empty list.
+_LISTS = {"deltas", "k_values", "n_list", "rates", "r_fb_values"}
 
 
-def _checked(name: str, value, kind):
-    if not _is_kind(value, kind):
-        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-def _get(params: dict, name: str, kind, default=None):
-    """Field ``name`` of JSON type ``kind`` (int, float, bool, str, or a one-kind
-    list such as ``[int]``, which must be non-empty); required when ``default``
-    is None."""
-    if name not in params:
-        if default is None:
-            raise ConfigError(f"{name}: required field is missing")
-        return default
-    value = params[name]
-    if isinstance(kind, list):
-        if type(value) is not list or not value:
-            raise ConfigError(f"{name}: expected a non-empty list, got {value!r}")
-        return [_checked(name, v, kind[0]) for v in value]
-    return _checked(name, value, kind)
-
-
-def _config(params: dict, *fields: tuple) -> dict:
-    """The ``(name, kind[, default])`` fields read by :func:`_get`; also the JSON
-    echo.  A command reads all its fields here and ``main`` reads ``seed``; any
-    other key is unknown."""
-    unknown = sorted(set(params) - {field[0] for field in fields} - {"seed"})
+def _config(params: dict, command: str) -> dict:
+    """The fields of ``command`` as parsed, defaults filled in; also the JSON echo.
+    Only the structure is checked here: the library objects built from the
+    values check each of them."""
+    fields = dict(f if isinstance(f, tuple) else (f, None) for f in _FIELDS[command])
+    unknown = sorted(set(params) - set(fields) - {"seed"})
     if unknown:
         raise ConfigError(f"{', '.join(unknown)}: unknown field")
-    return {field[0]: _get(params, *field) for field in fields}
-
-
-_DIMS = (("n", int), ("p", int), ("q", int), ("beta", int))
+    config = {}
+    for name, default in fields.items():
+        if name not in params:
+            if default is None:
+                raise ConfigError(f"{name}: required field is missing")
+            config[name] = default
+            continue
+        value = config[name] = params[name]
+        if name in _LISTS and (type(value) is not list or not value):
+            raise ConfigError(f"{name}: expected a non-empty list, got {value!r}")
+    return config
 
 
 def _specs(c: dict) -> tuple[GrassmannSpec, GrassmannSpec]:
     field = FieldKind.from_beta(c["beta"])
-    return GrassmannSpec(c["n"], c["p"], field), GrassmannSpec(c["n"], c["q"], field)
+    source = GrassmannSpec(c["n"], c["p"], field)
+    _check_dims(c["n"], c["p"], c["q"], c["beta"])  # names q, which the code spec calls p
+    return source, GrassmannSpec(c["n"], c["q"], field)
 
 
 def _row_seed_int(seed: int, index: int) -> int:
@@ -237,7 +247,7 @@ def _experiment(name: str, prepare, row):
 
 
 def _volume(params: dict, seed: int, out_dir: str):
-    c = _config(params, *_DIMS, ("deltas", [float], DEFAULT_DELTAS), ("samples", int, 100_000))
+    c = _config(params, "volume")
     _check_mc_samples("samples", c["samples"])
     return c, [BallSpec(c["n"], c["p"], c["q"], c["beta"], d) for d in c["deltas"]]
 
@@ -276,7 +286,7 @@ def _sizes(c: dict, least: int) -> list[tuple]:
 
 
 def _distortion(params: dict, seed: int, out_dir: str):
-    c = _config(params, *_DIMS, ("k_values", [int]), ("samples", int, 10_000))
+    c = _config(params, "distortion")
     _check_mc_samples("samples", c["samples"])
     return c, _sizes(c, 1)
 
@@ -298,17 +308,11 @@ def _distortion_row(c: dict, seed: int, i: int, item: tuple) -> dict:
 
 
 def _design(params: dict, seed: int, out_dir: str):
-    c = _config(
-        params,
-        *_DIMS,
-        ("k_values", [int]),
-        ("iters", int, 8),
-        ("train_samples", int, 10_000),
-        ("eval_samples", int, 20_000),
-        ("save_codebooks", bool, False),
-    )
+    c = _config(params, "design")
     _check_mc_samples("eval_samples", c["eval_samples"])
+    _check_training(c["iters"], c["train_samples"])
     save = c["save_codebooks"]
+    _check_flag("save_codebooks", save)
     items = _sizes(c, 2)
     if save:
         os.makedirs(out_dir, exist_ok=True)
@@ -344,32 +348,12 @@ def _design_row(c: dict, seed: int, i: int, item: tuple) -> dict:
 
 
 def _random_opt(params: dict, seed: int, out_dir: str):
-    c = _config(
-        params,
-        ("p", int),
-        ("q", int),
-        ("beta", int),
-        ("rbar", float),
-        ("n_list", [int]),
-        ("trials", int, 20),
-        ("epsilon", float, 0.05),
-        ("samples", int, 2000),
-    )
+    c = _config(params, "random-opt")
     return c, _random_opt_plan(**c)
 
 
 def _awgn(params: dict, seed: int, out_dir: str):
-    c = _config(
-        params,
-        ("n", int),
-        ("sigma_sq", float),
-        ("epsilon", float),
-        ("beta", int, 2),
-        ("trials", int, 200),
-        ("rates", [float], []),
-        ("k_values", [int], []),
-        ("clamp_to_cap", bool, False),
-    )
+    c = _config(params, "awgn")
     if bool(c["rates"]) == bool(c["k_values"]):
         raise ConfigError("rates / k_values: give exactly one sweep list")
     field = FieldKind.from_beta(c["beta"])
@@ -390,17 +374,7 @@ def _awgn(params: dict, seed: int, out_dir: str):
 
 
 def _beamforming(params: dict, seed: int, out_dir: str):
-    c = _config(
-        params,
-        ("l_t", int),
-        ("l_r", int),
-        ("s", int),
-        ("rho", float),
-        ("r_fb_values", [int]),
-        ("trials", int, 10_000),
-        ("codebook_kind", str, "maxmin"),
-        ("design_iters", int, 8),
-    )
+    c = _config(params, "beamforming")
     shared = {k: v for k, v in c.items() if k != "r_fb_values"}
     return c, [
         BeamformingConfig(r_fb=r_fb, seed=_row_seed_int(seed, i), **shared)
@@ -464,19 +438,12 @@ def write_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
 
 
 def _codebook_save(params: dict, seed: int, out_dir: str) -> str:
-    c = _config(
-        params,
-        *_DIMS,
-        ("K", int),
-        ("kind", str, "random"),
-        ("name", str, ""),
-        ("iters", int, 8),
-        ("train_samples", int, 10_000),
-    )
-    name = c["name"] or "codebook_n{n}_p{p}_q{q}_b{beta}_K{K}".format(**c)
+    c = _config(params, "codebook save")
+    _check_real("name", c["name"], "be a string", kind=str)
     cb = _codebook_builder(c["kind"])(
         *_specs(c), c["K"], seed=seed, iters=c["iters"], train_samples=c["train_samples"]
     )
+    name = c["name"] or "codebook_n{n}_p{p}_q{q}_b{beta}_K{K}".format(**c)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name + ".json")
     codebook_io.save_codebook(cb, path)
@@ -563,8 +530,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         params = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _get(params, "seed", int, 0)
+        seed = args.seed if args.seed is not None else params.get("seed", 0)
         try:
+            _check_seed(seed)
             if args.command == "codebook":
                 print(_codebook_save(params, seed, args.out))
                 return 0

@@ -99,6 +99,8 @@ class FieldKind(enum.Enum):
 
     @classmethod
     def from_beta(cls, beta: int) -> "FieldKind":
+        """The field of ``beta``, a Python ``int``: 1 (real) or 2 (complex)."""
+        _check_int("beta", beta)
         if beta == 1:
             return cls.REAL
         if beta == 2:

@@ -622,13 +622,16 @@ def design_maxmin(
     Each of ``iters`` rounds assigns ``train_samples`` isotropic sources to
     their nearest entries, then takes each cell's new entry by
     :func:`_lloyd_centroids`: the dominant eigenspace of the cell's summed
-    projector.  Where :func:`_packable` accepts the shape, the sources are
-    packed once per call, and every assignment and centroid step reads that
-    one ``(N, d)`` array; elsewhere (large n) the centroid step is a per-cell
-    SVD.  Both steps are optimal for the other's result, so the training
-    distortion never rises, and the last iterate is returned.  The provenance
-    trace records ``iters``, ``train_samples`` and the ``training_history`` of
-    the ``iters + 1`` assignments.  Training draws are internal to this call;
+    projector.  Where :func:`_packable` accepts the shape and the packed set
+    holds at most ``_MAX_DRAW_VALUES`` values, the bound of one draw, the
+    sources are packed once per call, and every assignment and centroid step
+    reads that one ``(N, d)`` array.  Elsewhere (large n or N) the centroid
+    step is a per-cell SVD, and each assignment takes the form :func:`_packs`
+    picks, packing a tile of sources at a time.  Both steps are optimal for
+    the other's result, so the training distortion never rises, and the last
+    iterate is returned.  The provenance trace records ``iters``,
+    ``train_samples`` and the ``training_history`` of the ``iters + 1``
+    assignments.  Training draws are internal to this call;
     evaluate distortion on a separate stream.  Give exactly one of ``rng`` or
     ``seed`` (recorded in the provenance).
     """
@@ -639,8 +642,10 @@ def design_maxmin(
     rng = _resolve_rng(rng, seed)
     bases = _gemm_layout(sample_isotropic_bases(code_spec, size, rng))
     train = sample_isotropic_bases(source_spec, train_samples, rng)
-    packable = _packable(source_spec.n, source_spec.p, code_spec.p, np.iscomplexobj(train))
-    packed = _packed(train) if packable else None
+    complex_field = np.iscomplexobj(train)
+    packs = (_packable(source_spec.n, source_spec.p, code_spec.p, complex_field)
+             and train_samples * _packed_dim(source_spec.n, complex_field) <= _MAX_DRAW_VALUES)
+    packed = _packed(train) if packs else None
     min_dim = min(source_spec.p, code_spec.p)
     history: list[float] = []
     for it in range(iters + 1):
@@ -794,11 +799,13 @@ def _random_opt_plan(
     _check_real("rbar", rbar, "be positive and finite", lambda v: v > 0)
     _check_real("epsilon", epsilon, "be finite")
     _check_draws("trials", trials, 0)
+    field = FieldKind.from_beta(beta)
+    for name, value in (("p", p), ("q", q), *(("n", n) for n in n_list)):
+        _check_int(name, value)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {n_list}")
     for n in n_list:
         _check_dims(n, p, q, beta)
-    field = FieldKind.from_beta(beta)
     d_asym = asymptotic_drf(min(p, q), beta, rbar)
     return [
         (GrassmannSpec(n, p, field), GrassmannSpec(n, q, field), _size_at_rate(rbar * n),
@@ -854,7 +861,7 @@ def random_code_optimality_experiment(
     beta: int,
     rbar: float,
     n_list: "list[int]",
-    trials: int,
+    trials: int = 20,
     seed: int = 0,
     *,
     epsilon: float = 0.05,

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
-    FieldKind, _check_flag, _check_int, _check_mc_samples, _check_real, _gaussian_matrix,
-    _haar_orthonormalize,
+    FieldKind, GrassmannSpec, _check_flag, _check_int, _check_mc_samples, _check_real,
+    sample_isotropic_bases,
 )
 
 # Samples per Monte-Carlo draw.  Like ``quantization._DRAW_BUDGET``, the value stays
@@ -101,8 +101,9 @@ def _degree(n: int, p: int, q: int, beta: int) -> int:
 
 
 def _check_dims(n: int, p: int, q: int, beta: int) -> None:
-    """Domain of the volume formulas: integers, beta in {1, 2}, 1 <= p, q <= n - 1."""
-    for name, v in (("n", n), ("p", p), ("q", q), ("beta", beta)):
+    """Domain of the volume formulas: integers, beta in {1, 2} (checked by
+    :meth:`FieldKind.from_beta`), 1 <= p, q <= n - 1."""
+    for name, v in (("n", n), ("p", p), ("q", q)):
         _check_int(name, v)
     FieldKind.from_beta(beta)
     if not (1 <= p <= n - 1 and 1 <= q <= n - 1):
@@ -241,15 +242,6 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
     return VolumeEstimate(value=min(value, 1.0), stderr=0.0, method=VolumeMethod.BARG_NOGIN)
 
 
-def _head_mass(g: np.ndarray, q: int) -> np.ndarray:
-    """``||Q[:q, :]||_F^2`` for the Haar Q factor of each ``(n, p)`` draw in ``g``.
-    :func:`manifold._haar_orthonormalize` overwrites the draw with Q, so no basis is
-    kept beside it; the squares are summed over a real view of the first q rows."""
-    g = _haar_orthonormalize(g)
-    head = (g.view(np.float64) if np.iscomplexobj(g) else g)[:, :q, :]
-    return np.einsum("bnk,bnk->b", head, head)
-
-
 def chordal_sq_to_canonical(
     n: int, p: int, q: int, beta: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -257,19 +249,22 @@ def chordal_sq_to_canonical(
     for ``p`` and ``q`` in either order.
 
     Ball volumes are center-independent, so the canonical coordinate plane
-    serves as the center.  Each draw of the normal stream is the Gaussian matrix
-    that :func:`sample_isotropic_bases` would orthonormalise; the distance,
-    ``min(p, q) - ||Q[:q, :]||_F^2``, takes only the mass of the first q rows of
-    its orthonormal factor (:func:`_head_mass`).  Returns a length-``samples``
-    array.
+    serves as the center.  Each chunk of ``_MC_CHUNK`` draws is one call of
+    :func:`sample_isotropic_bases`; the distance of a basis Q,
+    ``min(p, q) - ||Q[:q, :]||_F^2``, takes only the squares of its first q rows,
+    summed over a real view, so no other array of the chunk's size is made.
+    Returns a length-``samples`` array.
     """
     _check_dims(n, p, q, beta)
-    field = FieldKind.from_beta(beta)
+    spec = GrassmannSpec(n, p, FieldKind.from_beta(beta))
     out = np.empty(samples)
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        overlap = _head_mass(_gaussian_matrix((m, n, p), field, rng), q)
+        bases = sample_isotropic_bases(spec, m, rng)
+        head = (bases.view(np.float64) if np.iscomplexobj(bases) else bases)[:, :q, :]
+        overlap = np.einsum("bnk,bnk->b", head, head)
+        del bases, head  # so that the next chunk is not drawn beside this one
         out[done : done + m] = np.clip(min(p, q) - overlap, 0.0, None)
         done += m
     return out

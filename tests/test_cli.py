@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -347,13 +348,13 @@ NAN, INF = float("nan"), float("inf")
         ("awgn", AWGN_CFG, {"beta": 3}, "got 3"),
         ("awgn", AWGN_CFG, {"n": 2}, "got 2"),
         ("awgn", AWGN_CFG, {"rates": [3.0]}, "16777216"),
-        ("awgn", AWGN_CFG, {"sigma_sq": NAN}, "sigma_sq: expected a finite number, got nan"),
+        ("awgn", AWGN_CFG, {"sigma_sq": NAN}, "sigma_sq must be positive and finite, got nan"),
         ("beamforming", BEAM_CFG, {"r_fb_values": [17]}, "got 17"),
         ("beamforming", BEAM_CFG, {"trials": 10}, "got 10"),
         ("beamforming", BEAM_CFG, {"codebook_kind": "x"}, "'x'"),
-        ("beamforming", BEAM_CFG, {"rho": INF}, "rho: expected a finite number, got inf"),
-        ("random-opt", OPT_CFG, {"rbar": 0}, "got 0.0"),
-        ("random-opt", OPT_CFG, {"rbar": NAN}, "rbar: expected a finite number, got nan"),
+        ("beamforming", BEAM_CFG, {"rho": INF}, "rho must be positive and finite, got inf"),
+        ("random-opt", OPT_CFG, {"rbar": 0}, "rbar must be positive and finite, got 0"),
+        ("random-opt", OPT_CFG, {"rbar": NAN}, "rbar must be positive and finite, got nan"),
         ("codebook", SAVE_CFG, {"K": 0}, "got 0"),
         ("codebook", SAVE_CFG, {"n": 1}, "got 1"),
         ("codebook", SAVE_CFG, {"kind": "maxmin", "K": 1}, "got 1"),
@@ -415,6 +416,63 @@ def test_bad_config_is_a_config_error(
     assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and shown in err and "Traceback" not in err
+
+
+CONFIGS = {"volume": VOLUME_CFG, "distortion": DISTORTION_CFG, "design": DESIGN_CFG,
+           "random-opt": OPT_CFG, "awgn": AWGN_CFG, "beamforming": BEAM_CFG,
+           "codebook save": SAVE_CFG}
+# The library parameter whose rule refuses a field, where it is not the field's own
+# name, and the one that each element of a sweep list feeds.
+RULE_NAMES = {"K": "codebook size", "kind": "codebook kind", "codebook_kind": "codebook kind"}
+ELEMENT_NAMES = {"deltas": "radius", "k_values": "codebook size", "n_list": "n",
+                 "rates": "rate", "r_fb_values": "r_fb"}
+
+
+def wrong_kinds(valid):
+    """JSON values of another kind than ``valid``, with NaN where ``valid`` is a real."""
+    nan = [NAN] if type(valid) is float else []
+    return [v for v in (True, "x", [1], {}) if type(v) is not type(valid)] + nan
+
+
+def wrong_kind_changes(command):
+    """``(change, name)``: a change that puts a value of the wrong kind into one field
+    of ``command`` (or of ``seed``), and the name that its refusal gives."""
+    for field in (*cli._FIELDS[command], ("seed", 0)):
+        key, default = field if isinstance(field, tuple) else (field, None)
+        valid = CONFIGS[command].get(key, default)
+        if key in ELEMENT_NAMES:
+            for value in (True, "x", {}, NAN):
+                yield {key: value}, key
+            for value in wrong_kinds(valid[0] if valid else 2):
+                yield {key: [value]}, ELEMENT_NAMES[key]
+        else:
+            for value in wrong_kinds(valid):
+                yield {key: value}, RULE_NAMES.get(key, key)
+
+
+@pytest.mark.parametrize("command", list(CONFIGS))
+def test_a_wrong_kind_in_any_field_is_refused_by_the_rule_that_owns_it(tmp_path, capsys, command):
+    assert set(CONFIGS) == set(cli._FIELDS)
+    argv = ["codebook", "save"] if command == "codebook save" else [command, "--threads", "1"]
+    for change, name in wrong_kind_changes(command):
+        config = dict(CONFIGS[command], **change)
+        if command == "awgn" and "k_values" in change:
+            del config["rates"]  # exactly one sweep list
+        cfg = write_config(tmp_path, "bad.json", config)
+        assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2, change
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"config error: {re.escape(name)}[: ][^\n]*\n", err), (change, err)
+
+
+def test_the_bench_hooks_exist():
+    # The benchmark marks the first library call through these names and records
+    # the CSV columns; a renamed one would move its setup_s mark with no error.
+    commands = {"volume", "distortion", "design", "random-opt", "awgn", "beamforming"}
+    assert isinstance(cli.RUNNERS, dict) and set(cli.RUNNERS) == commands
+    assert all(callable(runner) for runner in cli.RUNNERS.values())
+    assert callable(cli._codebook_save)
+    assert callable(cli._codebook_summary)
+    assert set(cli.CSV_COLUMNS) == {c.replace("-", "_") for c in commands}
 
 
 def test_a_negative_seed_flag_is_a_config_error(tmp_path, capsys):

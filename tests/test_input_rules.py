@@ -78,9 +78,14 @@ SEED_SITES = [
     ("seed", lambda v: random_opt(trials=0, seed=v)),
 ]
 INTEGER_SITES += SEED_SITES
-INTEGER_SITES.append(
-    ("codebook size", lambda v: AwgnConfig(**AWGN, codebook_size=v, clamp_to_cap=True))
-)
+INTEGER_SITES += [
+    ("codebook size", lambda v: AwgnConfig(**AWGN, codebook_size=v, clamp_to_cap=True)),
+    ("beta", lambda v: FieldKind.from_beta(v)),
+    ("beta", lambda v: gq.asymptotic_drf(1, v, 1.0)),
+    ("beta", lambda v: gq.asymptotic_rate(1, v, 0.5)),
+    ("q", lambda v: random_opt(q=v, n_list=[])),  # checked with no n to check it against
+    ("n", lambda v: random_opt(n_list=[4, v])),  # checked before the order of n_list
+]
 
 
 @pytest.mark.parametrize("value", [True, 4.0, 4.5, np.int64(4), "4"], ids=repr)

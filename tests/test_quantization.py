@@ -849,6 +849,28 @@ def test_design_holds_a_few_training_draws_of_memory():
     assert peak < 5 * draw
 
 
+def test_design_packs_no_training_set_beyond_the_draw_bound(monkeypatch):
+    # At (32, 1, 8) complex a packed source holds d = 1024 reals against 32 complex
+    # values in the draw, so the packed set would be 16 draws.  With the draw bound
+    # lowered below it, the design takes the per-cell SVD path and holds a few draws,
+    # and its training distortions are those of the packed path.
+    source, code = specs(32, 1, 8)
+    train_samples = 2000
+    draw = train_samples * source.n * source.p * 16
+    packed = gq.design_maxmin(source, code, 16, seed=1, iters=1, train_samples=train_samples)
+    monkeypatch.setattr(manifold, "_MAX_DRAW_VALUES", 1 << 17)
+    monkeypatch.setattr(qz, "_MAX_DRAW_VALUES", 1 << 17)
+    tracemalloc.start()
+    try:
+        cb = gq.design_maxmin(source, code, 16, seed=1, iters=1, train_samples=train_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * draw
+    np.testing.assert_allclose(cb.provenance.trace["training_history"],
+                               packed.provenance.trace["training_history"], rtol=1e-12, atol=0)
+
+
 def test_rng_and_seed_together_are_refused():
     source, code = specs(4, 1, 1)
     for build in (gq.random_codebook, gq.design_maxmin):

@@ -166,20 +166,22 @@ def test_head_mass_stays_accurate_on_nearly_parallel_columns(field):
     g = manifold._gaussian_matrix((500, 6, 3), field, np.random.default_rng(3))
     g[:, :, 1:] = g[:, :, :1] + 1e-6 * g[:, :, 1:]
     ref = np.sum(np.abs(np.linalg.qr(g)[0][:, :2, :]) ** 2, axis=(1, 2))
-    assert np.max(np.abs(volume._head_mass(g, 2) - ref)) <= 1e-7
+    head = np.sum(np.abs(manifold._haar_orthonormalize(g)[:, :2, :]) ** 2, axis=(1, 2))
+    assert np.max(np.abs(head - ref)) <= 1e-7
 
 
 def test_canonical_distances_keep_no_basis():
-    # One full draw at (6, 2, 3) complex: the peak is the draw and one real part of it,
-    # with no basis, QR workspace or complex temporary of the draw's size beside them.
-    n, p, q, samples = 6, 2, 3, volume._MC_CHUNK
+    # Two full draws at (6, 2, 3) complex: the peak is one draw and one real part of
+    # it, with no basis, QR workspace, complex temporary of the draw's size or earlier
+    # draw beside them.
+    n, p, q, samples = 6, 2, 3, 2 * volume._MC_CHUNK
     tracemalloc.start()
     try:
         gq.chordal_sq_to_canonical(n, p, q, 2, samples, np.random.default_rng(9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (samples * n * p * 16) < 2.0
+    assert peak / (volume._MC_CHUNK * n * p * 16) < 2.0
 
 
 def test_coeff_c1_exact_case_zeros():
