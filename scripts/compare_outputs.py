@@ -16,7 +16,8 @@ the one field that differs from run to run; its other fields, such as the
 ``bound_ok`` or ``dsq_var`` that only the report's rows carry, must match.
 
 Prints each file that differs, and for a CSV the largest relative drift
-``|a - b| / max(|a|, |b|)`` of each column that differs, then a summary line.
+``|a - b| / max(|a|, |b|)`` of each column that differs, or for a report up to
+five key paths that differ (``rows[5].error_count``), then a summary line.
 Exit code 0 when every
 file is identical, 1 when any differs, 2 when a call fails or a file exists
 in one checkout only.  The workloads are read from this script's checkout;
@@ -29,6 +30,7 @@ import argparse
 import csv
 import filecmp
 import io
+import itertools
 import json
 import math
 import os
@@ -73,18 +75,43 @@ def compared_files(where: str) -> set[str]:
     return names
 
 
+def load_report(path: str) -> dict:
+    """A CSV's JSON report with its ``wall_time_s`` removed."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.pop("wall_time_s", None)
+    return doc
+
+
 def same_file(paths: list[str], report: bool) -> bool:
     """Whether the two files match: byte for byte, or for a report, as JSON
     text with ``wall_time_s`` removed."""
     if not report:
         return filecmp.cmp(*paths, shallow=False)
-    texts = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc.pop("wall_time_s", None)
-        texts.append(json.dumps(doc))
-    return texts[0] == texts[1]
+    a, b = (json.dumps(load_report(path)) for path in paths)
+    return a == b
+
+
+def _paths_that_differ(a, b, path: str):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            sub = f"{path}.{key}" if path else str(key)
+            if key in a and key in b:
+                yield from _paths_that_differ(a[key], b[key], sub)
+            else:
+                yield sub
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _paths_that_differ(x, y, f"{path}[{i}]")
+    elif json.dumps(a) != json.dumps(b):
+        yield path or "(top level)"
+
+
+def differing_paths(a, b, limit: int = 5) -> list[str]:
+    """Up to ``limit`` key paths at which two JSON documents differ, such as
+    ``rows[5].error_count``; a key in one document only, or a list whose
+    length differs, is one path."""
+    return list(itertools.islice(_paths_that_differ(a, b, ""), limit))
 
 
 def _drift(a: str, b: str) -> float:
@@ -149,6 +176,9 @@ def main(argv=None) -> int:
                     if name.endswith(".csv"):
                         texts = [pathlib.Path(path).read_text(encoding="utf-8") for path in paths]
                         print(f"  largest relative drift: {drift_summary(*texts)}")
+                    elif report:
+                        keys = differing_paths(*(load_report(path) for path in paths))
+                        print(f"  differing keys: {', '.join(keys)}")
                 print(f"{workload} seed {seed}: {len(names[0])} files: {', '.join(sorted(names[0]))}")
     print(f"{same + differ} files compared, {same} identical, {differ} differ")
     return 1 if differ else 0

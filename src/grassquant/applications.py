@@ -94,6 +94,11 @@ class AwgnConfig:
         return math.log2(self.effective_size) / self.n
 
 
+# A trial draws its wrong overlaps in blocks of 64, 128, 256, ... (the last cut
+# to fit), stopping at the first block that holds one beating the sent overlap.
+_FIRST_OVERLAP_BLOCK = 64
+
+
 def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
     """Transmit one shell codeword over Y = X + W and decode by nearest line.
 
@@ -103,6 +108,9 @@ def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
     ``Beta(beta/2, beta (n - 1)/2)``: each ``C`` is independent of ``Y``, and
     its overlap is the squared modulus of one coordinate of a uniform unit
     vector.  A trial errs when an overlap beats the sent one (ties go to X).
+    It stops drawing overlaps at the first one that beats the sent one; the
+    trial's stream serves nothing after its overlaps, and the draws come in
+    stream order, so the outcome equals that of drawing all ``K - 1``.
     Returns the row: the block-error frequency and the statistics of
     ``d_c^2(line(X), line(Y))``, together with the window
     ``[sigma^2/(1 + sigma^2 - eps), sigma^2/(1 + sigma^2 - 2 eps)]``
@@ -120,8 +128,13 @@ def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
         x *= math.sqrt(shell_sq) / np.linalg.norm(x)
         y = x + math.sqrt(cfg.sigma_sq / beta) * _gaussian_matrix((n,), cfg.field, rng)
         overlap = float(abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2))
-        if k > 1:
-            errors += float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, k - 1).max()) > overlap
+        left, block = k - 1, _FIRST_OVERLAP_BLOCK
+        while left:
+            m = min(block, left)
+            if float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, m).max()) > overlap:
+                errors += 1
+                break
+            left, block = left - m, 2 * block
         dsq[t] = max(0.0, 1.0 - overlap)
     window_low = cfg.sigma_sq / (1.0 + cfg.sigma_sq - cfg.epsilon)
     window_high = cfg.sigma_sq / (1.0 + cfg.sigma_sq - 2.0 * cfg.epsilon)

@@ -117,6 +117,106 @@ def test_awgn_sampled_overlaps_match_codebook_oracle(field, n, k):
     assert abs(row["dsq_mean"] - dsq.mean()) <= 4 * dsq_sigma, (row, dsq.mean())
 
 
+def full_draw_awgn_row(cfg):
+    """Reference: the trial loop that draws all ``K - 1`` overlaps of a trial
+    in one ``beta`` call.  Returns the row's error count and dsq statistics."""
+    k, n, beta = cfg.effective_size, cfg.n, cfg.field.beta
+    shell_sq = n * (1.0 - 1.5 * cfg.epsilon)
+    errors, dsq = 0, np.empty(cfg.trials)
+    for t in range(cfg.trials):
+        rng = app.derive_rng(cfg.seed, t)
+        x = manifold._gaussian_matrix((n,), cfg.field, rng)
+        x *= math.sqrt(shell_sq) / np.linalg.norm(x)
+        y = x + math.sqrt(cfg.sigma_sq / beta) * manifold._gaussian_matrix((n,), cfg.field, rng)
+        overlap = float(abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2))
+        if k > 1:
+            errors += float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, k - 1).max()) > overlap
+        dsq[t] = max(0.0, 1.0 - overlap)
+    return {
+        "error_count": errors,
+        "dsq_mean": float(dsq.mean()),
+        "dsq_stderr": float(dsq.std(ddof=1) / math.sqrt(cfg.trials)),
+        "dsq_var": float(dsq.var(ddof=1)),
+    }
+
+
+EARLY_EXIT_CASES = {
+    "K=1": dict(n=8, codebook_size=1, trials=12),
+    "K=2": dict(n=8, codebook_size=2, trials=12),
+    "K=64": dict(n=8, codebook_size=64, trials=12),
+    "capacity": dict(n=8, trials=40),
+    "capped": dict(n=12, rate=1.5, clamp_to_cap=True, trials=3),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("case", sorted(EARLY_EXIT_CASES))
+@pytest.mark.parametrize("field", [FieldKind.REAL, FieldKind.COMPLEX])
+def test_awgn_early_exit_matches_full_draw(field, case, seed):
+    # A trial stops drawing at the first overlap that beats the sent one; the
+    # row must equal that of drawing every overlap, to the last bit.
+    kwargs = dict(EARLY_EXIT_CASES[case])
+    if case == "capacity":
+        kwargs["rate"] = field.beta / 2.0  # the capacity at sigma^2 = 1, in bits per dimension
+    cfg = AwgnConfig(sigma_sq=1.0, epsilon=0.05, field=field, seed=seed, **kwargs)
+    if case == "capped":
+        assert cfg.capped and cfg.effective_size == 65536
+    row = gq.awgn_grassmann_decode_experiment(cfg)
+    expected = full_draw_awgn_row(cfg)
+    assert {key: row[key] for key in expected} == expected
+    if case == "capacity":
+        assert 0 < row["error_count"] < cfg.trials  # both outcomes occur
+
+
+class CountingRng:
+    """A generator that records the size of every ``beta`` draw."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def beta(self, a, b, size):
+        self._sizes.append(size)
+        return self._rng.beta(a, b, size)
+
+
+def overlaps_drawn(monkeypatch, cfg):
+    sizes = []
+    derive = app.derive_rng
+    monkeypatch.setattr(app, "derive_rng", lambda *key: CountingRng(derive(*key), sizes))
+    gq.awgn_grassmann_decode_experiment(cfg)
+    return sum(sizes)
+
+
+def test_awgn_noiseless_trial_draws_every_overlap(monkeypatch):
+    cfg = AwgnConfig(n=8, sigma_sq=1e-12, epsilon=0.05, codebook_size=300, trials=20, seed=3)
+    assert overlaps_drawn(monkeypatch, cfg) == cfg.trials * (cfg.effective_size - 1)
+
+
+def test_awgn_trial_stops_drawing_once_decided(monkeypatch):
+    # Far above capacity most trials err early, so most overlaps go undrawn.
+    cfg = AwgnConfig(
+        n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, trials=20, seed=5, clamp_to_cap=True
+    )
+    assert overlaps_drawn(monkeypatch, cfg) < cfg.trials * (cfg.effective_size - 1) / 2
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 5.5), (1.0, 11.0)])
+def test_beta_draws_come_in_stream_order(a, b):
+    """Two ``beta`` draws of m1 and m2 values equal one draw of m1 + m2.
+
+    The AWGN experiment's byte-for-byte output rests on this: its trials draw
+    overlaps in blocks and stop early.  If this fails (say after a numpy
+    upgrade), the experiment is still exact in law, but its rows no longer
+    match those of drawing every overlap at once, so its CSV bytes move."""
+    for seed in (0, 7, 2024):
+        split = np.random.default_rng(seed)
+        blocks = np.concatenate([split.beta(a, b, 64), split.beta(a, b, 129)])
+        np.testing.assert_array_equal(blocks, np.random.default_rng(seed).beta(a, b, 193))
+
+
 def beamforming_codebook(l_t, s, vectors):
     source = GrassmannSpec(l_t, 2, FieldKind.COMPLEX)
     code = GrassmannSpec(l_t, s, FieldKind.COMPLEX)

@@ -24,3 +24,23 @@ def test_drift_summary_refuses_to_align_different_tables():
         "header or row shape differs"
     assert compare_outputs.drift_summary(PARENT, PARENT.replace("capped", "clamped")) == \
         "header or row shape differs"
+
+
+def test_differing_paths_names_the_keys_that_differ():
+    parent = {"command": "awgn", "rows": [{"K": 16, "error_count": 3}, {"K": 64, "error_count": 9}],
+              "config": {"trials": 60}}
+    change = {"command": "awgn", "rows": [{"K": 16, "error_count": 3}, {"K": 64, "error_count": 8}],
+              "config": {"trials": 60.0}, "extra": True}
+    assert compare_outputs.differing_paths(parent, change) == \
+        ["rows[1].error_count", "config.trials", "extra"]
+    assert compare_outputs.differing_paths(parent, parent) == []
+    # A list whose length differs is one path; at most ``limit`` paths are given.
+    assert compare_outputs.differing_paths({"rows": [1]}, {"rows": [1, 2]}) == ["rows"]
+    many = {f"k{i}": i for i in range(9)}
+    assert compare_outputs.differing_paths(many, {}, limit=5) == [f"k{i}" for i in range(5)]
+
+
+def test_load_report_drops_the_wall_time(tmp_path):
+    path = tmp_path / "awgn.json"
+    path.write_text('{"wall_time_s": 1.5, "rows": [{"K": 2}]}', encoding="utf-8")
+    assert compare_outputs.load_report(str(path)) == {"rows": [{"K": 2}]}
