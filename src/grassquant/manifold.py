@@ -26,7 +26,8 @@ TOL_EQ = 1e-9
 _MAX_DRAWS = 1 << 24
 # Most values of one random draw: 1 GiB of complex128.
 _MAX_DRAW_VALUES = 1 << 26
-# Bytes of a stack orthonormalised per block, so that Gram-Schmidt's columns stay in cache.
+# Bytes of a block of matrices taken at once, so that its columns stay in cache: the
+# stack that Gram-Schmidt orthonormalises, or each part of the volume Monte Carlo's draw.
 _GS_BLOCK_BYTES = 1 << 20
 # Gram-Schmidt's rule (see _gram_schmidt_wins), calibrated on one BLAS thread:
 # the largest n * p in each field (complex: True) that it takes.
@@ -226,18 +227,30 @@ def canonical_plane(spec: GrassmannSpec) -> Plane:
     return Plane(spec, basis)
 
 
+def _normal_parts(shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator):
+    """The real arrays of a standard normal draw of ``shape`` in ``field``, in stream
+    order: the real parts, then, for the complex field, the imaginary parts.
+
+    The draw's size is checked at once; each array is drawn only when the returned
+    iterator reaches it, so a caller that copies one part away before it asks for the
+    next never holds both.
+    """
+    _check_values("a random draw", shape)
+    return (rng.standard_normal(shape) for _ in range(field.beta))
+
+
 def _gaussian_matrix(
     shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator
 ) -> np.ndarray:
-    _check_values("a random draw", shape)
-    if field is FieldKind.COMPLEX:
-        # Circular complex normal, each part of unit variance (Q ignores the scale),
-        # filled in place: the real parts are drawn first, then the imaginary parts.
-        g = np.empty(shape, np.complex128)
-        g.real = rng.standard_normal(shape)
-        g.imag = rng.standard_normal(shape)
-        return g
-    return rng.standard_normal(shape)
+    parts = _normal_parts(shape, field, rng)
+    if field is FieldKind.REAL:
+        return next(parts)
+    # Circular complex normal, each part of unit variance (Q ignores the scale),
+    # filled in place one part at a time.
+    g = np.empty(shape, np.complex128)
+    g.real = next(parts)
+    g.imag = next(parts)
+    return g
 
 
 def _gram_schmidt_wins(n: int, p: int, complex_field: bool) -> bool:

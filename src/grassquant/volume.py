@@ -11,7 +11,11 @@ with a closed-form leading coefficient ``c`` and second-order coefficient
 ``c1``.  The expansion is exact (no higher-order terms) for complex
 ``q = p`` and for real ``|q - p| = 1``.  This module evaluates the closed
 form, two-sided bounds, the Barg-Nogin large-``n`` approximation used as a
-baseline, and a Monte-Carlo estimate of the true volume.
+baseline, and a Monte-Carlo estimate of the true volume.  The estimate takes
+the Haar sampler's normal draws, in its stream order, but builds no basis: each
+draw's squared distance to the center comes from two ``p x p`` Gram matrices of
+the draw, and equals the distance of the draw's Haar basis up to rounding, so
+the estimate, and the volume CSV, keep the bytes of the basis route.
 
 All gamma-ratio products are accumulated as log-gamma sums so that large
 ``n`` (up to several hundred) neither overflows nor underflows.
@@ -28,8 +32,8 @@ import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
-    FieldKind, GrassmannSpec, _check_flag, _check_int, _check_mc_samples, _check_real,
-    sample_isotropic_bases,
+    _GS_BLOCK_BYTES, FieldKind, _check_draws, _check_flag, _check_int, _check_mc_samples,
+    _check_real, _normal_parts,
 )
 
 # Samples per Monte-Carlo draw.  Like ``quantization._DRAW_BUDGET``, the value stays
@@ -242,6 +246,75 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
     return VolumeEstimate(value=min(value, 1.0), stderr=0.0, method=VolumeMethod.BARG_NOGIN)
 
 
+def _trace_solve(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``tr(B^-1 C)`` for each of the ``r`` pairs of Hermitian ``(p, p, r)`` stacks
+    ``b`` and ``c``, the matrices last, ``B`` positive definite; overwrites both.
+
+    Right-looking ``LDL^H`` elimination of ``B`` whose steps are applied to ``C`` on
+    both sides: step k leaves ``C``'s entry (k, k) at ``D_k (L^-1 C L^-H)_kk``, and
+    later steps do not touch it.  Each step reads row k of both matrices only, so
+    only their upper triangles need be filled.  The Python loop runs over the p steps.
+    """
+    p = b.shape[0]
+    trace = np.zeros(b.shape[-1])
+    for k in range(p):
+        pivot = b[k, k].real
+        trace += c[k, k].real / pivot
+        l = b[k, k + 1 :].conj() / pivot  # column k of L, below its unit diagonal
+        u = c[k, k + 1 :].conj() - l * c[k, k]
+        b[k + 1 :, k + 1 :] -= l[:, None] * b[k, k + 1 :]
+        c[k + 1 :, k + 1 :] -= l[:, None] * c[k, k + 1 :] + u[:, None] * l.conj()
+    return trace
+
+
+def _grams(blocks: list[np.ndarray], q: int) -> np.ndarray:
+    """The upper triangles of ``B = G^H G`` and ``C = G[q:]^H G[q:]``, stacked as a
+    ``(2, p, p, r)`` array, for the ``r`` draws ``G`` whose real parts (and, for the
+    complex field, imaginary parts) are ``blocks``, each ``(n, p, r)``, draws last.
+
+    Row i of each triangle is one real product ``sum_n a[n, i] b[n, j]`` per pair of
+    parts, so the Python loop runs over the p rows.
+    """
+    n, p, r = blocks[0].shape
+    re = np.zeros((2, p, p, r))
+    im = np.zeros_like(re) if len(blocks) == 2 else None
+    for h, rows in ((1, slice(q, None)), (0, slice(q))):  # C, then B less C
+        x, *imag = (part[rows] for part in blocks)
+        for i in range(p):
+            np.einsum("nb,njb->jb", x[:, i], x[:, i:], out=re[h, i, i:])
+            for y in imag:  # Re += y_i y_j and Im = x_i y_j - y_i x_j
+                re[h, i, i:] += np.einsum("nb,njb->jb", y[:, i], y[:, i:])
+                np.einsum("nb,njb->jb", x[:, i], y[:, i:], out=im[h, i, i:])
+                im[h, i, i:] -= np.einsum("nb,njb->jb", y[:, i], x[:, i:])
+    grams = re
+    if im is not None:
+        grams = np.empty(re.shape, np.complex128)
+        grams.real, grams.imag = re, im
+    grams[0] += grams[1]
+    return grams
+
+
+def _canonical_sq_distances(parts: tuple[np.ndarray, ...], q: int) -> np.ndarray:
+    """Squared chordal distances to span(e_1..e_q) of the spans of the ``m`` draws
+    whose real arrays, each ``(m, n, p)``, are ``parts`` (see :func:`_normal_parts`).
+
+    For a draw G with Haar basis Q, ``||Q[:q]||_F^2 = tr(B^-1 (B - C))`` with the
+    Gram matrices ``B = G^H G`` and ``C = G[q:]^H G[q:]``, so the distance
+    ``min(p, q) - ||Q[:q]||_F^2`` is ``tr(B^-1 C) - max(0, p - q)``: for ``p <= q`` a
+    sum of non-negative terms, with no cancellation.  The draws are taken in blocks,
+    each part's about ``_GS_BLOCK_BYTES`` with the draws last, as
+    :func:`_haar_orthonormalize` takes them.
+    """
+    m, n, p = parts[0].shape
+    rows = max(1, _GS_BLOCK_BYTES // (n * p * 8))
+    out = np.empty(m)
+    for start in range(0, m, rows):
+        r = min(rows, m - start)
+        blocks = [part[start : start + r].transpose(1, 2, 0).copy() for part in parts]
+        out[start : start + r] = _trace_solve(*_grams(blocks, q))
+    return np.clip(out - max(0, p - q), 0.0, min(p, q))
+
+
 def chordal_sq_to_canonical(
     n: int, p: int, q: int, beta: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -249,24 +322,22 @@ def chordal_sq_to_canonical(
     for ``p`` and ``q`` in either order.
 
     Ball volumes are center-independent, so the canonical coordinate plane
-    serves as the center.  Each chunk of ``_MC_CHUNK`` draws is one call of
-    :func:`sample_isotropic_bases`; the distance of a basis Q,
-    ``min(p, q) - ||Q[:q, :]||_F^2``, takes only the squares of its first q rows,
-    summed over a real view, so no other array of the chunk's size is made.
+    serves as the center.  Each chunk of ``_MC_CHUNK`` samples is one normal draw
+    of ``(chunk, n, p)`` matrices, taken in the stream order of
+    :func:`sample_isotropic_bases`; the distance of each draw's span comes from two
+    ``p x p`` Gram matrices of the draw (see :func:`_canonical_sq_distances`), with
+    no basis built.  It equals the distance of the Haar basis of the same draw up to
+    rounding, so the hit counts, and the volume CSV, are those of the basis route.
     Returns a length-``samples`` array.
     """
     _check_dims(n, p, q, beta)
-    spec = GrassmannSpec(n, p, FieldKind.from_beta(beta))
+    _check_draws("samples", samples, 0)
+    field = FieldKind.from_beta(beta)
     out = np.empty(samples)
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        bases = sample_isotropic_bases(spec, m, rng)
-        head = (bases.view(np.float64) if np.iscomplexobj(bases) else bases)[:, :q, :]
-        overlap = np.einsum("bnk,bnk->b", head, head)
-        del bases, head  # so that the next chunk is not drawn beside this one
-        out[done : done + m] = np.clip(min(p, q) - overlap, 0.0, None)
-        done += m
+    for done in range(0, samples, _MC_CHUNK):
+        parts = tuple(_normal_parts((min(_MC_CHUNK, samples - done), n, p), field, rng))
+        out[done : done + len(parts[0])] = _canonical_sq_distances(parts, q)
+        del parts  # so that the next chunk is not drawn beside this one
     return out
 
 

@@ -1,10 +1,11 @@
-"""The QR route to the volume Monte-Carlo statistic, kept as the reference for
-``volume.chordal_sq_to_canonical``.
+"""The basis route to the volume Monte-Carlo statistic, kept as the oracle for
+``volume.chordal_sq_to_canonical``, which builds no basis.
 
-It replays the same normal stream, draw by draw (``volume._MC_CHUNK`` samples
-each), through ``sample_isotropic_bases``: phase-corrected LAPACK QR builds every
-Haar basis, and the squared distance to span(e_1..e_q) is ``min(p, q)`` less the
-mass of the basis's first q rows.
+It is the only route that reaches the statistic through a basis.  It replays the
+same normal stream, draw by draw (``volume._MC_CHUNK`` samples each), through
+``sample_isotropic_bases``: where the tests force it, phase-corrected LAPACK QR
+builds every Haar basis, and the squared distance to span(e_1..e_q) is
+``min(p, q)`` less the mass of the basis's first q rows.
 """
 
 import numpy as np

@@ -85,6 +85,7 @@ INTEGER_SITES += [
     ("beta", lambda v: gq.asymptotic_rate(1, v, 0.5)),
     ("q", lambda v: random_opt(q=v, n_list=[])),  # checked with no n to check it against
     ("n", lambda v: random_opt(n_list=[4, v])),  # checked before the order of n_list
+    ("samples", lambda v: gq.chordal_sq_to_canonical(6, 2, 3, 2, v, rng())),
 ]
 
 
@@ -95,6 +96,19 @@ INTEGER_SITES += [
 def test_an_integer_is_a_python_int(name, call, value):
     with pytest.raises(gq.DomainError, match=f"^{name} must be an integer, got "):
         call(value)
+
+
+class NoDraws:
+    """A stand-in generator that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with {name}")
+
+
+@pytest.mark.parametrize("samples, rule", [(2**24 + 1, "be <= 16777216"), (-1, "be >= 0")])
+def test_canonical_distances_check_samples_before_any_draw(samples, rule):
+    with pytest.raises(gq.DomainError, match=f"^samples must {rule}, got {samples}$"):
+        gq.chordal_sq_to_canonical(6, 2, 3, 2, samples, NoDraws())
 
 
 @pytest.mark.parametrize("value", [-1, -3], ids=repr)

@@ -146,6 +146,8 @@ def test_canonical_distances_have_one_law_in_either_order():
         (6, 4, 1, 2, 20_000),
         (6, 2, 3, 2, volume._MC_CHUNK + 1000),  # two draws
         (20, 5, 8, 2, 20_000),  # LAPACK QR's side of the shape rule
+        (4, 3, 3, 2, 20_000),  # n = p + 1: the heaviest tail of the condition number
+        (32, 16, 16, 2, 2000),  # large p
     ],
 )
 def test_canonical_distances_equal_the_qr_route(n, p, q, beta, samples, monkeypatch):
@@ -170,6 +172,39 @@ def test_head_mass_stays_accurate_on_nearly_parallel_columns(field):
     assert np.max(np.abs(head - ref)) <= 1e-7
 
 
+def test_canonical_distances_stay_within_kappa_squared_eps_of_the_qr_route(monkeypatch):
+    # At n = p + 1 the condition number of a draw has its heaviest tail, and the Gram
+    # statistic's error grows like eps * cond(G)^2 (B = G^H G squares it): 5.5e-12 at
+    # (3, 2, 1) real here, beyond the QR-route test's 1e-12.  Each draw stays within
+    # 16 eps cond^2 (at most 6.7 read over 40 seeds), and the hit counts stay equal.
+    n, p, q, beta, samples = 3, 2, 1, 1, 20_000
+    dsq = gq.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    g = manifold._gaussian_matrix((samples, n, p), FieldKind.from_beta(beta), np.random.default_rng(8))
+    tol = 16 * np.finfo(float).eps * np.linalg.cond(g) ** 2
+    monkeypatch.setattr(manifold, "_gram_schmidt_wins", lambda *shape: False)
+    ref = qr_volume.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    assert np.all(np.abs(dsq - ref) <= tol)
+    for r in np.linspace(0.0, math.sqrt(min(p, q)), 41):
+        assert np.count_nonzero(dsq <= r * r) == np.count_nonzero(ref <= r * r), r
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("field", [FieldKind.REAL, FieldKind.COMPLEX])
+def test_gram_statistic_stays_accurate_on_nearly_parallel_columns(field, q):
+    # Singular values (1, 1e-4, 1e-4) in random directions: every column lies within
+    # about 1e-4 of one line, and cond(G) = 1e4.  The Gram matrices square it, so the
+    # statistic's error grows like eps * cond^2; numpy's QR is the reference.
+    rng = np.random.default_rng(3)
+    u, v = (manifold._haar_orthonormalize(manifold._gaussian_matrix(shape, field, rng))
+            for shape in ((500, 6, 3), (500, 3, 3)))
+    g = (u * [1.0, 1e-4, 1e-4]) @ v.conj().swapaxes(1, 2)
+    assert np.allclose(np.linalg.cond(g), 1e4)
+    ref = min(3, q) - np.sum(np.abs(np.linalg.qr(g)[0][:, :q, :]) ** 2, axis=(1, 2))
+    parts = (np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag))[: field.beta]
+    dsq = volume._canonical_sq_distances(parts, q)
+    assert np.max(np.abs(dsq - np.clip(ref, 0.0, None))) <= 1e-6
+
+
 def test_canonical_distances_keep_no_basis():
     # Two full draws at (6, 2, 3) complex: the peak is one draw and one real part of
     # it, with no basis, QR workspace, complex temporary of the draw's size or earlier
@@ -182,6 +217,19 @@ def test_canonical_distances_keep_no_basis():
     finally:
         tracemalloc.stop()
     assert peak / (volume._MC_CHUNK * n * p * 16) < 2.0
+
+
+def test_real_canonical_distances_keep_no_second_draw():
+    # Two full draws at (7, 3, 2) real: the peak is one draw and the blocks taken from
+    # it (1.27 draws), with no second real draw of its size beside it.
+    n, p, q, samples = 7, 3, 2, 2 * volume._MC_CHUNK
+    tracemalloc.start()
+    try:
+        gq.chordal_sq_to_canonical(n, p, q, 1, samples, np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (volume._MC_CHUNK * n * p * 8) < 2.0
 
 
 def test_coeff_c1_exact_case_zeros():
