@@ -17,11 +17,13 @@ the one field that differs from run to run; its other fields, such as the
 
 Prints each file that differs, and for a CSV the largest relative drift
 ``|a - b| / max(|a|, |b|)`` of each column that differs, or for a report up to
-five key paths that differ (``rows[5].error_count``), then a summary line.
-Exit code 0 when every
-file is identical, 1 when any differs, 2 when a call fails or a file exists
-in one checkout only.  The workloads are read from this script's checkout;
-nothing is written to either checkout (no bytecode either).
+five key paths that differ (``rows[5].error_count``).  For each call it also
+prints the peak resident set, in MB, in both checkouts (the child's ``ru_maxrss``,
+read through ``os.wait4``), so that a memory claim can be checked call by call.
+Then a summary line.  Exit code 0 when every file is identical, 1 when any
+differs, 2 when a call fails or a file exists in one checkout only.  The
+workloads are read from this script's checkout; nothing is written to either
+checkout (no bytecode either).
 """
 
 from __future__ import annotations
@@ -46,24 +48,38 @@ import workloads  # noqa: E402
 WORKLOADS = ("quantize", "design", "sample")
 
 
-def run_calls(checkout: str, workload: str, seed: int, where: str) -> list[str]:
-    """Run the calls of one workload seed in ``where``; the failures, if any."""
+def run_measured(argv: list[str], cwd: str, env: dict) -> tuple[int, bytes, float]:
+    """Run ``argv`` to its end: its exit code, its standard output and error as one
+    stream, and its peak resident set in MB (``ru_maxrss`` of the child, from
+    ``os.wait4``)."""
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT)
+    with proc.stdout:
+        output = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, output, usage.ru_maxrss / 1024.0  # Linux gives KiB
+
+
+def run_calls(checkout: str, workload: str, seed: int, where: str) -> tuple[list[str], dict]:
+    """Run the calls of one workload seed in ``where``: the failures, if any, and
+    each call's peak resident set in MB, by label."""
     os.makedirs(os.path.join(where, "cfg"))
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    failures = []
+    failures, peaks = [], {}
     for i, call in enumerate(workloads.make_calls(workload, seed)):
         if call.config is not None:
             with open(os.path.join(where, "cfg", call.label + ".json"), "w") as fh:
                 json.dump(call.config, fh)
-        proc = subprocess.run([sys.executable, "-m", "grassquant.cli", *call.argv], cwd=where,
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        code, output, peaks[f"{i}-{call.label}"] = run_measured(
+            [sys.executable, "-m", "grassquant.cli", *call.argv], where, env)
         with open(os.path.join(where, f"{i}-{call.label}.stdout"), "wb") as fh:
-            fh.write(proc.stdout)
-        if proc.returncode != 0:
+            fh.write(output)
+        if code != 0:
             failures.append(f"{checkout}: {workload} seed {seed} {call.label} exited "
-                            f"{proc.returncode}: {proc.stdout.decode(errors='replace')[-400:]}")
-    return failures
+                            f"{code}: {output.decode(errors='replace')[-400:]}")
+    return failures, peaks
 
 
 def compared_files(where: str) -> set[str]:
@@ -157,7 +173,9 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             for seed in args.seeds:
                 dirs = [os.path.join(tmp, side, workload, f"seed{seed}") for side in ("a", "b")]
-                failures = sum((run_calls(c, workload, seed, d) for c, d in zip(checkouts, dirs)), [])
+                (failures, peaks), (more, change_peaks) = (
+                    run_calls(c, workload, seed, d) for c, d in zip(checkouts, dirs))
+                failures += more
                 names = [compared_files(d) for d in dirs]
                 if names[0] != names[1]:
                     failures.append(f"{workload} seed {seed}: files in one checkout only: "
@@ -180,6 +198,8 @@ def main(argv=None) -> int:
                         keys = differing_paths(*(load_report(path) for path in paths))
                         print(f"  differing keys: {', '.join(keys)}")
                 print(f"{workload} seed {seed}: {len(names[0])} files: {', '.join(sorted(names[0]))}")
+                for call, peak in peaks.items():
+                    print(f"  peak RSS {call}: {peak:.1f} -> {change_peaks[call]:.1f} MB")
     print(f"{same + differ} files compared, {same} identical, {differ} differ")
     return 1 if differ else 0
 

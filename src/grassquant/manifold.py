@@ -27,7 +27,7 @@ _MAX_DRAWS = 1 << 24
 # Most values of one random draw: 1 GiB of complex128.
 _MAX_DRAW_VALUES = 1 << 26
 # Bytes of a block of matrices taken at once, so that its columns stay in cache: the
-# stack that Gram-Schmidt orthonormalises, or each part of the volume Monte Carlo's draw.
+# stack that Gram-Schmidt orthonormalises, or each block of a normal draw.
 _GS_BLOCK_BYTES = 1 << 20
 # Gram-Schmidt's rule (see _gram_schmidt_wins), calibrated on one BLAS thread:
 # the largest n * p in each field (complex: True) that it takes.
@@ -228,28 +228,43 @@ def canonical_plane(spec: GrassmannSpec) -> Plane:
 
 
 def _normal_parts(shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator):
-    """The real arrays of a standard normal draw of ``shape`` in ``field``, in stream
-    order: the real parts, then, for the complex field, the imaginary parts.
+    """The standard normal draw of ``shape`` in ``field``, as ``(part, start, block)``
+    triples in stream order: rows ``start:start + len(block)`` along the first axis of
+    the real parts (part 0), then, for the complex field, of the imaginary parts
+    (part 1).
 
-    The draw's size is checked at once; each array is drawn only when the returned
-    iterator reaches it, so a caller that copies one part away before it asks for the
-    next never holds both.
+    Each block holds about ``_GS_BLOCK_BYTES`` and is drawn into one buffer that the
+    next block overwrites, so a caller copies or consumes a block before it asks for
+    the next one.  The draw's size is checked at once, before any block is drawn.
     """
     _check_values("a random draw", shape)
-    return (rng.standard_normal(shape) for _ in range(field.beta))
+    return _normal_blocks(shape, field.beta, rng)
+
+
+def _normal_blocks(shape: tuple[int, ...], beta: int, rng: np.random.Generator):
+    rows = max(1, _GS_BLOCK_BYTES // (math.prod(shape[1:]) * 8))
+    buffer = np.empty((min(rows, shape[0]), *shape[1:]))
+    for part in range(beta):
+        for start in range(0, shape[0], rows):
+            block = buffer[: min(rows, shape[0] - start)]
+            rng.standard_normal(out=block)
+            yield part, start, block
 
 
 def _gaussian_matrix(
     shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator
 ) -> np.ndarray:
-    parts = _normal_parts(shape, field, rng)
-    if field is FieldKind.REAL:
-        return next(parts)
-    # Circular complex normal, each part of unit variance (Q ignores the scale),
-    # filled in place one part at a time.
-    g = np.empty(shape, np.complex128)
-    g.real = next(parts)
-    g.imag = next(parts)
+    """A standard normal array of ``shape`` in ``field``, in the stream order of
+    :func:`_normal_parts`; for the complex field a circular normal, each part of unit
+    variance (Q ignores the scale).
+
+    The blocks are written straight into the output, the real parts, then the
+    imaginary parts, so no whole part is held beside it.
+    """
+    g = np.empty(shape, field.dtype)
+    targets = (g,) if field is FieldKind.REAL else (g.real, g.imag)
+    for part, start, block in _normal_parts(shape, field, rng):
+        targets[part][start : start + len(block)] = block
     return g
 
 

@@ -15,7 +15,9 @@ baseline, and a Monte-Carlo estimate of the true volume.  The estimate takes
 the Haar sampler's normal draws, in its stream order, but builds no basis: each
 draw's squared distance to the center comes from two ``p x p`` Gram matrices of
 the draw, and equals the distance of the draw's Haar basis up to rounding, so
-the estimate, and the volume CSV, keep the bytes of the basis route.
+the estimate, and the volume CSV, keep the bytes of the basis route.  The draws
+are used block by block as the stream yields them, so no whole draw is held: a
+complex chunk keeps only its real parts until their imaginary parts arrive.
 
 All gamma-ratio products are accumulated as log-gamma sums so that large
 ``n`` (up to several hundred) neither overflows nor underflows.
@@ -296,7 +298,8 @@ def _grams(blocks: list[np.ndarray], q: int) -> np.ndarray:
 
 def _canonical_sq_distances(parts: tuple[np.ndarray, ...], q: int) -> np.ndarray:
     """Squared chordal distances to span(e_1..e_q) of the spans of the ``m`` draws
-    whose real arrays, each ``(m, n, p)``, are ``parts`` (see :func:`_normal_parts`).
+    whose real arrays, each ``(m, n, p)``, are ``parts``: the real parts and, for the
+    complex field, the imaginary parts (rows of the blocks of :func:`_normal_parts`).
 
     For a draw G with Haar basis Q, ``||Q[:q]||_F^2 = tr(B^-1 (B - C))`` with the
     Gram matrices ``B = G^H G`` and ``C = G[q:]^H G[q:]``, so the distance
@@ -328,16 +331,28 @@ def chordal_sq_to_canonical(
     ``p x p`` Gram matrices of the draw (see :func:`_canonical_sq_distances`), with
     no basis built.  It equals the distance of the Haar basis of the same draw up to
     rounding, so the hit counts, and the volume CSV, are those of the basis route.
-    Returns a length-``samples`` array.
+
+    The draw arrives in blocks (see :func:`_normal_parts`), each taken as it comes:
+    a real draw's blocks at once, so no chunk is held; a complex draw's real parts
+    are gathered into one array of the chunk's size, reused by every chunk, because
+    the stream gives every real part before the first imaginary part, and each
+    imaginary block is then taken with its real rows.  Returns a length-``samples``
+    array.
     """
     _check_dims(n, p, q, beta)
     _check_draws("samples", samples, 0)
     field = FieldKind.from_beta(beta)
     out = np.empty(samples)
+    real = np.empty((min(_MC_CHUNK, samples), n, p)) if field is FieldKind.COMPLEX else None
     for done in range(0, samples, _MC_CHUNK):
-        parts = tuple(_normal_parts((min(_MC_CHUNK, samples - done), n, p), field, rng))
-        out[done : done + len(parts[0])] = _canonical_sq_distances(parts, q)
-        del parts  # so that the next chunk is not drawn beside this one
+        shape = (min(_MC_CHUNK, samples - done), n, p)
+        for part, start, block in _normal_parts(shape, field, rng):
+            rows = slice(start, start + len(block))
+            if real is not None and part == 0:
+                real[rows] = block
+            else:
+                parts = (block,) if real is None else (real[rows], block)
+                out[done + start : done + rows.stop] = _canonical_sq_distances(parts, q)
     return out
 
 
@@ -356,6 +371,7 @@ def ball_volume_mc_grid(
     Estimates across the grid share samples (cheap, and monotone in the
     radius by construction) and are therefore correlated.
     """
+    _check_dims(n, p, q, beta)
     if len(radii) == 0:
         return []
     for r in radii:

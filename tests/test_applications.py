@@ -217,6 +217,29 @@ def test_beta_draws_come_in_stream_order(a, b):
         np.testing.assert_array_equal(blocks, np.random.default_rng(seed).beta(a, b, 193))
 
 
+@pytest.mark.parametrize("row", [(), (3, 2)], ids=["flat", "matrices"])
+def test_normal_draws_come_in_stream_order(row):
+    """Normal draws of uneven consecutive blocks, fresh or written into a reused
+    buffer, equal one draw of their total, bit for bit.
+
+    The bytes of every normal draw rest on this: ``manifold._normal_parts`` draws in
+    blocks into one buffer, and the volume CSV and the Haar bases match those of
+    drawing each part whole.  If this fails (say after a numpy upgrade), those draws
+    are still exact in law, but their bytes move."""
+    sizes = [64, 129, 1, 1000, 7]
+    for seed in (0, 7, 2024):
+        whole = np.random.default_rng(seed).standard_normal((sum(sizes), *row))
+        fresh = np.random.default_rng(seed)
+        blocks = [fresh.standard_normal((s, *row)) for s in sizes]
+        reused, buffer = np.random.default_rng(seed), np.empty((max(sizes), *row))
+        into = []
+        for s in sizes:
+            reused.standard_normal(out=buffer[:s])
+            into.append(buffer[:s].copy())
+        for drawn in (blocks, into):
+            assert np.array_equal(np.concatenate(drawn).view(np.uint64), whole.view(np.uint64))
+
+
 def beamforming_codebook(l_t, s, vectors):
     source = GrassmannSpec(l_t, 2, FieldKind.COMPLEX)
     code = GrassmannSpec(l_t, s, FieldKind.COMPLEX)

@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import pathlib
+import sys
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
@@ -44,3 +46,12 @@ def test_load_report_drops_the_wall_time(tmp_path):
     path = tmp_path / "awgn.json"
     path.write_text('{"wall_time_s": 1.5, "rows": [{"K": 2}]}', encoding="utf-8")
     assert compare_outputs.load_report(str(path)) == {"rows": [{"K": 2}]}
+
+
+def test_run_measured_reads_the_childs_exit_code_output_and_peak_rss(tmp_path):
+    # The child writes 64 MiB, so its peak resident set is at least that.
+    code, output, peak = compare_outputs.run_measured(
+        [sys.executable, "-c", "b = b'x' * (64 << 20); print('ok'); raise SystemExit(3)"],
+        str(tmp_path), dict(os.environ))
+    assert (code, output) == (3, b"ok\n")
+    assert 64 <= peak < 1024

@@ -224,6 +224,13 @@ def test_numpy_float64_radii_are_reals():
     assert gq.ball_volume_mc_grid(4, 1, 1, 2, [], 0, rng()) == []  # no draw, no samples check
 
 
+def test_an_empty_radius_grid_still_checks_the_dimensions():
+    with pytest.raises(gq.DomainError, match="^beta must be 1"):
+        gq.ball_volume_mc_grid(-3, 7, 9, 5, [], -5, rng())
+    with pytest.raises(gq.DomainError, match="^dimensions must satisfy"):
+        gq.ball_volume_mc_grid(4, 1, 4, 2, [], 1000, rng())
+
+
 def _annotation(param: inspect.Parameter) -> str:
     ann = param.annotation
     return ann if isinstance(ann, str) else inspect.formatannotation(ann)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,32 @@ def test_complex_draw_is_real_then_imaginary_bit_for_bit(shape):
     ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert g.dtype == np.complex128 and g.shape == shape
     assert np.array_equal(g.view(float).view(np.uint64), ref.view(float).view(np.uint64))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_block_fill_equals_the_whole_part_fill(field):
+    shape = (50_000, 6, 2)  # five blocks per part, the last one short
+    g = manifold._gaussian_matrix(shape, field, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    ref = np.empty(shape, field.dtype)
+    if field is FieldKind.REAL:
+        ref[...] = rng.standard_normal(shape)
+    else:
+        ref.real = rng.standard_normal(shape)
+        ref.imag = rng.standard_normal(shape)
+    assert g.dtype == ref.dtype
+    assert np.array_equal(g.view(np.uint64), ref.view(np.uint64))
+
+
+def test_complex_draw_holds_no_whole_real_part():
+    # The output and one block; a whole real part beside the output would read 1.5.
+    tracemalloc.start()
+    try:
+        g = manifold._gaussian_matrix((50_000, 6, 2), FieldKind.COMPLEX, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.nbytes < 1.2
 
 
 def test_haar_mean_projection_real():

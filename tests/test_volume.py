@@ -232,6 +232,50 @@ def test_real_canonical_distances_keep_no_second_draw():
     assert peak / (volume._MC_CHUNK * n * p * 8) < 2.0
 
 
+def whole_chunk_chordal_sq_to_canonical(n, p, q, beta, samples, rng):
+    """The whole-chunk route: each chunk's normal parts drawn whole, in stream order,
+    and handed to ``_canonical_sq_distances`` together."""
+    out = np.empty(samples)
+    for done in range(0, samples, volume._MC_CHUNK):
+        shape = (min(volume._MC_CHUNK, samples - done), n, p)
+        parts = tuple(rng.standard_normal(shape) for _ in range(beta))
+        out[done : done + shape[0]] = volume._canonical_sq_distances(parts, q)
+    return out
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n, p, q", [(7, 2, 3), (6, 3, 3), (7, 3, 2)])
+def test_canonical_distances_equal_the_whole_chunk_route_bit_for_bit(n, p, q, beta):
+    # A short last block in the first chunk, and a short second chunk of 7 draws.
+    samples = volume._MC_CHUNK + 7
+    assert volume._MC_CHUNK % (manifold._GS_BLOCK_BYTES // (n * p * 8))
+    dsq = gq.chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    ref = whole_chunk_chordal_sq_to_canonical(n, p, q, beta, samples, np.random.default_rng(8))
+    assert np.array_equal(dsq.view(np.uint64), ref.view(np.uint64))
+
+
+def canonical_peak_per_draw(n, p, q, beta):
+    """The traced peak over two chunks, in units of one chunk's draw in the field."""
+    tracemalloc.start()
+    try:
+        gq.chordal_sq_to_canonical(n, p, q, beta, 2 * volume._MC_CHUNK, np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (volume._MC_CHUNK * n * p * 8 * beta)
+
+
+def test_complex_canonical_distances_hold_one_real_part():
+    # The chunk's real parts (half a draw) and one block of each part, with no
+    # imaginary part of the chunk's size beside them (0.86 draws at (6, 2, 3)).
+    assert canonical_peak_per_draw(6, 2, 3, 2) < 1.0
+
+
+def test_real_canonical_distances_hold_no_chunk():
+    # Blocks only, with no chunk-sized draw (0.27 draws at (7, 3, 2)).
+    assert canonical_peak_per_draw(7, 3, 2, 1) < 0.5
+
+
 def test_coeff_c1_exact_case_zeros():
     assert gq.coeff_c1(6, 2, 2, 2) == 0.0  # complex, q = p
     assert gq.coeff_c1(6, 2, 3, 1) == 0.0  # real, q = p + 1
