@@ -16,7 +16,8 @@ the one field that differs from run to run; its other fields, such as the
 ``bound_ok`` or ``dsq_var`` that only the report's rows carry, must match.
 
 Prints each file that differs, and for a CSV the largest relative drift
-``|a - b| / max(|a|, |b|)`` of each column that differs, or for a report up to
+``|a - b| / max(|a|, |b|)`` of each column that differs and the rows that differ,
+each named by its first column (``rows K=4096, K=16384``), or for a report up to
 five key paths that differ (``rows[5].error_count``).  For each call it also
 prints the peak resident set, in MB, in both checkouts (the child's ``ru_maxrss``,
 read through ``os.wait4``), so that a memory claim can be checked call by call.
@@ -143,18 +144,38 @@ def _drift(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
 
 
+def _aligned_rows(a_text: str, b_text: str):
+    """The header and the pairs of data rows of two CSV texts, or ``None`` when
+    their headers or row shapes differ."""
+    a_rows, b_rows = (list(csv.reader(io.StringIO(t))) for t in (a_text, b_text))
+    if a_rows[:1] != b_rows[:1] or [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+        return None
+    return (a_rows[0] if a_rows else []), list(zip(a_rows[1:], b_rows[1:]))
+
+
 def drift_summary(a_text: str, b_text: str) -> str:
     """The largest relative drift of each column that differs between two CSV
     texts, as ``column drift`` pairs; a non-numeric value that differs reads ``inf``."""
-    a_rows, b_rows = (list(csv.reader(io.StringIO(t))) for t in (a_text, b_text))
-    if a_rows[:1] != b_rows[:1] or [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+    aligned = _aligned_rows(a_text, b_text)
+    if aligned is None:
         return "header or row shape differs"
-    header = a_rows[0] if a_rows else []
+    header, pairs = aligned
     drift = dict.fromkeys(header, 0.0)
-    for a_row, b_row in zip(a_rows[1:], b_rows[1:]):
+    for a_row, b_row in pairs:
         for name, a, b in zip(header, a_row, b_row):
             drift[name] = max(drift[name], _drift(a, b))
     return ", ".join(f"{name} {d:.2g}" for name, d in drift.items() if d) or "none"
+
+
+def differing_rows(a_text: str, b_text: str) -> str:
+    """The rows whose text differs between two CSV texts, each named by the first
+    column's value in the first text (``K=4096, K=16384``); empty when the tables
+    do not align or no row differs."""
+    aligned = _aligned_rows(a_text, b_text)
+    if aligned is None:
+        return ""
+    header, pairs = aligned
+    return ", ".join(f"{header[0]}={a_row[0]}" for a_row, b_row in pairs if a_row != b_row)
 
 
 def main(argv=None) -> int:
@@ -194,6 +215,9 @@ def main(argv=None) -> int:
                     if name.endswith(".csv"):
                         texts = [pathlib.Path(path).read_text(encoding="utf-8") for path in paths]
                         print(f"  largest relative drift: {drift_summary(*texts)}")
+                        rows = differing_rows(*texts)
+                        if rows:
+                            print(f"  rows {rows}")
                     elif report:
                         keys = differing_paths(*(load_report(path) for path in paths))
                         print(f"  differing keys: {', '.join(keys)}")

@@ -231,6 +231,7 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
     ``h`` is an ``l_r x l_t`` realization; the codebook quantizes
     ``G_{l_t, l_r}`` with beamforming planes in ``G_{l_t, s}``.  Distance
     uses ``min(s, l_r)`` principal angles; ties break to the lowest index.
+    A channel with a non-finite entry raises :class:`DomainError`.
     """
     h = np.asarray(h, dtype=np.complex128)
     src = codebook.source_spec
@@ -238,6 +239,8 @@ def beamforming_selection(h: np.ndarray, codebook: Codebook) -> int:
         raise SpecMismatch(
             f"channel shape {h.shape} does not match (l_r, l_t) = ({src.p}, {src.n})"
         )
+    if not np.isfinite(h).all():
+        raise DomainError("channel has a non-finite entry")
     v = right_singular_plane_bases(h[None, :, :])
     return int(_nearest(v, codebook.stacked_bases)[0][0])
 

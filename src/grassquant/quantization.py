@@ -35,7 +35,7 @@ from .manifold import (
     sample_isotropic_bases,
 )
 from .rng import _check_seed, derive_rng
-from .volume import _check_dims, _degree, _exp, log_coeff_c
+from .volume import _MC_CHUNK, _check_dims, _degree, _exp, log_coeff_c
 
 # Desk-scale cap on the sizes of the codebooks this module builds.
 MAX_CODEBOOK = 1 << 16
@@ -50,18 +50,14 @@ _BLOCK_PAIRS = 1 << 16
 # most _BLOCK_PAIRS / _BLOCK_MIN_ROWS wide (half that in the direct form), so
 # one sample tile, packed once, serves several entry tiles.
 _BLOCK_MIN_ROWS = 128
-# Monte-Carlo source draws per chunk: this budget over K * p * q per draw.
-# The value stays because it fixes how the normal stream splits into chunks,
-# and so the estimates and the CSV bytes.
-_DRAW_BUDGET = 1 << 23
 # The packed form's rule (see _packs), calibrated on one BLAS thread: its
 # largest multiply-adds per pair relative to the direct form's p * q, in each
 # field (complex: True); the fewest sources and entries that pay for packing;
 # and its largest packed dimension, so that a (d, K) operand holds at most
-# 2^26 values at K = MAX_CODEBOOK.
+# the values of one draw at K = MAX_CODEBOOK.
 _PACKED_MAX_RATIO = {True: 128, False: 32}
 _PACKED_MIN_COUNT = 64
-_PACKED_MAX_DIM = 1 << 10
+_PACKED_MAX_DIM = _MAX_DRAW_VALUES // MAX_CODEBOOK
 # Bases packed at a time, so no (K, n, n) or (N, n, n) projector stack of a
 # whole codebook or training set is built.
 _PACK_CHUNK = 1024
@@ -480,12 +476,11 @@ def _distortion_moments(
     # the packed form, it declines for every (smaller) chunk too.
     packed = _packed_entries(entries) if _packs(samples, source.p, entries) else None
     min_dim = codebook.min_dim
-    # The draw chunk fixes how the complex normal stream splits into bases, so
-    # changing it changes the estimates and the CSV bytes.  The cap on one
-    # draw's values binds only where a larger chunk would have been refused.
-    per_draw = codebook.size * source.p * codebook.code_spec.p
-    step = min(max(64, _DRAW_BUDGET // per_draw),
-               max(1, _MAX_DRAW_VALUES // (source.n * source.p)))
+    # One draw is the volume estimator's chunk of _MC_CHUNK sources.  It fixes how
+    # the complex normal stream splits into bases, so changing it changes the
+    # estimates and the CSV bytes.  The cap on one draw's values binds only where
+    # a larger chunk would have been refused.
+    step = min(_MC_CHUNK, max(1, _MAX_DRAW_VALUES // (source.n * source.p)))
     total = 0
     acc = 0.0
     acc_sq = 0.0

@@ -34,12 +34,13 @@ import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
-    _GS_BLOCK_BYTES, FieldKind, _check_draws, _check_flag, _check_int, _check_mc_samples,
-    _check_real, _normal_parts,
+    FieldKind, _check_draws, _check_flag, _check_int, _check_mc_samples, _check_real,
+    _normal_parts,
 )
 
-# Samples per Monte-Carlo draw.  Like ``quantization._DRAW_BUDGET``, the value stays
-# because it fixes how the normal stream splits into draws, and so the volume CSV bytes.
+# Samples per Monte-Carlo draw, of this module's volume estimator and of the
+# distortion estimator in ``quantization``.  The value stays because it fixes how the
+# normal stream splits into draws, and so the volume and distortion CSV bytes.
 _MC_CHUNK = 1 << 17
 
 
@@ -304,17 +305,13 @@ def _canonical_sq_distances(parts: tuple[np.ndarray, ...], q: int) -> np.ndarray
     For a draw G with Haar basis Q, ``||Q[:q]||_F^2 = tr(B^-1 (B - C))`` with the
     Gram matrices ``B = G^H G`` and ``C = G[q:]^H G[q:]``, so the distance
     ``min(p, q) - ||Q[:q]||_F^2`` is ``tr(B^-1 C) - max(0, p - q)``: for ``p <= q`` a
-    sum of non-negative terms, with no cancellation.  The draws are taken in blocks,
-    each part's about ``_GS_BLOCK_BYTES`` with the draws last, as
-    :func:`_haar_orthonormalize` takes them.
+    sum of non-negative terms, with no cancellation.  The draws are taken at once,
+    with the draws last, so a caller hands in one block of :func:`_normal_parts`
+    (about ``_GS_BLOCK_BYTES`` per part).
     """
-    m, n, p = parts[0].shape
-    rows = max(1, _GS_BLOCK_BYTES // (n * p * 8))
-    out = np.empty(m)
-    for start in range(0, m, rows):
-        r = min(rows, m - start)
-        blocks = [part[start : start + r].transpose(1, 2, 0).copy() for part in parts]
-        out[start : start + r] = _trace_solve(*_grams(blocks, q))
+    p = parts[0].shape[2]
+    blocks = [part.transpose(1, 2, 0).copy() for part in parts]
+    out = _trace_solve(*_grams(blocks, q))
     return np.clip(out - max(0, p - q), 0.0, min(p, q))
 
 

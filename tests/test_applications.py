@@ -321,6 +321,16 @@ def test_beamforming_selection_of_a_zero_channel_is_an_index(l_r, l_t):
     assert 0 <= gq.beamforming_selection(np.zeros((l_r, l_t)), cb) < 4
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_beamforming_selection_refuses_a_non_finite_channel(bad):
+    # Unchecked, an all-NaN channel fails inside the SVD and an all-inf one comes
+    # back as index 0.  One bad entry is refused as well.
+    cb = gq.random_codebook(GrassmannSpec(4, 2), GrassmannSpec(4, 1), 4, np.random.default_rng(1))
+    for h in (np.full((2, 4), bad, dtype=complex), np.where(np.eye(2, 4) > 0, bad, 1.0)):
+        with pytest.raises(gq.DomainError, match="non-finite"):
+            gq.beamforming_selection(h, cb)
+
+
 def test_beamforming_selection_k1_and_mismatch():
     rng = np.random.default_rng(9)
     source = GrassmannSpec(4, 1, FieldKind.COMPLEX)

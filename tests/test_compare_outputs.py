@@ -28,6 +28,17 @@ def test_drift_summary_refuses_to_align_different_tables():
         "header or row shape differs"
 
 
+def test_differing_rows_names_each_row_that_differs_by_its_first_column():
+    change = PARENT.replace("64,0.25,", "64,0.2500001,") + "256,0.1,1e-3,false,[1]\n"
+    parent = PARENT + "256,0.1,1e-3,false,[1]\n"
+    assert compare_outputs.differing_rows(parent, change) == "K=64"
+    both = change.replace("16,0.5,", "16,0.5000001,")
+    assert compare_outputs.differing_rows(parent, both) == "K=16, K=64"
+    assert compare_outputs.differing_rows(PARENT, PARENT) == ""
+    # Tables that do not align name no rows; the drift line says why.
+    assert compare_outputs.differing_rows(PARENT, parent) == ""
+
+
 def test_differing_paths_names_the_keys_that_differ():
     parent = {"command": "awgn", "rows": [{"K": 16, "error_count": 3}, {"K": 64, "error_count": 9}],
               "config": {"trials": 60}}

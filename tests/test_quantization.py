@@ -10,7 +10,7 @@ from scipy import integrate
 
 import grassquant as gq
 from grassquant import Codebook, FieldKind, GrassmannSpec, Plane, Provenance
-from grassquant import manifold
+from grassquant import manifold, volume
 from grassquant import quantization as qz
 from grassquant.codebook_io import load_codebook, save_codebook
 
@@ -447,6 +447,20 @@ def test_nearest_search_holds_less_than_one_codebook_of_temporaries():
     assert peak < cb.stacked_bases.nbytes
 
 
+def test_distortion_holds_one_chunk_of_draws_at_small_k():
+    # At K = 4 lines in C^4 the estimator holds one _MC_CHUNK draw at a time and its
+    # search temporaries, whatever the sample count.
+    source, code = specs(4, 1, 1)
+    cb = gq.random_codebook(source, code, 4, seed=3)
+    tracemalloc.start()
+    try:
+        gq.distortion_mc(cb, 1 << 20, np.random.default_rng(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * volume._MC_CHUNK * source.n * source.p * 16
+
+
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("n, p, q", [(5, 1, 2), (6, 2, 2), (5, 3, 2)])
 def test_min_distance_meets_the_simplex_bound(tmp_path, n, p, q, beta):
@@ -549,6 +563,24 @@ def test_distortion_draws_in_chunks_within_the_draw_bound(monkeypatch):
     est = gq.distortion_mc(cb, 2000, np.random.default_rng(4))
     assert est.samples == 2000
     assert abs(est.mean - 15 / 16) <= 4 * est.stderr
+
+
+def test_distortion_draws_its_sources_as_one_sample_isotropic_bases_draw():
+    # The bench design's K = 256 eval row: 20 000 sources fit in one _MC_CHUNK draw,
+    # so the estimate is that of one draw of all of them, each source at its
+    # smallest projection residual to the entries.
+    source, code = specs(6, 2, 3)
+    samples = 20_000
+    assert samples <= volume._MC_CHUNK
+    cb = gq.random_codebook(source, code, 256, seed=7)
+    est = gq.distortion_mc(cb, samples, np.random.default_rng(11))
+    draws = gq.sample_isotropic_bases(source, samples, np.random.default_rng(11))
+    brute = np.full(samples, np.inf)
+    for entry in cb.stacked_bases:
+        np.minimum(brute, manifold._residual_sq(draws, entry), out=brute)
+    assert est.samples == samples
+    assert est.mean == pytest.approx(float(brute.mean()), rel=1e-12)
+
 
 def test_distortion_near_duplicate_entries():
     source, code = specs(4, 1, 1)
