@@ -21,10 +21,12 @@ each named by its first column (``rows K=4096, K=16384``), or for a report up to
 five key paths that differ (``rows[5].error_count``).  For each call it also
 prints the peak resident set, in MB, in both checkouts (the child's ``ru_maxrss``,
 read through ``os.wait4``), so that a memory claim can be checked call by call.
-Then a summary line.  Exit code 0 when every file is identical, 1 when any
-differs, 2 when a call fails or a file exists in one checkout only.  The
-workloads are read from this script's checkout; nothing is written to either
-checkout (no bytecode either).
+Then two summary lines: the files compared, and each checkout's code size,
+the summed line counts of the ``.py`` files under its ``src/grassquant``
+(``src/grassquant: 2870 -> 2847 lines``).  Exit code 0 when every file is
+identical, 1 when any differs, 2 when a call fails or a file exists in one
+checkout only.  The workloads are read from this script's checkout; nothing
+is written to either checkout (no bytecode either).
 """
 
 from __future__ import annotations
@@ -178,6 +180,13 @@ def differing_rows(a_text: str, b_text: str) -> str:
     return ", ".join(f"{header[0]}={a_row[0]}" for a_row, b_row in pairs if a_row != b_row)
 
 
+def source_lines(checkout: str) -> int:
+    """The summed line counts, as ``wc -l`` gives them, of the ``.py`` files under
+    ``checkout``'s ``src/grassquant``."""
+    root = pathlib.Path(checkout, "src", "grassquant")
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout whose outputs are the reference")
@@ -225,6 +234,7 @@ def main(argv=None) -> int:
                 for call, peak in peaks.items():
                     print(f"  peak RSS {call}: {peak:.1f} -> {change_peaks[call]:.1f} MB")
     print(f"{same + differ} files compared, {same} identical, {differ} differ")
+    print(f"src/grassquant: {source_lines(checkouts[0])} -> {source_lines(checkouts[1])} lines")
     return 1 if differ else 0
 
 

@@ -182,8 +182,7 @@ def _packs(sources: int, p: int, entries: np.ndarray) -> bool:
     passes; packing costs a projector per source and per entry.  So the
     packed form is taken where ``d <= _PACKED_MAX_DIM``, ``w = d / (p q)`` is at
     most ``_PACKED_MAX_RATIO`` and there are at least ``max(_PACKED_MIN_COUNT,
-    4 w)`` sources and as many entries.  Wherever it packs for some sources, it
-    packs for more, so a search split into chunks may decide once for all.
+    4 w)`` sources and as many entries.  :func:`_walk` alone asks it.
     """
     k, n, q = entries.shape
     complex_field = np.iscomplexobj(entries)
@@ -224,7 +223,6 @@ def _spans(total: int, step: int):
 def _walk(
     samples: np.ndarray,
     entries: np.ndarray,
-    packed: "np.ndarray | None" = None,
     upper: bool = False,
     packed_samples: "np.ndarray | None" = None,
 ):
@@ -232,16 +230,21 @@ def _walk(
     ``r0:r1`` against the entries ``c0:c0 + ov.shape[1]``, one tile of
     :func:`_tile_shape` at a time, entry tiles inside row tiles.
 
-    ``packed``, the entries' :func:`_packed_entries`, selects the packed form:
-    the walk packs each sample tile once for all its entry tiles, or reads it
-    as rows of ``packed_samples``, the samples' :func:`_packed`.  The direct form
-    lays ``entries`` out once (no copy where they are in the
-    :func:`_gemm_layout` already) and reads entry tiles as column slices of it.
-    With ``upper`` (samples and entries the same stack), only tiles holding a
-    pair ``r < c`` are computed.  Every tile goes through :func:`_sq_overlaps`.
+    The walk takes the form :func:`_packs` picks for ``len(samples)`` sources.
+    The packed form packs the entries once (:func:`_packed_entries`) and each
+    sample tile once for all its entry tiles, or reads it as rows of
+    ``packed_samples``, the samples' :func:`_packed` (the same rows, bit for
+    bit).  The direct form lays ``entries`` out once (no copy where they are
+    in the :func:`_gemm_layout` already) and reads entry tiles as column
+    slices of it.  With ``upper`` (samples and entries the same stack), only
+    tiles holding a pair ``r < c`` are computed, and packed sample tiles are
+    rows of the entries' own operand.  Every tile goes through :func:`_sq_overlaps`.
     """
+    packed = _packed_entries(entries) if _packs(len(samples), samples.shape[2], entries) else None
     if packed is None:
         entries = _gemm_layout(entries)
+    elif upper:
+        packed_samples = packed.T
     rows, width = _tile_shape(len(entries), packed is not None, upper)
     for r0, r1 in _spans(len(samples), rows):
         block = samples[r0:r1]
@@ -258,30 +261,23 @@ def _walk(
 def _nearest(
     samples: np.ndarray,
     entries: np.ndarray,
-    packed: "np.ndarray | None" = None,
     packed_samples: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, the index of the entry with the largest squared overlap
     (the nearest entry; ties break to the lowest index) and that overlap.
 
-    ``packed``, the entries' :func:`_packed_entries`, selects the packed form;
-    without it the form is the one :func:`_packs` picks for ``len(samples)``
-    sources.  A caller that searches one codebook in chunks packs it once;
-    one that searches one sample set many times (the Lloyd loop) passes the
-    samples' :func:`_packed` as ``packed_samples``, which the packed form
-    reads as its sample tiles (the same rows, bit for bit).
-    The search is :func:`_walk` with a running argmax: a later entry tile
-    wins only where its overlap is strictly larger, so the result is the
-    argmax of the tiles' overlaps, bit for bit, ties included.  (Where a
-    GEMM kernel rounds a tile's edge unlike one GEMM over all entries, those
-    overlaps differ from one :func:`_sq_overlaps` call in the last bits.)
-    The direct form reads a codebook's ``stacked_bases`` in place.
+    The search is :func:`_walk`, in the form it picks, with a running argmax:
+    a later entry tile wins only where its overlap is strictly larger, so the
+    result is the argmax of the tiles' overlaps, bit for bit, ties included.
+    (Where a GEMM kernel rounds a tile's edge unlike one GEMM over all
+    entries, those overlaps differ from one :func:`_sq_overlaps` call in the
+    last bits.)  A caller that searches one sample set many times (the Lloyd
+    loop) passes the samples' :func:`_packed` as ``packed_samples``.  The
+    direct form reads a codebook's ``stacked_bases`` in place.
     """
-    if packed is None and _packs(len(samples), samples.shape[2], entries):
-        packed = _packed_entries(entries)
     idx = np.zeros(len(samples), dtype=np.intp)
     best = np.full(len(samples), -np.inf)
-    for r0, r1, c0, ov in _walk(samples, entries, packed, packed_samples=packed_samples):
+    for r0, r1, c0, ov in _walk(samples, entries, packed_samples=packed_samples):
         i = ov.argmax(axis=1)
         v = ov[np.arange(len(ov)), i]
         wins = v > best[r0:r1]
@@ -404,26 +400,24 @@ class Codebook:
     def min_pairwise_distance(self) -> float:
         """Smallest chordal distance between two entries (inf for K = 1).
 
-        An O(K^2) :func:`_walk` of the upper triangle, in the form
-        :func:`_packs` picks for K sources (packed once: sample tiles are row
-        slices of the transposed operand), with a running maximum of the
-        squared overlap ``||A^H B||_F^2``; ``q`` minus it cancels near zero.
-        Every pair whose overlap lies within a rounding bound of the largest
-        so far is measured again by the stable projection residual.
+        An O(K^2) :func:`_walk` of the upper triangle, in the form it picks,
+        with a running maximum of the squared overlap ``||A^H B||_F^2``; ``q``
+        minus it cancels near zero.  Every pair whose overlap lies within a
+        rounding bound of the largest so far is measured again by the stable
+        projection residual.
         """
         bases = self._bases
         k, n, q = bases.shape
         if k < 2:
             return math.inf
-        packed = _packed_entries(bases) if _packs(k, q, bases) else None
         # A generous bound on the kernel's rounding, as in the duplicate screen:
-        # each value is a sum over n (direct) or d (packed) products.
-        terms = n if packed is None else len(packed)
+        # each value is a sum over n (direct) or d >= n (packed) products, so d
+        # terms bound either form.
+        terms = _packed_dim(n, np.iscomplexobj(bases))
         rounding = 8.0 * terms * q * (q + 1) * np.finfo(float).eps
         top = -math.inf
         best = math.inf
-        packed_rows = None if packed is None else packed.T
-        for r0, r1, c0, ov in _walk(bases, bases, packed, upper=True, packed_samples=packed_rows):
+        for r0, r1, c0, ov in _walk(bases, bases, upper=True):
             if c0 < r1:  # a tile on the diagonal: keep the pairs r < c
                 ov[np.tril_indices(r1 - r0, r0 - c0, ov.shape[1])] = -math.inf
             top = max(top, float(ov.max()))
@@ -466,46 +460,29 @@ def quantize(P: Plane, codebook: Codebook) -> tuple[int, float]:
     return idx, math.sqrt(min(dsq, float(codebook.min_dim)))
 
 
-def _distortion_moments(
+def distortion_mc(
     codebook: Codebook, samples: int, rng: np.random.Generator
-) -> tuple[int, float, float]:
-    """(count, sum, sum of squares) of min squared distances over fresh draws."""
+) -> DistortionEstimate:
+    """Monte-Carlo distortion: mean min squared distance over isotropic sources,
+    drawn and searched one chunk at a time."""
+    _check_mc_samples("samples", samples)
     source = codebook.source_spec
-    entries = codebook.stacked_bases
-    # The packed operand is made once for all chunks.  Where the rule declines
-    # the packed form, it declines for every (smaller) chunk too.
-    packed = _packed_entries(entries) if _packs(samples, source.p, entries) else None
-    min_dim = codebook.min_dim
     # One draw is the volume estimator's chunk of _MC_CHUNK sources.  It fixes how
     # the complex normal stream splits into bases, so changing it changes the
     # estimates and the CSV bytes.  The cap on one draw's values binds only where
     # a larger chunk would have been refused.
     step = min(_MC_CHUNK, max(1, _MAX_DRAW_VALUES // (source.n * source.p)))
-    total = 0
-    acc = 0.0
-    acc_sq = 0.0
-    while total < samples:
-        m = min(step, samples - total)
-        draws = sample_isotropic_bases(source, m, rng)
-        _, best = _nearest(draws, entries, packed)
-        dsq = np.clip(min_dim - best, 0.0, None)
-        acc += float(dsq.sum())
-        acc_sq += float((dsq**2).sum())
-        total += m
-    return total, acc, acc_sq
-
-
-def distortion_mc(
-    codebook: Codebook, samples: int, rng: np.random.Generator
-) -> DistortionEstimate:
-    """Monte-Carlo distortion: mean min squared distance over isotropic sources."""
-    _check_mc_samples("samples", samples)
-    count, total, total_sq = _distortion_moments(codebook, samples, rng)
-    mean = total / count
-    var = max(total_sq / count - mean**2, 0.0)
-    return DistortionEstimate(
-        mean=mean, stderr=math.sqrt(var / count), samples=count
-    )
+    total = 0.0
+    total_sq = 0.0
+    for lo in range(0, samples, step):
+        draws = sample_isotropic_bases(source, min(step, samples - lo), rng)
+        _, best = _nearest(draws, codebook.stacked_bases)
+        dsq = np.clip(codebook.min_dim - best, 0.0, None)
+        total += float(dsq.sum())
+        total_sq += float((dsq**2).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0)
+    return DistortionEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples)
 
 
 def _resolve_rng(

@@ -66,3 +66,19 @@ def test_run_measured_reads_the_childs_exit_code_output_and_peak_rss(tmp_path):
         str(tmp_path), dict(os.environ))
     assert (code, output) == (3, b"ok\n")
     assert 64 <= peak < 1024
+
+
+def test_source_lines_sums_the_python_files_under_src_grassquant(tmp_path):
+    def checkout(name, files):
+        for rel, text in files.items():
+            path = tmp_path / name / "src" / "grassquant" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        return str(tmp_path / name)
+
+    parent = checkout("parent", {"__init__.py": "a\nb\nc\n", "sub/kernel.py": "x\ny\n",
+                                 "notes.txt": "not\ncounted\n"})
+    change = checkout("change", {"__init__.py": "a\nb\n", "sub/kernel.py": "x\ny\n"})
+    (tmp_path / "change" / "setup.py").write_text("outside\n", encoding="utf-8")
+    assert compare_outputs.source_lines(parent) == 5
+    assert compare_outputs.source_lines(change) == 4

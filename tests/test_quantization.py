@@ -582,6 +582,34 @@ def test_distortion_draws_its_sources_as_one_sample_isotropic_bases_draw():
     assert est.mean == pytest.approx(float(brute.mean()), rel=1e-12)
 
 
+def test_distortion_chunks_may_take_different_kernel_forms(monkeypatch):
+    # 1000 sources in chunks of 330: the walk asks the form rule for each
+    # chunk, and the last chunk of 10 is too small to pay for packing.
+    source, code = specs(4, 1, 1)
+    cb = gq.random_codebook(source, code, 256, seed=15)
+    monkeypatch.setattr(qz, "_MC_CHUNK", 330)
+    asked = []
+    packs = qz._packs
+
+    def spied(sources, *args):
+        asked.append((sources, packs(sources, *args)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(qz, "_packs", spied)
+    est = gq.distortion_mc(cb, 1000, np.random.default_rng(16))
+    assert asked == [(330, True)] * 3 + [(10, False)]
+    rng = np.random.default_rng(16)
+    brute = []
+    for m in (330, 330, 330, 10):
+        draws = gq.sample_isotropic_bases(source, m, rng)
+        nearest = np.full(m, np.inf)
+        for entry in cb.stacked_bases:
+            np.minimum(nearest, manifold._residual_sq(draws, entry), out=nearest)
+        brute.append(nearest)
+    assert est.samples == 1000
+    assert est.mean == pytest.approx(float(np.concatenate(brute).mean()), rel=1e-12)
+
+
 def test_distortion_near_duplicate_entries():
     source, code = specs(4, 1, 1)
     base = gq.sample_isotropic(code, np.random.default_rng(1))

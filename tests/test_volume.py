@@ -340,6 +340,14 @@ def test_bounds_values():
         gq.ball_volume_bounds(BallSpec(4, 2, 2, 1, 1.3))
 
 
+def test_real_equal_dimension_bounds_at_unit_radius():
+    # Real p = q at radius 1: the upper bound c d^t (1 - d^2)^(-p/2) is inf
+    # before the clamp into [0, 1].
+    lo, hi = gq.ball_volume_bounds(BallSpec(5, 2, 2, 1, 1.0))
+    assert hi.value == 1.0
+    assert lo.value == min(1.0, gq.coeff_c(5, 2, 2, 1))
+
+
 def test_barg_nogin():
     assert gq.barg_nogin_approx(5, 1, 2, 1.0).value == 1.0
     est = gq.barg_nogin_approx(10, 2, 1, 0.5)
