@@ -227,44 +227,27 @@ def canonical_plane(spec: GrassmannSpec) -> Plane:
     return Plane(spec, basis)
 
 
-def _normal_parts(shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator):
-    """The standard normal draw of ``shape`` in ``field``, as ``(part, start, block)``
-    triples in stream order: rows ``start:start + len(block)`` along the first axis of
-    the real parts (part 0), then, for the complex field, of the imaginary parts
-    (part 1).
-
-    Each block holds about ``_GS_BLOCK_BYTES`` and is drawn into one buffer that the
-    next block overwrites, so a caller copies or consumes a block before it asks for
-    the next one.  The draw's size is checked at once, before any block is drawn.
-    """
-    _check_values("a random draw", shape)
-    return _normal_blocks(shape, field.beta, rng)
-
-
-def _normal_blocks(shape: tuple[int, ...], beta: int, rng: np.random.Generator):
-    rows = max(1, _GS_BLOCK_BYTES // (math.prod(shape[1:]) * 8))
-    buffer = np.empty((min(rows, shape[0]), *shape[1:]))
-    for part in range(beta):
-        for start in range(0, shape[0], rows):
-            block = buffer[: min(rows, shape[0] - start)]
-            rng.standard_normal(out=block)
-            yield part, start, block
-
-
 def _gaussian_matrix(
     shape: tuple[int, ...], field: FieldKind, rng: np.random.Generator
 ) -> np.ndarray:
-    """A standard normal array of ``shape`` in ``field``, in the stream order of
-    :func:`_normal_parts`; for the complex field a circular normal, each part of unit
-    variance (Q ignores the scale).
+    """A standard normal array of ``shape`` in ``field``; for the complex field a
+    circular normal, each part of unit variance (Q ignores the scale).
 
-    The blocks are written straight into the output, the real parts, then the
-    imaginary parts, so no whole part is held beside it.
+    The stream gives every real part, then every imaginary part.  Each part is drawn
+    in blocks of rows along the first axis, about ``_GS_BLOCK_BYTES`` each, into one
+    reused buffer and written straight into the output, so no whole part is held
+    beside it.  The draw's size is checked before anything is drawn.
     """
+    _check_values("a random draw", shape)
     g = np.empty(shape, field.dtype)
+    rows = max(1, _GS_BLOCK_BYTES // (math.prod(shape[1:]) * 8))
+    buffer = np.empty((min(rows, shape[0]), *shape[1:]))
     targets = (g,) if field is FieldKind.REAL else (g.real, g.imag)
-    for part, start, block in _normal_parts(shape, field, rng):
-        targets[part][start : start + len(block)] = block
+    for target in targets:
+        for start in range(0, shape[0], rows):
+            block = buffer[: min(rows, shape[0] - start)]
+            rng.standard_normal(out=block)
+            target[start : start + len(block)] = block
     return g
 
 

@@ -35,7 +35,7 @@ from .manifold import (
     sample_isotropic_bases,
 )
 from .rng import _check_seed, derive_rng
-from .volume import _MC_CHUNK, _check_dims, _degree, _exp, log_coeff_c
+from .volume import _check_dims, _degree, _exp, _mc_rows, log_coeff_c
 
 # Desk-scale cap on the sizes of the codebooks this module builds.
 MAX_CODEBOOK = 1 << 16
@@ -467,11 +467,9 @@ def distortion_mc(
     drawn and searched one chunk at a time."""
     _check_mc_samples("samples", samples)
     source = codebook.source_spec
-    # One draw is the volume estimator's chunk of _MC_CHUNK sources.  It fixes how
-    # the complex normal stream splits into bases, so changing it changes the
-    # estimates and the CSV bytes.  The cap on one draw's values binds only where
-    # a larger chunk would have been refused.
-    step = min(_MC_CHUNK, max(1, _MAX_DRAW_VALUES // (source.n * source.p)))
+    # One draw is a chunk of _mc_rows sources.  It fixes how the complex normal
+    # stream splits into bases, so changing it changes the estimates and the CSV bytes.
+    step = _mc_rows(source.n * source.p)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, samples, step):

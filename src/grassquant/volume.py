@@ -11,13 +11,8 @@ with a closed-form leading coefficient ``c`` and second-order coefficient
 ``c1``.  The expansion is exact (no higher-order terms) for complex
 ``q = p`` and for real ``|q - p| = 1``.  This module evaluates the closed
 form, two-sided bounds, the Barg-Nogin large-``n`` approximation used as a
-baseline, and a Monte-Carlo estimate of the true volume.  The estimate takes
-the Haar sampler's normal draws, in its stream order, but builds no basis: each
-draw's squared distance to the center comes from two ``p x p`` Gram matrices of
-the draw, and equals the distance of the draw's Haar basis up to rounding, so
-the estimate, and the volume CSV, keep the bytes of the basis route.  The draws
-are used block by block as the stream yields them, so no whole draw is held: a
-complex chunk keeps only its real parts until their imaginary parts arrive.
+baseline, and a Monte-Carlo estimate of the true volume, which draws each
+sample's squared distance to the center from the beta-Jacobi matrix model.
 
 All gamma-ratio products are accumulated as log-gamma sums so that large
 ``n`` (up to several hundred) neither overflows nor underflows.
@@ -34,14 +29,24 @@ import numpy as np
 
 from .errors import DomainError, RadiusTooLarge
 from .manifold import (
-    FieldKind, _check_draws, _check_flag, _check_int, _check_mc_samples, _check_real,
-    _normal_parts,
+    _MAX_DRAW_VALUES, FieldKind, _check_draws, _check_flag, _check_int, _check_mc_samples,
+    _check_real, _check_values,
 )
 
-# Samples per Monte-Carlo draw, of this module's volume estimator and of the
-# distortion estimator in ``quantization``.  The value stays because it fixes how the
-# normal stream splits into draws, and so the volume and distortion CSV bytes.
+# Samples per Monte-Carlo chunk, of this module's volume estimator and of the
+# distortion estimator in ``quantization`` (see _mc_rows).  The volume's bytes do not
+# depend on it, but the distortion's do: it fixes how the complex normal stream splits
+# into bases, so the value stays.
 _MC_CHUNK = 1 << 17
+
+
+def _mc_rows(values_per_sample: int) -> int:
+    """Samples per Monte-Carlo chunk whose draw takes ``values_per_sample`` values
+    each: ``_MC_CHUNK``, or fewer where that draw would exceed the bound of one draw,
+    2^26 values.  Refuses, with :class:`DomainError`, only where one sample's draw
+    alone exceeds it, before any array of that size is built."""
+    _check_values("a random draw", (1, values_per_sample))
+    return min(_MC_CHUNK, max(1, _MAX_DRAW_VALUES // values_per_sample))
 
 
 class VolumeMethod(enum.Enum):
@@ -249,72 +254,6 @@ def barg_nogin_approx(n: int, p: int, beta: int, radius: float) -> VolumeEstimat
     return VolumeEstimate(value=min(value, 1.0), stderr=0.0, method=VolumeMethod.BARG_NOGIN)
 
 
-def _trace_solve(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``tr(B^-1 C)`` for each of the ``r`` pairs of Hermitian ``(p, p, r)`` stacks
-    ``b`` and ``c``, the matrices last, ``B`` positive definite; overwrites both.
-
-    Right-looking ``LDL^H`` elimination of ``B`` whose steps are applied to ``C`` on
-    both sides: step k leaves ``C``'s entry (k, k) at ``D_k (L^-1 C L^-H)_kk``, and
-    later steps do not touch it.  Each step reads row k of both matrices only, so
-    only their upper triangles need be filled.  The Python loop runs over the p steps.
-    """
-    p = b.shape[0]
-    trace = np.zeros(b.shape[-1])
-    for k in range(p):
-        pivot = b[k, k].real
-        trace += c[k, k].real / pivot
-        l = b[k, k + 1 :].conj() / pivot  # column k of L, below its unit diagonal
-        u = c[k, k + 1 :].conj() - l * c[k, k]
-        b[k + 1 :, k + 1 :] -= l[:, None] * b[k, k + 1 :]
-        c[k + 1 :, k + 1 :] -= l[:, None] * c[k, k + 1 :] + u[:, None] * l.conj()
-    return trace
-
-
-def _grams(blocks: list[np.ndarray], q: int) -> np.ndarray:
-    """The upper triangles of ``B = G^H G`` and ``C = G[q:]^H G[q:]``, stacked as a
-    ``(2, p, p, r)`` array, for the ``r`` draws ``G`` whose real parts (and, for the
-    complex field, imaginary parts) are ``blocks``, each ``(n, p, r)``, draws last.
-
-    Row i of each triangle is one real product ``sum_n a[n, i] b[n, j]`` per pair of
-    parts, so the Python loop runs over the p rows.
-    """
-    n, p, r = blocks[0].shape
-    re = np.zeros((2, p, p, r))
-    im = np.zeros_like(re) if len(blocks) == 2 else None
-    for h, rows in ((1, slice(q, None)), (0, slice(q))):  # C, then B less C
-        x, *imag = (part[rows] for part in blocks)
-        for i in range(p):
-            np.einsum("nb,njb->jb", x[:, i], x[:, i:], out=re[h, i, i:])
-            for y in imag:  # Re += y_i y_j and Im = x_i y_j - y_i x_j
-                re[h, i, i:] += np.einsum("nb,njb->jb", y[:, i], y[:, i:])
-                np.einsum("nb,njb->jb", x[:, i], y[:, i:], out=im[h, i, i:])
-                im[h, i, i:] -= np.einsum("nb,njb->jb", y[:, i], x[:, i:])
-    grams = re
-    if im is not None:
-        grams = np.empty(re.shape, np.complex128)
-        grams.real, grams.imag = re, im
-    grams[0] += grams[1]
-    return grams
-
-
-def _canonical_sq_distances(parts: tuple[np.ndarray, ...], q: int) -> np.ndarray:
-    """Squared chordal distances to span(e_1..e_q) of the spans of the ``m`` draws
-    whose real arrays, each ``(m, n, p)``, are ``parts``: the real parts and, for the
-    complex field, the imaginary parts (rows of the blocks of :func:`_normal_parts`).
-
-    For a draw G with Haar basis Q, ``||Q[:q]||_F^2 = tr(B^-1 (B - C))`` with the
-    Gram matrices ``B = G^H G`` and ``C = G[q:]^H G[q:]``, so the distance
-    ``min(p, q) - ||Q[:q]||_F^2`` is ``tr(B^-1 C) - max(0, p - q)``: for ``p <= q`` a
-    sum of non-negative terms, with no cancellation.  The draws are taken at once,
-    with the draws last, so a caller hands in one block of :func:`_normal_parts`
-    (about ``_GS_BLOCK_BYTES`` per part).
-    """
-    p = parts[0].shape[2]
-    blocks = [part.transpose(1, 2, 0).copy() for part in parts]
-    out = _trace_solve(*_grams(blocks, q))
-    return np.clip(out - max(0, p - q), 0.0, min(p, q))
-
-
 def chordal_sq_to_canonical(
     n: int, p: int, q: int, beta: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -322,34 +261,39 @@ def chordal_sq_to_canonical(
     for ``p`` and ``q`` in either order.
 
     Ball volumes are center-independent, so the canonical coordinate plane
-    serves as the center.  Each chunk of ``_MC_CHUNK`` samples is one normal draw
-    of ``(chunk, n, p)`` matrices, taken in the stream order of
-    :func:`sample_isotropic_bases`; the distance of each draw's span comes from two
-    ``p x p`` Gram matrices of the draw (see :func:`_canonical_sq_distances`), with
-    no basis built.  It equals the distance of the Haar basis of the same draw up to
-    rounding, so the hit counts, and the volume CSV, are those of the basis route.
+    serves as the center.  The squared distance is the trace of a Jacobi ensemble
+    (Absil, Edelman & Koev, LAA 2006), drawn exactly from ``2m - 1`` Beta variables
+    per sample by the beta-Jacobi matrix model (Edelman & Sutton, Found. Comput.
+    Math. 2008), with no ``n x p`` draw.  With ``p <= q``, and ``(n - q, n - p)`` in
+    place of ``(p, q)`` where ``p + q > n`` (the complements share the non-zero
+    angles), ``m = p``, ``a = n - q - p``, ``b = q - p`` and ``h = beta / 2``::
 
-    The draw arrives in blocks (see :func:`_normal_parts`), each taken as it comes:
-    a real draw's blocks at once, so no chunk is held; a complex draw's real parts
-    are gathered into one array of the chunk's size, reused by every chunk, because
-    the stream gives every real part before the first imaginary part, and each
-    imaginary block is then taken with its real rows.  Returns a length-``samples``
-    array.
+        c_k^2  ~ Beta(h (a + k), h (b + k)),          k = 1..m,
+        c'_k^2 ~ Beta(h k, h (a + b + 1 + k)),        k = 1..m - 1,
+        d^2 = c_m^2 + sum_{k<m} c_k^2 (1 - c'_k^2) + (1 - c_{k+1}^2) c'_k^2,
+
+    a sum of non-negative terms, so nothing cancels near zero.  Each chunk is one
+    ``beta`` draw of ``(rows, 2m - 1)`` values, filled element by element in C order,
+    so the result does not depend on the chunk size (see :func:`_mc_rows`), which
+    bounds memory only.  Returns a length-``samples`` array.
     """
     _check_dims(n, p, q, beta)
     _check_draws("samples", samples, 0)
-    field = FieldKind.from_beta(beta)
+    p, q = min(p, q), max(p, q)
+    if p + q > n:
+        p, q = n - q, n - p
+    rows = _mc_rows(2 * p - 1)
+    a, b, h = n - q - p, q - p, beta / 2.0
+    k = np.arange(1.0, p + 1.0)
+    shape_a = h * np.concatenate([a + k, k[:-1]])
+    shape_b = h * np.concatenate([b + k, a + b + 1.0 + k[:-1]])
     out = np.empty(samples)
-    real = np.empty((min(_MC_CHUNK, samples), n, p)) if field is FieldKind.COMPLEX else None
-    for done in range(0, samples, _MC_CHUNK):
-        shape = (min(_MC_CHUNK, samples - done), n, p)
-        for part, start, block in _normal_parts(shape, field, rng):
-            rows = slice(start, start + len(block))
-            if real is not None and part == 0:
-                real[rows] = block
-            else:
-                parts = (block,) if real is None else (real[rows], block)
-                out[done + start : done + rows.stop] = _canonical_sq_distances(parts, q)
+    for done in range(0, samples, rows):
+        draw = rng.beta(shape_a, shape_b, size=(min(rows, samples - done), 2 * p - 1))
+        c, c_prime = draw[:, :p], draw[:, p:]
+        terms = (1.0 - c[:, 1:]) * c_prime
+        terms += c[:, :-1] * (1.0 - c_prime)
+        out[done : done + len(draw)] = c[:, -1] + terms.sum(axis=1)
     return out
 
 

@@ -1,11 +1,13 @@
-"""The basis route to the volume Monte-Carlo statistic, kept as the oracle for
-``volume.chordal_sq_to_canonical``, which builds no basis.
+"""The basis route to the volume Monte-Carlo statistic, kept as a reference in law
+for ``volume.chordal_sq_to_canonical``, which draws each squared distance from the
+beta-Jacobi matrix model and builds no basis.
 
-It is the only route that reaches the statistic through a basis.  It replays the
-same normal stream, draw by draw (``volume._MC_CHUNK`` samples each), through
-``sample_isotropic_bases``: where the tests force it, phase-corrected LAPACK QR
-builds every Haar basis, and the squared distance to span(e_1..e_q) is
-``min(p, q)`` less the mass of the basis's first q rows.
+It is the only route that reaches the statistic through a basis.  It draws Haar
+bases with ``sample_isotropic_bases``, ``volume._MC_CHUNK`` at a time: where the
+tests force it, phase-corrected LAPACK QR builds every one, and the squared distance
+to span(e_1..e_q) is ``min(p, q)`` less the mass of the basis's first q rows.  Its
+stream is not that of the matrix model, so the two agree in law only: tests compare
+them on independent streams.
 """
 
 import numpy as np

@@ -217,15 +217,35 @@ def test_beta_draws_come_in_stream_order(a, b):
         np.testing.assert_array_equal(blocks, np.random.default_rng(seed).beta(a, b, 193))
 
 
+def test_beta_draws_with_broadcast_shapes_come_in_stream_order():
+    """A ``beta`` draw of ``(rows, k)`` values with a shape pair per column is filled
+    element by element in C order: it equals draws of fewer rows, and one scalar draw
+    per element.
+
+    The volume Monte-Carlo bytes rest on this: ``volume.chordal_sq_to_canonical``
+    draws each chunk this way, so its output does not depend on the chunk size.  If
+    this fails (say after a numpy upgrade), it is still exact in law, but its bytes
+    move with ``volume._MC_CHUNK``."""
+    a, b = np.array([1.5, 2.0, 0.5, 3.5, 1.0]), np.array([0.5, 3.0, 4.5, 1.0, 2.5])
+    for seed in (0, 7, 2024):
+        whole = np.random.default_rng(seed).beta(a, b, size=(40, 5))
+        split = np.random.default_rng(seed)
+        rows = np.concatenate([split.beta(a, b, size=(r, 5)) for r in (13, 1, 26)])
+        one = np.random.default_rng(seed)
+        scalars = [[one.beta(x, y) for x, y in zip(a, b)] for _ in range(40)]
+        for drawn in (rows, np.array(scalars)):
+            assert np.array_equal(drawn.view(np.uint64), whole.view(np.uint64))
+
+
 @pytest.mark.parametrize("row", [(), (3, 2)], ids=["flat", "matrices"])
 def test_normal_draws_come_in_stream_order(row):
     """Normal draws of uneven consecutive blocks, fresh or written into a reused
     buffer, equal one draw of their total, bit for bit.
 
-    The bytes of every normal draw rest on this: ``manifold._normal_parts`` draws in
-    blocks into one buffer, and the volume CSV and the Haar bases match those of
-    drawing each part whole.  If this fails (say after a numpy upgrade), those draws
-    are still exact in law, but their bytes move."""
+    The bytes of every normal draw rest on this: ``manifold._gaussian_matrix`` draws
+    in blocks into one buffer, and the Haar bases match those of drawing each part
+    whole.  If this fails (say after a numpy upgrade), those draws are still exact in
+    law, but their bytes move."""
     sizes = [64, 129, 1, 1000, 7]
     for seed in (0, 7, 2024):
         whole = np.random.default_rng(seed).standard_normal((sum(sizes), *row))

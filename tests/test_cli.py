@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,12 +9,9 @@ import numpy as np
 import pytest
 
 import grassquant as gq
-from grassquant import cli, manifold
+from grassquant import cli
 from grassquant import quantization as qz
-from grassquant import volume
 from grassquant.rng import derive_rng
-
-import qr_volume
 
 
 def write_config(tmp_path, name, payload):
@@ -83,26 +81,20 @@ def test_volume_rows_regenerate_from_embedded_seed(tmp_path):
         assert redo.value == row["mc"]
 
 
-@pytest.mark.parametrize("dims", [(6, 2, 3, 2), (7, 3, 2, 1)])
-def test_volume_csv_is_the_qr_routes(tmp_path, monkeypatch, dims):
-    # The mc column does not move: the estimator, run on the QR route's statistic,
-    # writes the same bytes.
-    n, p, q, beta = dims
-    payload = dict(VOLUME_CFG, n=n, p=p, q=q, beta=beta, deltas=[0.6, 0.8, 1.0], samples=5000)
+def test_volume_row_at_large_n_meets_the_exact_volume(tmp_path):
+    # A volume row draws 2m - 1 Beta values per sample and no n x p matrix, so it runs
+    # at n = 200000.  For complex p = q = 1 the closed form is exact,
+    # mu(delta) = delta^(2 (n - 1)): about 0.14, 0.45 and 0.67 at these radii.
+    samples = 20_000
+    payload = dict(VOLUME_CFG, n=200_000, deltas=[0.999995, 0.999998, 0.999999], samples=samples)
     cfg = write_config(tmp_path, "vol.json", payload)
-    assert run("volume", "--config", cfg, "--out", str(tmp_path / "gs")) == 0
-    calls = []
-
-    def qr_statistic(*args):
-        calls.append(args)
-        return qr_volume.chordal_sq_to_canonical(*args)
-
-    monkeypatch.setattr(volume, "chordal_sq_to_canonical", qr_statistic)
-    monkeypatch.setattr(manifold, "_gram_schmidt_wins", lambda *shape: False)
-    assert run("volume", "--config", cfg, "--out", str(tmp_path / "qr")) == 0
-    assert len(calls) == len(payload["deltas"])
-    gs_csv, qr_csv = ((tmp_path / d / "volume.csv").read_bytes() for d in ("gs", "qr"))
-    assert gs_csv == qr_csv
+    assert run("volume", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+    rows = json.loads((tmp_path / "out" / "volume.json").read_text())["rows"]
+    assert [row["delta"] for row in rows] == payload["deltas"]
+    for row in rows:
+        exact = gq.ball_volume_approx(gq.BallSpec(200_000, 1, 1, 2, row["delta"])).value
+        assert row["closed_form"] == exact
+        assert abs(row["mc"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / samples), row
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -368,8 +360,8 @@ NAN, INF = float("nan"), float("inf")
         ("design", DESIGN_CFG, {"train_samples": 10**12}, "train_samples must be <= 16777216"),
         ("awgn", AWGN_CFG, {"trials": 10**12}, "trials must be <= 16777216"),
         ("random-opt", OPT_CFG, {"trials": 10**12}, "trials must be <= 16777216"),
-        ("volume", VOLUME_CFG, {"n": 200_000},
-         "shape (2000, 200000, 1) exceeds 67108864 values"),
+        ("volume", VOLUME_CFG, {"n": 2**26 + 2, "p": 2**25 + 1, "q": 2**25 + 1},
+         "a random draw of shape (1, 67108865) exceeds 67108864 values"),
         ("design", DESIGN_CFG, {"n": 50_000, "train_samples": 10_000},
          "shape (10000, 50000, 1) exceeds"),
         ("beamforming", BEAM_CFG, {"l_t": 100_000}, "shape (10000, 100000, 1) exceeds"),

@@ -557,7 +557,7 @@ def test_distortion_draws_in_chunks_within_the_draw_bound(monkeypatch):
     # At small K the chunk set by the GEMM budget alone holds more values than
     # one draw may; the chunk is also capped by the draw bound over n p.
     monkeypatch.setattr(manifold, "_MAX_DRAW_VALUES", 1 << 12)
-    monkeypatch.setattr(qz, "_MAX_DRAW_VALUES", 1 << 12)
+    monkeypatch.setattr(volume, "_MAX_DRAW_VALUES", 1 << 12)
     source, code = specs(16, 1, 1)
     cb = gq.random_codebook(source, code, 1, np.random.default_rng(3))
     est = gq.distortion_mc(cb, 2000, np.random.default_rng(4))
@@ -587,7 +587,7 @@ def test_distortion_chunks_may_take_different_kernel_forms(monkeypatch):
     # chunk, and the last chunk of 10 is too small to pay for packing.
     source, code = specs(4, 1, 1)
     cb = gq.random_codebook(source, code, 256, seed=15)
-    monkeypatch.setattr(qz, "_MC_CHUNK", 330)
+    monkeypatch.setattr(volume, "_MC_CHUNK", 330)
     asked = []
     packs = qz._packs
 
