@@ -20,7 +20,8 @@ Prints each file that differs, and for a CSV the largest relative drift
 each named by its first column (``rows K=4096, K=16384``), or for a report up to
 five key paths that differ (``rows[5].error_count``).  For each call it also
 prints the peak resident set, in MB, in both checkouts (the child's ``ru_maxrss``,
-read through ``os.wait4``), so that a memory claim can be checked call by call.
+read through ``os.wait4``), and the call's wall time, in seconds, so that a memory
+or time claim can be checked call by call.
 Then two summary lines: the files compared, and each checkout's code size,
 the summed line counts of the ``.py`` files under its ``src/grassquant``
 (``src/grassquant: 2870 -> 2847 lines``).  Exit code 0 when every file is
@@ -43,6 +44,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
@@ -64,25 +66,32 @@ def run_measured(argv: list[str], cwd: str, env: dict) -> tuple[int, bytes, floa
     return proc.returncode, output, usage.ru_maxrss / 1024.0  # Linux gives KiB
 
 
+def run_timed(argv: list[str], cwd: str, env: dict) -> tuple[int, bytes, float, float]:
+    """:func:`run_measured`, and the wall time of the call in seconds."""
+    start = time.perf_counter()
+    code, output, peak = run_measured(argv, cwd, env)
+    return code, output, peak, time.perf_counter() - start
+
+
 def run_calls(checkout: str, workload: str, seed: int, where: str) -> tuple[list[str], dict]:
     """Run the calls of one workload seed in ``where``: the failures, if any, and
-    each call's peak resident set in MB, by label."""
+    each call's peak resident set in MB and wall time in seconds, by label."""
     os.makedirs(os.path.join(where, "cfg"))
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    failures, peaks = [], {}
+    failures, measures = [], {}
     for i, call in enumerate(workloads.make_calls(workload, seed)):
         if call.config is not None:
             with open(os.path.join(where, "cfg", call.label + ".json"), "w") as fh:
                 json.dump(call.config, fh)
-        code, output, peaks[f"{i}-{call.label}"] = run_measured(
+        code, output, *measures[f"{i}-{call.label}"] = run_timed(
             [sys.executable, "-m", "grassquant.cli", *call.argv], where, env)
         with open(os.path.join(where, f"{i}-{call.label}.stdout"), "wb") as fh:
             fh.write(output)
         if code != 0:
             failures.append(f"{checkout}: {workload} seed {seed} {call.label} exited "
                             f"{code}: {output.decode(errors='replace')[-400:]}")
-    return failures, peaks
+    return failures, measures
 
 
 def compared_files(where: str) -> set[str]:
@@ -203,7 +212,7 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             for seed in args.seeds:
                 dirs = [os.path.join(tmp, side, workload, f"seed{seed}") for side in ("a", "b")]
-                (failures, peaks), (more, change_peaks) = (
+                (failures, measures), (more, change_measures) = (
                     run_calls(c, workload, seed, d) for c, d in zip(checkouts, dirs))
                 failures += more
                 names = [compared_files(d) for d in dirs]
@@ -231,8 +240,10 @@ def main(argv=None) -> int:
                         keys = differing_paths(*(load_report(path) for path in paths))
                         print(f"  differing keys: {', '.join(keys)}")
                 print(f"{workload} seed {seed}: {len(names[0])} files: {', '.join(sorted(names[0]))}")
-                for call, peak in peaks.items():
-                    print(f"  peak RSS {call}: {peak:.1f} -> {change_peaks[call]:.1f} MB")
+                for call, (peak, wall) in measures.items():
+                    change_peak, change_wall = change_measures[call]
+                    print(f"  peak RSS {call}: {peak:.1f} -> {change_peak:.1f} MB, "
+                          f"wall {wall:.2f} -> {change_wall:.2f} s")
     print(f"{same + differ} files compared, {same} identical, {differ} differ")
     print(f"src/grassquant: {source_lines(checkouts[0])} -> {source_lines(checkouts[1])} lines")
     return 1 if differ else 0

@@ -11,7 +11,9 @@ is the library's own: a ``DomainError`` or ``CapExceeded`` raised by a
 config-driven command is reported as a config error.  The CSV is
 byte-identical across runs for the same config and seed (wall time lives
 only in the JSON report); rows are sub-seeded from ``(seed, row_index)`` so
-parallelism never changes results.
+parallelism never changes results.  ``--threads`` sets one pool that runs
+the rows and, on workers no row needs, the row tiles of each row's
+nearest-entry searches.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -19,6 +21,7 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
 import os
@@ -45,6 +48,7 @@ from .errors import (
 )
 from .manifold import FieldKind, GrassmannSpec, _check_flag, _check_mc_samples, _check_real
 from .quantization import (
+    _SEARCH_POOL,
     _check_size,
     _check_training,
     _codebook_builder,
@@ -189,10 +193,16 @@ def _row_seed_int(seed: int, index: int) -> int:
 
 
 def _run_rows(fns: list, threads: int) -> list:
-    if threads <= 1 or len(fns) <= 1:
+    """Each row's result.  With ``threads`` > 1, one pool of that many workers
+    runs the rows and the row tiles of their nearest-entry searches: each row
+    runs in its own copy of a context whose ``_SEARCH_POOL`` lets up to
+    ``threads - 1`` idle workers help its searches."""
+    if threads <= 1:
         return [fn() for fn in fns]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn) for fn in fns]
+        context = contextvars.copy_context()
+        context.run(_SEARCH_POOL.set, (pool, threads - 1))
+        futures = [pool.submit(context.copy().run, fn) for fn in fns]
         return [f.result() for f in futures]
 
 
@@ -500,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="row parallelism (default: cpu count)",
+            help="workers of the one pool that runs rows and their search tiles "
+            "(default: cpu count)",
         )
 
     for name in RUNNERS:

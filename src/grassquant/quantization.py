@@ -11,8 +11,11 @@ large-``n`` asymptote, and the random-code optimality experiment.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,10 @@ _PACKED_MAX_DIM = _MAX_DRAW_VALUES // MAX_CODEBOOK
 # Bases packed at a time, so no (K, n, n) or (N, n, n) projector stack of a
 # whole codebook or training set is built.
 _PACK_CHUNK = 1024
+# ``(executor, helpers)`` inside a row of a pooled run: the executor that runs
+# the row, and how many tasks on it may help each of the row's nearest-entry
+# searches (see _nearest).  Set in each row's own context by the CLI.
+_SEARCH_POOL: contextvars.ContextVar = contextvars.ContextVar("search_pool", default=None)
 
 
 @dataclass(frozen=True)
@@ -225,6 +232,7 @@ def _walk(
     entries: np.ndarray,
     upper: bool = False,
     packed_samples: "np.ndarray | None" = None,
+    share=None,
 ):
     """Yield ``(r0, r1, c0, ov)``, the squared overlaps ``ov`` of the sample rows
     ``r0:r1`` against the entries ``c0:c0 + ov.shape[1]``, one tile of
@@ -239,6 +247,13 @@ def _walk(
     slices of it.  With ``upper`` (samples and entries the same stack), only
     tiles holding a pair ``r < c`` are computed, and packed sample tiles are
     rows of the entries' own operand.  Every tile goes through :func:`_sq_overlaps`.
+
+    The row spans are one source, taken under a lock, and each span's tiles
+    are walked in entry order by whoever took it.  With ``share``, the walk
+    calls ``share(tiles, count)`` once the entries are packed: ``tiles()``
+    yields the tiles of spans taken from that source, so other threads can
+    walk spans alongside, and ``count`` is the number of spans.  The walk
+    then yields the tiles of the spans it takes itself.
     """
     packed = _packed_entries(entries) if _packs(len(samples), samples.shape[2], entries) else None
     if packed is None:
@@ -246,16 +261,30 @@ def _walk(
     elif upper:
         packed_samples = packed.T
     rows, width = _tile_shape(len(entries), packed is not None, upper)
-    for r0, r1 in _spans(len(samples), rows):
-        block = samples[r0:r1]
-        packed_block = None
-        if packed is not None:
-            packed_block = _packed(block) if packed_samples is None else packed_samples[r0:r1]
-        for c0, c1 in _spans(len(entries), width):
-            if upper and c1 <= r0 + 1:
-                continue
-            tile = None if packed is None else packed[:, c0:c1]
-            yield r0, r1, c0, _sq_overlaps(block, entries[c0:c1], tile, packed_block)
+    spans = list(_spans(len(samples), rows))
+    source = iter(spans)
+    lock = threading.Lock()
+
+    def tiles():
+        while True:
+            with lock:
+                span = next(source, None)
+            if span is None:
+                return
+            r0, r1 = span
+            block = samples[r0:r1]
+            packed_block = None
+            if packed is not None:
+                packed_block = _packed(block) if packed_samples is None else packed_samples[r0:r1]
+            for c0, c1 in _spans(len(entries), width):
+                if upper and c1 <= r0 + 1:
+                    continue
+                tile = None if packed is None else packed[:, c0:c1]
+                yield r0, r1, c0, _sq_overlaps(block, entries[c0:c1], tile, packed_block)
+
+    if share is not None:
+        share(tiles, len(spans))
+    yield from tiles()
 
 
 def _nearest(
@@ -274,16 +303,51 @@ def _nearest(
     last bits.)  A caller that searches one sample set many times (the Lloyd
     loop) passes the samples' :func:`_packed` as ``packed_samples``.  The
     direct form reads a codebook's ``stacked_bases`` in place.
+
+    Inside a row of a pooled run (``_SEARCH_POOL`` set), up to ``helpers``
+    tasks on the row's executor take the walk's row spans alongside the
+    caller, never more than the spans after the caller's first.  A span
+    writes only its own rows of the result, so the bits do not depend on who
+    walked it, and with no pool the same code runs with no helper.  On
+    return the caller cancels every helper that never started and waits for
+    the others, so it never waits on work still queued; a helper's error is
+    raised once every helper has stopped.  Helpers reach the search only
+    through a holder emptied before the return: a cancelled helper stays in
+    the executor's queue until a worker takes it, and must not keep the
+    samples alive.
     """
     idx = np.zeros(len(samples), dtype=np.intp)
     best = np.full(len(samples), -np.inf)
-    for r0, r1, c0, ov in _walk(samples, entries, packed_samples=packed_samples):
-        i = ov.argmax(axis=1)
-        v = ov[np.arange(len(ov)), i]
-        wins = v > best[r0:r1]
-        np.copyto(best[r0:r1], v, where=wins)
-        np.copyto(idx[r0:r1], i + c0, where=wins)
+
+    def argmax(tiles):
+        for r0, r1, c0, ov in tiles:
+            i = ov.argmax(axis=1)
+            v = ov[np.arange(len(ov)), i]
+            wins = v > best[r0:r1]
+            np.copyto(best[r0:r1], v, where=wins)
+            np.copyto(idx[r0:r1], i + c0, where=wins)
+
+    pool, most = _SEARCH_POOL.get() or (None, 0)
+    work, helpers = [], []
+
+    def share(tiles, count):
+        work.append(lambda: argmax(tiles()))
+        helpers.extend(pool.submit(_help, work) for _ in range(min(most, count - 1)))
+
+    try:
+        argmax(_walk(samples, entries, packed_samples=packed_samples, share=share))
+    finally:
+        started = [f for f in helpers if not f.cancel()]
+        wait(started)
+        work.clear()
+    for f in started:
+        f.result()
     return idx, best
+
+
+def _help(work: list) -> None:
+    """One helper of :func:`_nearest`: run the search its holder holds."""
+    work[0]()
 
 
 def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -66,6 +67,52 @@ def test_volume_run_and_determinism(tmp_path):
             assert run(name, "--config", cfg, "--out", str(out), "--threads", threads) == 0
             csvs.append((out / f"{name.replace('-', '_')}.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+
+def test_a_one_row_run_is_the_same_at_any_thread_count(tmp_path, monkeypatch):
+    # One row at --threads 3: the row runs on the pool, and idle workers walk
+    # row spans of its searches.  The row's first tile waits (at most 30 s)
+    # until another thread has computed one, so the helpers surely ran.
+    cfg = write_config(tmp_path, "one.json", {"n": 4, "p": 1, "q": 2, "beta": 2,
+                                              "k_values": [4096], "samples": 2000, "seed": 3})
+    assert run("distortion", "--config", cfg, "--out", str(tmp_path / "t1"), "--threads", "1") == 0
+    threads = []
+    helped = threading.Event()
+    kernel = qz._sq_overlaps
+
+    def spied(*args):
+        threads.append(threading.get_ident())
+        if threads[-1] != threads[0]:
+            helped.set()
+        elif len(threads) == 1:
+            assert helped.wait(30), "no helper took a span"
+        return kernel(*args)
+
+    monkeypatch.setattr(qz, "_sq_overlaps", spied)
+    assert run("distortion", "--config", cfg, "--out", str(tmp_path / "t3"), "--threads", "3") == 0
+    assert len(set(threads)) > 1
+    assert ((tmp_path / "t3" / "distortion.csv").read_bytes()
+            == (tmp_path / "t1" / "distortion.csv").read_bytes())
+
+
+@pytest.mark.parametrize("threads, k_values", [("2", [4096, 4096]), ("3", [4096])])
+def test_pooled_runs_finish(tmp_path, threads, k_values):
+    # At --threads 2 both workers run rows while each row's helpers wait in the
+    # queue behind them: a row that waited for a queued helper would never end.
+    cfg = write_config(tmp_path, "dist.json", {"n": 4, "p": 1, "q": 2, "beta": 2,
+                                               "k_values": k_values, "samples": 2000})
+    src = os.path.dirname(os.path.dirname(gq.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "grassquant.cli", "distortion", "--config", cfg,
+         "--out", str(tmp_path / "out"), "--threads", threads],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "out" / "distortion.csv").read_text().splitlines()) == 1 + len(k_values)
 
 
 def test_volume_rows_regenerate_from_embedded_seed(tmp_path):

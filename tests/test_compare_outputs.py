@@ -82,3 +82,12 @@ def test_source_lines_sums_the_python_files_under_src_grassquant(tmp_path):
     (tmp_path / "change" / "setup.py").write_text("outside\n", encoding="utf-8")
     assert compare_outputs.source_lines(parent) == 5
     assert compare_outputs.source_lines(change) == 4
+
+
+def test_run_timed_adds_the_calls_wall_time_to_run_measured(tmp_path):
+    code, output, peak, wall = compare_outputs.run_timed(
+        [sys.executable, "-c", "import time; time.sleep(0.3); print('ok'); raise SystemExit(2)"],
+        str(tmp_path), dict(os.environ))
+    assert (code, output) == (2, b"ok\n")
+    assert 0 < peak < 1024
+    assert 0.3 <= wall < 60

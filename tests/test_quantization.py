@@ -1,6 +1,12 @@
+import contextvars
+import gc
 import math
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +16,7 @@ from scipy import integrate
 
 import grassquant as gq
 from grassquant import Codebook, FieldKind, GrassmannSpec, Plane, Provenance
-from grassquant import manifold, volume
+from grassquant import cli, manifold, volume
 from grassquant import quantization as qz
 from grassquant.codebook_io import load_codebook, save_codebook
 
@@ -379,6 +385,168 @@ def test_tie_across_an_entry_tile_breaks_to_the_lowest_index(monkeypatch, packed
     assert np.array_equal(best, first[:, i])
 
 
+def pooled(pool, helpers, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` inside a context whose nearest-entry searches may
+    hand row spans to ``helpers`` tasks on ``pool``, as a pooled CLI row runs."""
+    context = contextvars.copy_context()
+    context.run(qz._SEARCH_POOL.set, (pool, helpers))
+    return context.run(fn, *args, **kwargs)
+
+
+def helped_tiles(monkeypatch, wait_for_help):
+    """The thread of every overlap-kernel call from now on.  With
+    ``wait_for_help``, the first thread to call the kernel waits (at most 30 s)
+    until another thread has computed a tile, so helpers surely take spans."""
+    threads = []
+    helped = threading.Event()
+    kernel = qz._sq_overlaps
+
+    def spied(*args):
+        me = threading.get_ident()
+        threads.append(me)
+        if me != threads[0]:
+            helped.set()
+        elif wait_for_help and len(threads) == 1:
+            assert helped.wait(30), "no helper took a span"
+        return kernel(*args)
+
+    monkeypatch.setattr(qz, "_sq_overlaps", spied)
+    return threads
+
+
+@pytest.mark.parametrize(
+    "case, count, helpers",
+    [
+        ("last span of one row joins", 4 * 128 + 1, 2),
+        ("packed samples", 4 * 128 + 1, 2),
+        ("more helpers than row tiles", 2 * 128, 8),
+        ("one sample", 1, 2),
+    ],
+)
+@pytest.mark.parametrize("packed", [False, True])
+def test_pooled_search_equals_the_serial_search_bit_for_bit(monkeypatch, packed, case, count,
+                                                            helpers):
+    # Tiles of 128 sample rows against 8 entries: the pooled walk takes the
+    # same spans and tiles as the serial one, each span walked by one thread.
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1 << 10)
+    monkeypatch.setattr(qz, "_packs", lambda *args: packed)
+    rows, width = qz._tile_shape(50, packed)
+    assert (rows, width) == ((128, 8) if packed else (128, 4))
+    source, code = specs(6, 2, 3)
+    rng = np.random.default_rng(21)
+    samples = gq.sample_isotropic_bases(source, count, rng)
+    entries = qz._gemm_layout(gq.sample_isotropic_bases(code, 50, rng))
+    extra = {"packed_samples": qz._packed(samples)} if case == "packed samples" else {}
+    spans = len(list(qz._spans(count, rows)))
+    serial = counted_tiles(monkeypatch)
+    idx, best = qz._nearest(samples, entries, **extra)
+    tiles = len(serial)
+    threads = helped_tiles(monkeypatch, wait_for_help=spans > 1)
+    with ThreadPoolExecutor(max_workers=helpers + 1) as pool:
+        idx_pooled, best_pooled = pooled(pool, helpers, qz._nearest, samples, entries, **extra)
+    assert np.array_equal(idx_pooled, idx)
+    assert np.array_equal(best_pooled.view(np.uint64), best.view(np.uint64))
+    assert len(threads) == tiles  # every tile once
+    # No more threads than spans; where there are two spans, a helper took one.
+    assert min(2, spans) <= len(set(threads)) <= min(helpers + 1, spans)
+
+
+def test_pooled_search_under_stress_takes_every_span_once(monkeypatch):
+    # 2 x 2 tiles: 200 row spans for 8 threads on a machine of fewer cores,
+    # switching threads as often as the interpreter allows.  A span taken
+    # twice would add kernel calls; a span never taken would leave -inf.
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1)
+    source, code = specs(5, 1, 2)
+    rng = np.random.default_rng(22)
+    samples = gq.sample_isotropic_bases(source, 400, rng)
+    entries = gq.sample_isotropic_bases(code, 20, rng)
+    idx, best = qz._nearest(samples, entries)
+    counted = counted_tiles(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(3):
+                counted.clear()
+                idx_pooled, best_pooled = pooled(pool, 7, qz._nearest, samples, entries)
+                assert len(counted) == 200 * 10
+                assert np.array_equal(idx_pooled, idx)
+                assert np.array_equal(best_pooled.view(np.uint64), best.view(np.uint64))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_helpers_error_is_the_rows_error_once_every_helper_has_stopped(monkeypatch):
+    # The first tile a helper computes raises; the other helper is slow.  The
+    # error reaches the row's caller, and no kernel call is running then or
+    # starts after.
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1 << 10)
+    source, code = specs(6, 2, 3)
+    rng = np.random.default_rng(23)
+    samples = gq.sample_isotropic_bases(source, 8 * 128, rng)
+    entries = gq.sample_isotropic_bases(code, 50, rng)
+    kernel = qz._sq_overlaps
+    lock = threading.Lock()
+    state = {"row": None, "raised": None, "running": 0, "calls": 0}
+
+    class Planted(RuntimeError):
+        pass
+
+    def failing(*args):
+        me = threading.get_ident()
+        with lock:
+            state["calls"] += 1
+            state["running"] += 1
+            raise_here = me != state["row"] and state["raised"] is None
+            if raise_here:
+                state["raised"] = me
+        try:
+            if raise_here:
+                raise Planted("helper tile")
+            if me not in (state["row"], state["raised"]):
+                time.sleep(0.002)
+            return kernel(*args)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    def row():
+        state["row"] = threading.get_ident()
+        return qz._nearest(samples, entries)
+
+    monkeypatch.setattr(qz, "_sq_overlaps", failing)
+    with pytest.raises(Planted):
+        cli._run_rows([row], 3)
+    assert state["raised"] is not None
+    with lock:
+        assert state["running"] == 0
+        calls = state["calls"]
+    time.sleep(0.05)
+    assert state["calls"] == calls
+
+
+def test_a_cancelled_helper_keeps_no_samples_alive():
+    # The pool's one worker is held, so the search's helper stays queued and is
+    # cancelled; the queued task must not hold the samples once the search returns.
+    source, code = specs(6, 2, 3)
+    rng = np.random.default_rng(24)
+    samples = gq.sample_isotropic_bases(source, 4096, rng)
+    entries = gq.sample_isotropic_bases(code, 256, rng)
+    release = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        holder = pool.submit(release.wait, 30)
+        try:
+            idx, best = pooled(pool, 1, qz._nearest, samples, entries)
+            alive = weakref.ref(samples)
+            del samples
+            gc.collect()
+            assert alive() is None
+        finally:
+            release.set()
+        assert holder.result(timeout=30)
+    assert np.isfinite(best).all()
+
+
 @pytest.mark.parametrize("packed", [False, True])
 @pytest.mark.parametrize("beta", [1, 2])
 def test_min_pairwise_distance_finds_a_near_duplicate_across_tiles(monkeypatch, packed, beta):
@@ -554,7 +722,7 @@ def test_distortion_analytic_single_entry():
 
 
 def test_distortion_draws_in_chunks_within_the_draw_bound(monkeypatch):
-    # At small K the chunk set by the GEMM budget alone holds more values than
+    # At small K the chunk of _MC_CHUNK sources alone holds more values than
     # one draw may; the chunk is also capped by the draw bound over n p.
     monkeypatch.setattr(manifold, "_MAX_DRAW_VALUES", 1 << 12)
     monkeypatch.setattr(volume, "_MAX_DRAW_VALUES", 1 << 12)
