@@ -18,10 +18,12 @@ import numpy as np
 from .errors import DomainError, SpecMismatch
 from .manifold import (
     FieldKind, GrassmannSpec, _check_draws, _check_flag, _check_int, _check_mc_samples,
-    _check_real, _gaussian_matrix, _haar_orthonormalize,
+    _check_real, _check_values, _gaussian_matrix, _haar_orthonormalize,
 )
 from .quantization import (
     MAX_CODEBOOK,
+    _LLOYD_ITERS,
+    _TRAIN_SAMPLES,
     Codebook,
     _check_size,
     _codebook_builder,
@@ -178,7 +180,7 @@ class BeamformingConfig:
     trials: int = 10_000
     seed: int = 0
     codebook_kind: str = "maxmin"
-    design_iters: int = 8
+    design_iters: int = _LLOYD_ITERS
 
     def __post_init__(self) -> None:
         for name in ("l_t", "l_r", "s"):
@@ -193,6 +195,11 @@ class BeamformingConfig:
         _check_seed(self.seed)
         _codebook_builder(self.codebook_kind)
         _check_draws("design_iters", self.design_iters, 0)
+        # Each draw is bounded before any runs, in order: training, codebook, channels.
+        if self.codebook_kind == "maxmin":
+            _check_values("a random draw", (_TRAIN_SAMPLES, self.l_t, self.l_r))
+        _check_values("a random draw", (self.codebook_size, self.l_t, self.s))
+        _check_values("a random draw", (self.trials, self.l_r, self.l_t))
 
     @property
     def codebook_size(self) -> int:

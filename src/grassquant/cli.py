@@ -48,7 +48,9 @@ from .errors import (
 )
 from .manifold import FieldKind, GrassmannSpec, _check_flag, _check_mc_samples, _check_real
 from .quantization import (
+    _LLOYD_ITERS,
     _SEARCH_POOL,
+    _TRAIN_SAMPLES,
     _check_size,
     _check_training,
     _codebook_builder,
@@ -144,16 +146,16 @@ _DIMS = ("n", "p", "q", "beta")
 _FIELDS = {
     "volume": (*_DIMS, ("deltas", DEFAULT_DELTAS), ("samples", 100_000)),
     "distortion": (*_DIMS, "k_values", ("samples", 10_000)),
-    "design": (*_DIMS, "k_values", ("iters", 8), ("train_samples", 10_000),
+    "design": (*_DIMS, "k_values", ("iters", _LLOYD_ITERS), ("train_samples", _TRAIN_SAMPLES),
                ("eval_samples", 20_000), ("save_codebooks", False)),
     "random-opt": ("p", "q", "beta", "rbar", "n_list", ("trials", 20), ("epsilon", 0.05),
                    ("samples", 2000)),
     "awgn": ("n", "sigma_sq", "epsilon", ("beta", 2), ("trials", 200), ("rates", []),
              ("k_values", []), ("clamp_to_cap", False)),
     "beamforming": ("l_t", "l_r", "s", "rho", "r_fb_values", ("trials", 10_000),
-                    ("codebook_kind", "maxmin"), ("design_iters", 8)),
-    "codebook save": (*_DIMS, "K", ("kind", "random"), ("name", ""), ("iters", 8),
-                      ("train_samples", 10_000)),
+                    ("codebook_kind", "maxmin"), ("design_iters", _LLOYD_ITERS)),
+    "codebook save": (*_DIMS, "K", ("kind", "random"), ("name", ""), ("iters", _LLOYD_ITERS),
+                      ("train_samples", _TRAIN_SAMPLES)),
 }
 # The fields that hold a sweep: each must be a non-empty list.
 _LISTS = {"deltas", "k_values", "n_list", "rates", "r_fb_values"}

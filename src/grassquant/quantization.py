@@ -64,9 +64,10 @@ _PACKED_MAX_DIM = _MAX_DRAW_VALUES // MAX_CODEBOOK
 # Bases packed at a time, so no (K, n, n) or (N, n, n) projector stack of a
 # whole codebook or training set is built.
 _PACK_CHUNK = 1024
-# ``(executor, helpers)`` inside a row of a pooled run: the executor that runs
-# the row, and how many tasks on it may help each of the row's nearest-entry
-# searches (see _nearest).  Set in each row's own context by the CLI.
+# The Lloyd design's default budget: iterations and training sources.
+_LLOYD_ITERS, _TRAIN_SAMPLES = 8, 10_000
+# ``(executor, helpers)``, set by the CLI in each row's own context: the row's
+# executor, and how many of its tasks may help each of the row's searches (_nearest).
 _SEARCH_POOL: contextvars.ContextVar = contextvars.ContextVar("search_pool", default=None)
 
 
@@ -232,28 +233,21 @@ def _walk(
     entries: np.ndarray,
     upper: bool = False,
     packed_samples: "np.ndarray | None" = None,
-    share=None,
 ):
-    """Yield ``(r0, r1, c0, ov)``, the squared overlaps ``ov`` of the sample rows
-    ``r0:r1`` against the entries ``c0:c0 + ov.shape[1]``, one tile of
-    :func:`_tile_shape` at a time, entry tiles inside row tiles.
+    """``(spans, tiles)``: the ``(r0, r1)`` row spans (:func:`_spans`) that
+    cover the samples, and ``tiles(r0, r1)``, which yields, in entry order,
+    ``(c0, ov)``: the squared overlaps ``ov`` of the rows ``r0:r1`` against
+    the entries ``c0:c0 + ov.shape[1]``, one :func:`_tile_shape` tile at a
+    time.  A span's tiles depend on nothing but the span.
 
-    The walk takes the form :func:`_packs` picks for ``len(samples)`` sources.
-    The packed form packs the entries once (:func:`_packed_entries`) and each
-    sample tile once for all its entry tiles, or reads it as rows of
-    ``packed_samples``, the samples' :func:`_packed` (the same rows, bit for
-    bit).  The direct form lays ``entries`` out once (no copy where they are
-    in the :func:`_gemm_layout` already) and reads entry tiles as column
-    slices of it.  With ``upper`` (samples and entries the same stack), only
-    tiles holding a pair ``r < c`` are computed, and packed sample tiles are
-    rows of the entries' own operand.  Every tile goes through :func:`_sq_overlaps`.
-
-    The row spans are one source, taken under a lock, and each span's tiles
-    are walked in entry order by whoever took it.  With ``share``, the walk
-    calls ``share(tiles, count)`` once the entries are packed: ``tiles()``
-    yields the tiles of spans taken from that source, so other threads can
-    walk spans alongside, and ``count`` is the number of spans.  The walk
-    then yields the tiles of the spans it takes itself.
+    The walk picks the form (:func:`_packs`) and prepares the entries before
+    it returns.  The packed form packs the entries once and each sample tile
+    once for all its entry tiles, or reads it as rows of ``packed_samples``,
+    the samples' :func:`_packed` (the same rows, bit for bit).  The direct
+    form lays ``entries`` out once (no copy if in the :func:`_gemm_layout`).
+    With ``upper`` (samples and entries the same stack), only tiles holding a
+    pair ``r < c`` are computed, and packed sample tiles are rows of the
+    entries' own operand.  Every tile goes through :func:`_sq_overlaps`.
     """
     packed = _packed_entries(entries) if _packs(len(samples), samples.shape[2], entries) else None
     if packed is None:
@@ -261,30 +255,19 @@ def _walk(
     elif upper:
         packed_samples = packed.T
     rows, width = _tile_shape(len(entries), packed is not None, upper)
-    spans = list(_spans(len(samples), rows))
-    source = iter(spans)
-    lock = threading.Lock()
 
-    def tiles():
-        while True:
-            with lock:
-                span = next(source, None)
-            if span is None:
-                return
-            r0, r1 = span
-            block = samples[r0:r1]
-            packed_block = None
-            if packed is not None:
-                packed_block = _packed(block) if packed_samples is None else packed_samples[r0:r1]
-            for c0, c1 in _spans(len(entries), width):
-                if upper and c1 <= r0 + 1:
-                    continue
-                tile = None if packed is None else packed[:, c0:c1]
-                yield r0, r1, c0, _sq_overlaps(block, entries[c0:c1], tile, packed_block)
+    def tiles(r0, r1):
+        block = samples[r0:r1]
+        packed_block = None
+        if packed is not None:
+            packed_block = _packed(block) if packed_samples is None else packed_samples[r0:r1]
+        for c0, c1 in _spans(len(entries), width):
+            if upper and c1 <= r0 + 1:
+                continue
+            tile = None if packed is None else packed[:, c0:c1]
+            yield c0, _sq_overlaps(block, entries[c0:c1], tile, packed_block)
 
-    if share is not None:
-        share(tiles, len(spans))
-    yield from tiles()
+    return list(_spans(len(samples), rows)), tiles
 
 
 def _nearest(
@@ -304,38 +287,43 @@ def _nearest(
     loop) passes the samples' :func:`_packed` as ``packed_samples``.  The
     direct form reads a codebook's ``stacked_bases`` in place.
 
-    Inside a row of a pooled run (``_SEARCH_POOL`` set), up to ``helpers``
-    tasks on the row's executor take the walk's row spans alongside the
-    caller, never more than the spans after the caller's first.  A span
-    writes only its own rows of the result, so the bits do not depend on who
-    walked it, and with no pool the same code runs with no helper.  On
-    return the caller cancels every helper that never started and waits for
-    the others, so it never waits on work still queued; a helper's error is
-    raised once every helper has stopped.  Helpers reach the search only
-    through a holder emptied before the return: a cancelled helper stays in
-    the executor's queue until a worker takes it, and must not keep the
-    samples alive.
+    The walk's row spans are one source, taken under a lock, and each span's
+    tiles are walked by whoever took it.  Inside a row of a pooled run
+    (``_SEARCH_POOL`` set), up to ``helpers`` tasks on the row's executor,
+    submitted before the caller takes its first span, take spans alongside
+    it, never more than the spans after its first.  A span writes only its
+    own rows of the result, so the bits do not depend on who walked it; with
+    no pool the same code runs with no helper.  On return the caller cancels
+    every helper that never started and waits for the others, so it never
+    waits on work still queued; a helper's error is raised once every helper
+    has stopped.  Helpers reach the search only through a holder emptied
+    before the return: a cancelled helper stays queued until a worker takes
+    it, and must not keep the samples alive.
     """
     idx = np.zeros(len(samples), dtype=np.intp)
     best = np.full(len(samples), -np.inf)
+    spans, tiles = _walk(samples, entries, packed_samples=packed_samples)
+    source = iter(spans)
+    lock = threading.Lock()
 
-    def argmax(tiles):
-        for r0, r1, c0, ov in tiles:
-            i = ov.argmax(axis=1)
-            v = ov[np.arange(len(ov)), i]
-            wins = v > best[r0:r1]
-            np.copyto(best[r0:r1], v, where=wins)
-            np.copyto(idx[r0:r1], i + c0, where=wins)
+    def take():
+        with lock:
+            return next(source, None)
+
+    def search():
+        for r0, r1 in iter(take, None):
+            for c0, ov in tiles(r0, r1):
+                i = ov.argmax(axis=1)
+                v = ov[np.arange(len(ov)), i]
+                wins = v > best[r0:r1]
+                np.copyto(best[r0:r1], v, where=wins)
+                np.copyto(idx[r0:r1], i + c0, where=wins)
 
     pool, most = _SEARCH_POOL.get() or (None, 0)
-    work, helpers = [], []
-
-    def share(tiles, count):
-        work.append(lambda: argmax(tiles()))
-        helpers.extend(pool.submit(_help, work) for _ in range(min(most, count - 1)))
-
+    work, helpers = [search], []
     try:
-        argmax(_walk(samples, entries, packed_samples=packed_samples, share=share))
+        helpers.extend(pool.submit(_help, work) for _ in range(min(most, len(spans) - 1)))
+        search()
     finally:
         started = [f for f in helpers if not f.cancel()]
         wait(started)
@@ -348,6 +336,13 @@ def _nearest(
 def _help(work: list) -> None:
     """One helper of :func:`_nearest`: run the search its holder holds."""
     work[0]()
+
+
+def _rounding(terms: int, q: int) -> float:
+    """A generous bound on the rounding of a squared overlap whose q terms (each
+    at most 1) each sum ``terms`` products: it errs by about 2 (terms + 1) q eps,
+    and the bound allows that twice, with room to spare."""
+    return 8.0 * terms * q * (q + 1) * np.finfo(float).eps
 
 
 def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
@@ -369,10 +364,7 @@ def _duplicate_pairs(bases: np.ndarray) -> list[tuple[int, int]]:
     keys = np.sum(np.abs(g @ bases) ** 2, axis=1)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    # Each key errs by about 2 (n + 1) q eps in rounding (each of its q terms
-    # is at most 1); the window allows that twice, with room to spare.
-    rounding = 8.0 * n * q * (q + 1) * np.finfo(float).eps
-    window = math.sqrt(2.0) * TOL_EQ + 2.0 * TOL_ORTHO + rounding
+    window = math.sqrt(2.0) * TOL_EQ + 2.0 * TOL_ORTHO + _rounding(n, q)
     pairs = []
     gap = 1
     while gap < k:
@@ -474,20 +466,18 @@ class Codebook:
         k, n, q = bases.shape
         if k < 2:
             return math.inf
-        # A generous bound on the kernel's rounding, as in the duplicate screen:
-        # each value is a sum over n (direct) or d >= n (packed) products, so d
-        # terms bound either form.
-        terms = _packed_dim(n, np.iscomplexobj(bases))
-        rounding = 8.0 * terms * q * (q + 1) * np.finfo(float).eps
-        top = -math.inf
-        best = math.inf
-        for r0, r1, c0, ov in _walk(bases, bases, upper=True):
-            if c0 < r1:  # a tile on the diagonal: keep the pairs r < c
-                ov[np.tril_indices(r1 - r0, r0 - c0, ov.shape[1])] = -math.inf
-            top = max(top, float(ov.max()))
-            i, j = np.nonzero(ov >= top - rounding)
-            if i.size:
-                best = min(best, float(_residual_sq(bases[r0 + i], bases[c0 + j]).min()))
+        # Each value sums n (direct) or d >= n (packed) products: d bounds either form.
+        rounding = _rounding(_packed_dim(n, np.iscomplexobj(bases)), q)
+        top, best = -math.inf, math.inf
+        spans, tiles = _walk(bases, bases, upper=True)
+        for r0, r1 in spans:
+            for c0, ov in tiles(r0, r1):
+                if c0 < r1:  # a tile on the diagonal: keep the pairs r < c
+                    ov[np.tril_indices(r1 - r0, r0 - c0, ov.shape[1])] = -math.inf
+                top = max(top, float(ov.max()))
+                i, j = np.nonzero(ov >= top - rounding)
+                if i.size:
+                    best = min(best, float(_residual_sq(bases[r0 + i], bases[c0 + j]).min()))
         return math.sqrt(best)
 
 
@@ -645,10 +635,10 @@ def design_maxmin(
     code_spec: GrassmannSpec,
     size: int,
     rng: "np.random.Generator | None" = None,
-    iters: int = 8,
+    iters: int = _LLOYD_ITERS,
     *,
     seed: "int | None" = None,
-    train_samples: int = 10_000,
+    train_samples: int = _TRAIN_SAMPLES,
 ) -> Codebook:
     """Codebook designed by Lloyd iterations from one Haar draw of ``size``
     entries ("maxmin" names this design and its provenance kind).
@@ -694,7 +684,7 @@ def design_maxmin(
     )
 
 
-def _check_training(iters: int = 8, train_samples: int = 10_000) -> None:
+def _check_training(iters: int = _LLOYD_ITERS, train_samples: int = _TRAIN_SAMPLES) -> None:
     """Range checks of the training values of :func:`design_maxmin`."""
     _check_draws("iters", iters, 0)
     _check_draws("train_samples", train_samples, 1)

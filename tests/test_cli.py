@@ -437,6 +437,8 @@ NAN, INF = float("nan"), float("inf")
         ("random-opt", OPT_CFG, {"seed": -1, "trials": 0}, "seed must be >= 0, got -1"),
         ("volume", VOLUME_CFG, {"deltas": 0.1}, "deltas: expected a non-empty list, got 0.1"),
         ("distortion", DISTORTION_CFG, {"k_values": []}, "k_values: expected a non-empty list"),
+        ("beamforming", BEAM_CFG, {"l_t": 4, "l_r": 2, "r_fb_values": [12], "trials": 10**7},
+         "shape (10000000, 2, 4) exceeds"),
     ],
 )
 def test_bad_config_is_a_config_error(
@@ -455,6 +457,20 @@ def test_bad_config_is_a_config_error(
     assert run(*argv, "--config", cfg, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and shown in err and "Traceback" not in err
+
+
+def test_a_beamforming_draw_beyond_the_bound_is_refused_before_any_design(tmp_path, capsys,
+                                                                          monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("a codebook was designed before the draws were bounded")
+
+    monkeypatch.setattr(qz, "design_maxmin", no_design)
+    cfg = write_config(tmp_path, "beam.json", dict(BEAM_CFG, l_t=4, l_r=2, r_fb_values=[12],
+                                                   trials=10**7))
+    assert run("beamforming", "--threads", "1", "--config", cfg,
+               "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "shape (10000000, 2, 4) exceeds" in err
 
 
 CONFIGS = {"volume": VOLUME_CFG, "distortion": DISTORTION_CFG, "design": DESIGN_CFG,

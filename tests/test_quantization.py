@@ -323,9 +323,14 @@ def recorded_walk(monkeypatch):
     walk = qz._walk
 
     def recorded(*args, **kwargs):
-        for r0, r1, c0, ov in walk(*args, **kwargs):
-            tiles.append((r0, r1, c0, ov.copy()))
-            yield r0, r1, c0, ov
+        spans, span_tiles = walk(*args, **kwargs)
+
+        def recorded_tiles(r0, r1):
+            for c0, ov in span_tiles(r0, r1):
+                tiles.append((r0, r1, c0, ov.copy()))
+                yield c0, ov
+
+        return spans, recorded_tiles
 
     monkeypatch.setattr(qz, "_walk", recorded)
     return tiles
@@ -383,6 +388,31 @@ def test_tie_across_an_entry_tile_breaks_to_the_lowest_index(monkeypatch, packed
     assert np.all(first.argmax(axis=1) == i)
     assert np.all(idx == i)
     assert np.array_equal(best, first[:, i])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 2 * 128 + 1, 3 * 128])
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("packed", [False, True])
+def test_walk_spans_cover_the_samples_and_each_spans_tiles_stand_alone(monkeypatch, packed,
+                                                                      upper, count):
+    # The contract the pooled search relies on: the spans cover the samples in
+    # order, none of one row (but for one sample), and a span's tiles do not
+    # depend on which spans were walked before it.
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1 << 10)
+    monkeypatch.setattr(qz, "_packs", lambda *args: packed)
+    source, code = specs(6, 2, 2 if upper else 3)
+    rng = np.random.default_rng(25)
+    samples = gq.sample_isotropic_bases(source, count, rng)
+    entries = samples if upper else gq.sample_isotropic_bases(code, 50, rng)
+    spans, tiles = qz._walk(samples, entries, upper=upper)
+    assert [r for r0, r1 in spans for r in range(r0, r1)] == list(range(count))
+    assert all(r1 - r0 >= 2 for r0, r1 in spans) or count == 1
+    forward = {span: [(c0, ov.copy()) for c0, ov in tiles(*span)] for span in spans}
+    for span in reversed(spans):
+        walked = list(tiles(*span))
+        assert [c0 for c0, _ in walked] == [c0 for c0, _ in forward[span]]
+        for (_, ov), (_, first) in zip(walked, forward[span]):
+            assert np.array_equal(ov.view(np.uint64), first.view(np.uint64))
 
 
 def pooled(pool, helpers, fn, *args, **kwargs):
@@ -523,6 +553,57 @@ def test_a_helpers_error_is_the_rows_error_once_every_helper_has_stopped(monkeyp
         calls = state["calls"]
     time.sleep(0.05)
     assert state["calls"] == calls
+
+
+def test_a_failing_submit_is_the_searchs_error_once_the_first_helper_has_stopped(monkeypatch):
+    # The executor takes the first helper and refuses the second.  The refusal
+    # reaches the caller, the first helper is cancelled or waited for, and no
+    # kernel call is running then or starts after.
+    monkeypatch.setattr(qz, "_BLOCK_PAIRS", 1 << 10)
+    source, code = specs(6, 2, 3)
+    rng = np.random.default_rng(26)
+    samples = gq.sample_isotropic_bases(source, 8 * 128, rng)
+    entries = gq.sample_isotropic_bases(code, 50, rng)
+    kernel = qz._sq_overlaps
+    lock = threading.Lock()
+    state = {"running": 0, "calls": 0}
+
+    def counted(*args):
+        with lock:
+            state["calls"] += 1
+            state["running"] += 1
+        try:
+            time.sleep(0.001)
+            return kernel(*args)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    class Refused(RuntimeError):
+        pass
+
+    class SecondSubmitFails:
+        def __init__(self, pool):
+            self.pool, self.futures = pool, []
+
+        def submit(self, fn, *args):
+            if self.futures:
+                raise Refused("second submit")
+            self.futures.append(self.pool.submit(fn, *args))
+            return self.futures[0]
+
+    monkeypatch.setattr(qz, "_sq_overlaps", counted)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        executor = SecondSubmitFails(pool)
+        with pytest.raises(Refused):
+            pooled(executor, 2, qz._nearest, samples, entries)
+        (first,) = executor.futures
+        assert first.cancelled() or first.done()
+        with lock:
+            assert state["running"] == 0
+            calls = state["calls"]
+        time.sleep(0.05)
+        assert state["calls"] == calls
 
 
 def test_a_cancelled_helper_keeps_no_samples_alive():
