@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _laws
 from .errors import DomainError, SpecMismatch
 from .manifold import (
     FieldKind, GrassmannSpec, _check_draws, _check_flag, _check_int, _check_mc_samples,
@@ -96,25 +97,22 @@ class AwgnConfig:
         return math.log2(self.effective_size) / self.n
 
 
-# A trial draws its wrong overlaps in blocks of 64, 128, 256, ... (the last cut
-# to fit), stopping at the first block that holds one beating the sent overlap.
-_FIRST_OVERLAP_BLOCK = 64
-
-
 def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
     """Transmit one shell codeword over Y = X + W and decode by nearest line.
 
-    Each trial draws the sent codeword ``X`` on the power shell, the noise
-    ``W``, and the normalized overlaps ``|C^H Y|^2 / (||C||^2 ||Y||^2)`` of
-    the ``K - 1`` other isotropic codewords ``C``, as i.i.d. exact draws of
-    ``Beta(beta/2, beta (n - 1)/2)``: each ``C`` is independent of ``Y``, and
-    its overlap is the squared modulus of one coordinate of a uniform unit
-    vector.  A trial errs when an overlap beats the sent one (ties go to X).
-    It stops drawing overlaps at the first one that beats the sent one; the
-    trial's stream serves nothing after its overlaps, and the draws come in
-    stream order, so the outcome equals that of drawing all ``K - 1``.
-    Returns the row: the block-error frequency and the statistics of
-    ``d_c^2(line(X), line(Y))``, together with the window
+    Each trial draws the sent codeword ``X`` on the power shell and the noise
+    ``W``, then decides in one draw whether any of the ``K - 1`` other
+    isotropic codewords ``C`` beats ``X``.  Their normalized overlaps
+    ``|C^H Y|^2 / (||C||^2 ||Y||^2)`` are i.i.d. ``Beta(beta/2, beta (n - 1)/2)``
+    and independent of the sent overlap ``x0``: each ``C`` is independent of
+    ``Y``, and its overlap is the squared modulus of one coordinate of a
+    uniform unit vector.  So the best of them stays at or below ``x0`` with
+    probability ``(1 - Q(x0))^(K - 1)``, ``Q`` the exact upper tail of that
+    law, and the trial errs when one uniform from its stream is at least that
+    probability.  This is exact in law, costs O(n) per trial at any ``K``, and
+    builds no codebook; a tie has probability zero.  Returns the row: the
+    block-error frequency and the statistics of ``d_c^2(line(X), line(Y))``,
+    together with the window
     ``[sigma^2/(1 + sigma^2 - eps), sigma^2/(1 + sigma^2 - 2 eps)]``
     that the squared distance concentrates in for long blocks.
     """
@@ -122,22 +120,17 @@ def awgn_grassmann_decode_experiment(cfg: AwgnConfig) -> dict:
     n = cfg.n
     beta = cfg.field.beta
     shell_sq = n * (1.0 - 1.5 * cfg.epsilon)
-    errors = 0
-    dsq = np.empty(cfg.trials)
+    overlaps = np.empty(cfg.trials)
+    uniforms = np.empty(cfg.trials)
     for t in range(cfg.trials):
         rng = derive_rng(cfg.seed, t)
         x = _gaussian_matrix((n,), cfg.field, rng)
         x *= math.sqrt(shell_sq) / np.linalg.norm(x)
         y = x + math.sqrt(cfg.sigma_sq / beta) * _gaussian_matrix((n,), cfg.field, rng)
-        overlap = float(abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2))
-        left, block = k - 1, _FIRST_OVERLAP_BLOCK
-        while left:
-            m = min(block, left)
-            if float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, m).max()) > overlap:
-                errors += 1
-                break
-            left, block = left - m, 2 * block
-        dsq[t] = max(0.0, 1.0 - overlap)
+        overlaps[t] = abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2)
+        uniforms[t] = rng.random()
+    errors = int(np.count_nonzero(uniforms >= _laws.max_overlap_cdf(overlaps, n, beta, k - 1)))
+    dsq = np.maximum(0.0, 1.0 - overlaps)
     window_low = cfg.sigma_sq / (1.0 + cfg.sigma_sq - cfg.epsilon)
     window_high = cfg.sigma_sq / (1.0 + cfg.sigma_sq - 2.0 * cfg.epsilon)
     return {

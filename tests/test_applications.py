@@ -118,26 +118,36 @@ def test_awgn_sampled_overlaps_match_codebook_oracle(field, n, k):
 
 
 def full_draw_awgn_row(cfg):
-    """Reference: the trial loop that draws all ``K - 1`` overlaps of a trial
-    in one ``beta`` call.  Returns the row's error count and dsq statistics."""
+    """Reference: the trial loop that draws all ``K - 1`` wrong overlaps of a trial
+    in one ``beta`` call.  Returns the row's error count and dsq statistics, and
+    each trial's sent overlap."""
     k, n, beta = cfg.effective_size, cfg.n, cfg.field.beta
     shell_sq = n * (1.0 - 1.5 * cfg.epsilon)
-    errors, dsq = 0, np.empty(cfg.trials)
+    errors, sent = 0, np.empty(cfg.trials)
     for t in range(cfg.trials):
         rng = app.derive_rng(cfg.seed, t)
         x = manifold._gaussian_matrix((n,), cfg.field, rng)
         x *= math.sqrt(shell_sq) / np.linalg.norm(x)
         y = x + math.sqrt(cfg.sigma_sq / beta) * manifold._gaussian_matrix((n,), cfg.field, rng)
-        overlap = float(abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2))
+        sent[t] = abs(np.vdot(x, y)) ** 2 / (shell_sq * np.linalg.norm(y) ** 2)
         if k > 1:
-            errors += float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, k - 1).max()) > overlap
-        dsq[t] = max(0.0, 1.0 - overlap)
+            errors += float(rng.beta(beta / 2.0, beta * (n - 1) / 2.0, k - 1).max()) > sent[t]
+    dsq = np.maximum(0.0, 1.0 - sent)
     return {
         "error_count": errors,
         "dsq_mean": float(dsq.mean()),
         "dsq_stderr": float(dsq.std(ddof=1) / math.sqrt(cfg.trials)),
         "dsq_var": float(dsq.var(ddof=1)),
-    }
+    }, sent
+
+
+def count_law(p):
+    """The exact law of the number of independent trials that err, trial t with
+    probability ``p[t]``: a Poisson-binomial pmf over 0 .. len(p)."""
+    law = np.ones(1)
+    for pt in p:
+        law = np.convolve(law, [1.0 - pt, pt])
+    return law
 
 
 EARLY_EXIT_CASES = {
@@ -148,13 +158,23 @@ EARLY_EXIT_CASES = {
     "capped": dict(n=12, rate=1.5, clamp_to_cap=True, trials=3),
 }
 
+# A correct error count falls outside its exact law's central 1 - ALPHA with
+# probability at most ALPHA: 1e-5 per count, 1e-3 over the grid's 100 counts.
+ALPHA = 1e-5
+
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("case", sorted(EARLY_EXIT_CASES))
 @pytest.mark.parametrize("field", [FieldKind.REAL, FieldKind.COMPLEX])
 def test_awgn_early_exit_matches_full_draw(field, case, seed):
-    # A trial stops drawing at the first overlap that beats the sent one; the
-    # row must equal that of drawing every overlap, to the last bit.
+    # The row's trial exits after one uniform; the reference draws all K - 1
+    # wrong overlaps.  Both see each trial's sent overlap x0 bit for bit, so their
+    # dsq columns are equal, and both error counts follow one exact law: trial t
+    # errs with p_t = 1 - F(x0_t)^(K - 1), F the Beta(beta/2, beta (n - 1)/2) cdf
+    # from scipy.  Each count's distance from sum p_t must be one that the law
+    # reaches with probability above ALPHA.
+    from scipy import special  # scipy is a test dependency only
+
     kwargs = dict(EARLY_EXIT_CASES[case])
     if case == "capacity":
         kwargs["rate"] = field.beta / 2.0  # the capacity at sigma^2 = 1, in bits per dimension
@@ -162,59 +182,53 @@ def test_awgn_early_exit_matches_full_draw(field, case, seed):
     if case == "capped":
         assert cfg.capped and cfg.effective_size == 65536
     row = gq.awgn_grassmann_decode_experiment(cfg)
-    expected = full_draw_awgn_row(cfg)
-    assert {key: row[key] for key in expected} == expected
+    expected, sent = full_draw_awgn_row(cfg)
+    dsq_keys = ("dsq_mean", "dsq_stderr", "dsq_var")
+    assert {key: row[key] for key in dsq_keys} == {key: expected[key] for key in dsq_keys}
+    beta, k = cfg.field.beta, cfg.effective_size
+    p = 1.0 - special.betainc(beta / 2, beta * (cfg.n - 1) / 2, np.clip(sent, 0.0, 1.0)) ** (k - 1)
+    law = count_law(p)
+    distance = np.abs(np.arange(law.size) - p.sum())
+    for count in (row["error_count"], expected["error_count"]):
+        assert law[distance >= distance[count] - 1e-9].sum() > ALPHA, (count, p.sum())
     if case == "capacity":
-        assert 0 < row["error_count"] < cfg.trials  # both outcomes occur
+        assert 0.1 < p.mean() < 0.9  # both outcomes are likely
 
 
 class CountingRng:
-    """A generator that records the size of every ``beta`` draw."""
+    """A generator that counts the values of its ``beta`` and ``random`` draws."""
 
-    def __init__(self, rng, sizes):
-        self._rng, self._sizes = rng, sizes
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def beta(self, a, b, size):
-        self._sizes.append(size)
+    def beta(self, a, b, size=None):
+        self._counts["beta"] += 1 if size is None else int(np.prod(size))
         return self._rng.beta(a, b, size)
 
+    def random(self, size=None):
+        self._counts["random"] += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
 
-def overlaps_drawn(monkeypatch, cfg):
-    sizes = []
+
+def test_awgn_trial_draws_one_uniform_and_no_overlap(monkeypatch):
+    # Each trial decides in one draw at any K: no Beta overlap, one uniform.
+    streams = []
     derive = app.derive_rng
-    monkeypatch.setattr(app, "derive_rng", lambda *key: CountingRng(derive(*key), sizes))
-    gq.awgn_grassmann_decode_experiment(cfg)
-    return sum(sizes)
 
+    def counting(*key):
+        streams.append({"beta": 0, "random": 0})
+        return CountingRng(derive(*key), streams[-1])
 
-def test_awgn_noiseless_trial_draws_every_overlap(monkeypatch):
-    cfg = AwgnConfig(n=8, sigma_sq=1e-12, epsilon=0.05, codebook_size=300, trials=20, seed=3)
-    assert overlaps_drawn(monkeypatch, cfg) == cfg.trials * (cfg.effective_size - 1)
-
-
-def test_awgn_trial_stops_drawing_once_decided(monkeypatch):
-    # Far above capacity most trials err early, so most overlaps go undrawn.
-    cfg = AwgnConfig(
-        n=12, sigma_sq=1.0, epsilon=0.05, rate=1.5, trials=20, seed=5, clamp_to_cap=True
-    )
-    assert overlaps_drawn(monkeypatch, cfg) < cfg.trials * (cfg.effective_size - 1) / 2
-
-
-@pytest.mark.parametrize("a, b", [(0.5, 5.5), (1.0, 11.0)])
-def test_beta_draws_come_in_stream_order(a, b):
-    """Two ``beta`` draws of m1 and m2 values equal one draw of m1 + m2.
-
-    The AWGN experiment's byte-for-byte output rests on this: its trials draw
-    overlaps in blocks and stop early.  If this fails (say after a numpy
-    upgrade), the experiment is still exact in law, but its rows no longer
-    match those of drawing every overlap at once, so its CSV bytes move."""
-    for seed in (0, 7, 2024):
-        split = np.random.default_rng(seed)
-        blocks = np.concatenate([split.beta(a, b, 64), split.beta(a, b, 129)])
-        np.testing.assert_array_equal(blocks, np.random.default_rng(seed).beta(a, b, 193))
+    monkeypatch.setattr(app, "derive_rng", counting)
+    for size in (dict(codebook_size=2), dict(codebook_size=300), dict(rate=1.5, clamp_to_cap=True)):
+        streams.clear()
+        cfg = AwgnConfig(n=12, sigma_sq=1.0, epsilon=0.05, trials=20, seed=5, **size)
+        gq.awgn_grassmann_decode_experiment(cfg)
+        assert streams == [{"beta": 0, "random": 1}] * cfg.trials, cfg.effective_size
+    assert cfg.effective_size == 65536
 
 
 def test_beta_draws_with_broadcast_shapes_come_in_stream_order():
