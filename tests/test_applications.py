@@ -213,8 +213,9 @@ class CountingRng:
         return self._rng.random(size)
 
 
-def test_awgn_trial_draws_one_uniform_and_no_overlap(monkeypatch):
-    # Each trial decides in one draw at any K: no Beta overlap, one uniform.
+def draws_per_trial(monkeypatch, cfg):
+    """Run ``cfg``'s row and return, per trial stream, its ``beta`` and ``random``
+    value counts."""
     streams = []
     derive = app.derive_rng
 
@@ -223,10 +224,24 @@ def test_awgn_trial_draws_one_uniform_and_no_overlap(monkeypatch):
         return CountingRng(derive(*key), streams[-1])
 
     monkeypatch.setattr(app, "derive_rng", counting)
-    for size in (dict(codebook_size=2), dict(codebook_size=300), dict(rate=1.5, clamp_to_cap=True)):
-        streams.clear()
+    row = gq.awgn_grassmann_decode_experiment(cfg)
+    return row, streams
+
+
+def test_awgn_noiseless_trial_draws_every_overlap(monkeypatch):
+    # A noiseless trial weighs all K - 1 wrong overlaps at once: one uniform
+    # against the exact law of their maximum, no Beta value, and no error.
+    cfg = AwgnConfig(n=8, sigma_sq=1e-12, epsilon=0.05, codebook_size=300, trials=20, seed=3)
+    row, streams = draws_per_trial(monkeypatch, cfg)
+    assert streams == [{"beta": 0, "random": 1}] * cfg.trials
+    assert row["error_count"] == 0
+
+
+def test_awgn_trial_stops_drawing_once_decided(monkeypatch):
+    # Each trial is decided after one uniform at any K, up to the capped 65536.
+    for size in (dict(codebook_size=2), dict(rate=1.5, clamp_to_cap=True)):
         cfg = AwgnConfig(n=12, sigma_sq=1.0, epsilon=0.05, trials=20, seed=5, **size)
-        gq.awgn_grassmann_decode_experiment(cfg)
+        _, streams = draws_per_trial(monkeypatch, cfg)
         assert streams == [{"beta": 0, "random": 1}] * cfg.trials, cfg.effective_size
     assert cfg.effective_size == 65536
 
