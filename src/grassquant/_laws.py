@@ -10,11 +10,6 @@ import math
 
 import numpy as np
 
-# Values of one block of the real tail's term matrix (x values by series terms),
-# which bounds its memory at any number of x values.
-_BLOCK_VALUES = 1 << 16
-
-
 def overlap_tail(x, n: int, beta: int) -> np.ndarray:
     """``Q(x) = P(X > x)`` for ``X ~ Beta(beta/2, beta (n - 1)/2)``.
 
@@ -31,9 +26,9 @@ def overlap_tail(x, n: int, beta: int) -> np.ndarray:
         nu odd:  1 - (2/pi) (theta + sqrt(x (1 - x)) sum_{k < (nu-1)/2} d_k (1 - x)^k),
                  d_0 = 1, d_k = d_{k-1} (2k)/(2k + 1).
 
-    The ``nu // 2`` terms of each ``x`` are summed as one row of a term matrix,
-    so each ``x`` costs O(n) and a block of rows holds at most ``_BLOCK_VALUES``
-    values.  The absolute error is within 1e-12 up to ``n = 4097``.
+    The ``nu // 2`` terms are summed by Horner's rule in ``1 - x``, elementwise,
+    so each ``x`` costs O(n) and no array larger than ``x`` is built.  The
+    absolute error is within 1e-12 up to ``n = 4097``.
     """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     y = 1.0 - x
@@ -42,13 +37,11 @@ def overlap_tail(x, n: int, beta: int) -> np.ndarray:
     nu = n - 1
     odd = nu % 2
     j = np.arange(1, nu // 2)
-    coef = np.concatenate(([1.0], np.cumprod((2 * j - 1 + odd) / (2 * j + odd))))
-    powers, flat = np.arange(nu // 2), y.ravel()
-    rows = max(1, _BLOCK_VALUES // powers.size)
-    series = np.empty(flat.size)
-    for i in range(0, flat.size, rows):
-        series[i:i + rows] = (np.power.outer(flat[i:i + rows], powers) * coef).sum(axis=-1)
-    series = series.reshape(y.shape)
+    coef = np.concatenate(([1.0], np.cumprod((2 * j - 1 + odd) / (2 * j + odd))))[: nu // 2]
+    series = np.zeros_like(y)
+    for c in coef[::-1]:
+        series *= y
+        series += c
     if odd:  # theta as atan2(sqrt(x), sqrt(1 - x)): arcsin loses digits near x = 1
         inside =(np.arctan2(np.sqrt(x), np.sqrt(y)) + np.sqrt(x * y) * series) * (2.0 / math.pi)
     else:

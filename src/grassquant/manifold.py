@@ -27,8 +27,8 @@ _MAX_DRAWS = 1 << 24
 # Most values of one random draw: 1 GiB of complex128.
 _MAX_DRAW_VALUES = 1 << 26
 # Bytes of a block of matrices taken at once, so that its columns stay in cache: the
-# stack that Gram-Schmidt orthonormalises, or each block of a normal draw.
-_GS_BLOCK_BYTES = 1 << 20
+# stack that Gram-Schmidt orthonormalises, or the projectors packed at once.
+_BLOCK_BYTES = 1 << 20
 # Gram-Schmidt's rule (see _gram_schmidt_wins), calibrated on one BLAS thread:
 # the largest n * p in each field (complex: True) that it takes.
 _GS_MAX_SIZE = {True: 96, False: 512}
@@ -233,21 +233,13 @@ def _gaussian_matrix(
     """A standard normal array of ``shape`` in ``field``; for the complex field a
     circular normal, each part of unit variance (Q ignores the scale).
 
-    The stream gives every real part, then every imaginary part.  Each part is drawn
-    in blocks of rows along the first axis, about ``_GS_BLOCK_BYTES`` each, into one
-    reused buffer and written straight into the output, so no whole part is held
-    beside it.  The draw's size is checked before anything is drawn.
+    One draw fills the output in order, each complex entry a consecutive (re, im)
+    pair, so a draw split at any row equals one draw.  The draw's size is checked
+    before anything is drawn.
     """
     _check_values("a random draw", shape)
     g = np.empty(shape, field.dtype)
-    rows = max(1, _GS_BLOCK_BYTES // (math.prod(shape[1:]) * 8))
-    buffer = np.empty((min(rows, shape[0]), *shape[1:]))
-    targets = (g,) if field is FieldKind.REAL else (g.real, g.imag)
-    for target in targets:
-        for start in range(0, shape[0], rows):
-            block = buffer[: min(rows, shape[0] - start)]
-            rng.standard_normal(out=block)
-            target[start : start + len(block)] = block
+    rng.standard_normal(out=g.view(np.float64))
     return g
 
 
@@ -271,13 +263,13 @@ def _haar_orthonormalize(g: np.ndarray) -> np.ndarray:
     it comes from classical Gram-Schmidt with one re-orthogonalisation pass, whose Q
     is orthonormal to working precision unless the matrix is numerically rank
     deficient (Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 2005),
-    vectorised over the matrices in blocks of about ``_GS_BLOCK_BYTES``: the Python
+    vectorised over the matrices in blocks of about ``_BLOCK_BYTES``: the Python
     loop runs over the p columns only.  Elsewhere it comes from LAPACK QR with the
     phases of R's diagonal moved into Q.
     """
     stack = g[None] if g.ndim == 2 else g
     m, n, p = stack.shape
-    rows = max(1, _GS_BLOCK_BYTES // (n * p * g.itemsize))
+    rows = max(1, _BLOCK_BYTES // (n * p * g.itemsize))
     gram_schmidt = _gram_schmidt_wins(n, p, np.iscomplexobj(g))
     for start in range(0, m, rows):
         block = stack[start : start + rows]

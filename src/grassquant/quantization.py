@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import sys
 import threading
 from concurrent.futures import wait
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .errors import CapExceeded, DomainError, SpecMismatch
 from .manifold import (
     TOL_EQ,
     TOL_ORTHO,
+    _BLOCK_BYTES,
     _MAX_DRAW_VALUES,
     FieldKind,
     GrassmannSpec,
@@ -61,9 +63,6 @@ _BLOCK_MIN_ROWS = 128
 _PACKED_MAX_RATIO = {True: 128, False: 32}
 _PACKED_MIN_COUNT = 64
 _PACKED_MAX_DIM = _MAX_DRAW_VALUES // MAX_CODEBOOK
-# Bases packed at a time, so no (K, n, n) or (N, n, n) projector stack of a
-# whole codebook or training set is built.
-_PACK_CHUNK = 1024
 # The Lloyd design's default budget: iterations and training sources.
 _LLOYD_ITERS, _TRAIN_SAMPLES = 8, 10_000
 # ``(executor, helpers)``, set by the CLI in each row's own context: the row's
@@ -152,17 +151,20 @@ def _packed_dim(n: int, complex_field: bool) -> int:
 
 
 def _packed(bases: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-    """The ``(m, d)`` packed projectors ``B B^H`` of an ``(m, n, p)`` stack,
-    made ``_PACK_CHUNK`` bases at a time, into ``out`` (any ``(m, d)`` view) if given."""
+    """The ``(m, d)`` packed projectors ``B B^H`` of an ``(m, n, p)`` stack, made a
+    block of about ``_BLOCK_BYTES`` of projectors at a time, so no ``(m, n, n)`` stack
+    of a whole codebook or training set is built, into ``out`` (any ``(m, d)`` view)
+    if given."""
     m, n, _ = bases.shape
     slots, weights = _pack_layout(n, np.iscomplexobj(bases))
     if out is None:
         out = np.empty((m, len(slots)))
-    for lo in range(0, m, _PACK_CHUNK):
-        chunk = bases[lo : lo + _PACK_CHUNK]
+    rows = max(1, _BLOCK_BYTES // (n * n * bases.itemsize))
+    for lo in range(0, m, rows):
+        chunk = bases[lo : lo + rows]
         proj = chunk @ chunk.conj().transpose(0, 2, 1)
         np.multiply(proj.reshape(len(chunk), n * n).view(np.float64)[:, slots], weights,
-                    out=out[lo : lo + _PACK_CHUNK])
+                    out=out[lo : lo + rows])
     return out
 
 
@@ -521,8 +523,6 @@ def distortion_mc(
     drawn and searched one chunk at a time."""
     _check_mc_samples("samples", samples)
     source = codebook.source_spec
-    # One draw is a chunk of _mc_rows sources.  It fixes how the complex normal
-    # stream splits into bases, so changing it changes the estimates and the CSV bytes.
     step = _mc_rows(source.n * source.p)
     total = 0.0
     total_sq = 0.0
@@ -729,7 +729,8 @@ def drf_bounds(n: int, p: int, q: int, beta: int, size: int) -> BoundPair:
     _check_int("size", size, 1)
     log_c = log_coeff_c(n, p, q, beta)
     t = _degree(n, p, q, beta)
-    ck = _exp(log_c) * size
+    # A size beyond float range takes the log branch.
+    ck = _exp(log_c) * size if size <= sys.float_info.max else math.inf
     # Plain powers where safe: keeps round-number anchors exact.
     if math.isfinite(ck) and ck > 0.0:
         base = ck ** (-2.0 / t)

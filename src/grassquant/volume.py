@@ -34,9 +34,7 @@ from .manifold import (
 )
 
 # Samples per Monte-Carlo chunk, of this module's volume estimator and of the
-# distortion estimator in ``quantization`` (see _mc_rows).  The volume's bytes do not
-# depend on it, but the distortion's do: it fixes how the complex normal stream splits
-# into bases, so the value stays.
+# distortion estimator in ``quantization`` (see _mc_rows): a memory bound only.
 _MC_CHUNK = 1 << 17
 
 

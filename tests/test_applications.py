@@ -271,10 +271,11 @@ def test_normal_draws_come_in_stream_order(row):
     """Normal draws of uneven consecutive blocks, fresh or written into a reused
     buffer, equal one draw of their total, bit for bit.
 
-    The bytes of every normal draw rest on this: ``manifold._gaussian_matrix`` draws
-    in blocks into one buffer, and the Haar bases match those of drawing each part
-    whole.  If this fails (say after a numpy upgrade), those draws are still exact in
-    law, but their bytes move."""
+    The bytes of every normal draw rest on this: ``manifold._gaussian_matrix`` fills
+    its output with one draw, each complex entry a consecutive (re, im) pair, so the
+    distortion estimator's sources do not depend on ``volume._MC_CHUNK``.  If this
+    fails (say after a numpy upgrade), those draws are still exact in law, but their
+    bytes move with how they are chunked."""
     sizes = [64, 129, 1, 1000, 7]
     for seed in (0, 7, 2024):
         whole = np.random.default_rng(seed).standard_normal((sum(sizes), *row))

@@ -14,7 +14,7 @@ TAIL_X = np.concatenate((
 ))
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 13, 64, 65, 1000, 1001, 4096, 4097])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 13, 64, 65, 1000, 1001, 4096, 4097])
 @pytest.mark.parametrize("beta", [1, 2])
 def test_overlap_tail_meets_the_incomplete_beta(beta, n):
     # Both parities of nu = n - 1 for the real field's two series.
@@ -27,10 +27,19 @@ def test_overlap_tail_meets_the_incomplete_beta(beta, n):
     assert tail[0] == 1.0 and tail[-1] == 0.0
 
 
+def test_overlap_tail_of_real_lines_in_the_plane_is_the_arcsine_law():
+    # n = 2 has nu = 1 and no series term: Q(x) = (2/pi) arccos(sqrt(x)), taken as
+    # arcsin(sqrt(1 - x)) above x = 1/2, where arccos loses digits.  (scipy's
+    # betainc(1/2, 1/2, x) is off by 3.5e-11 near x = 1, so the reference is this.)
+    low = TAIL_X <= 0.5
+    exact = 2.0 / np.pi * np.where(low, np.arccos(np.sqrt(TAIL_X)), np.arcsin(np.sqrt(1.0 - TAIL_X)))
+    assert np.max(np.abs(_laws.overlap_tail(TAIL_X, 2, 1) - exact)) <= 1e-15
+
+
 def test_overlap_tail_blocks_its_term_matrix():
     # More x values than one block holds: each value is the one that x alone gives,
     # wherever the block edges fall.
-    rows = _laws._BLOCK_VALUES // 6  # 13 has nu // 2 = 6 terms
+    rows = 65536 // 6  # 13 has nu // 2 = 6 terms
     x = np.linspace(0.0, 1.0, 2 * rows + 7)
     whole = _laws.overlap_tail(x, 13, 1)
     shifted = np.concatenate([_laws.overlap_tail(part, 13, 1) for part in (x[:5], x[5:])])

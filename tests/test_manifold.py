@@ -57,31 +57,32 @@ def test_distinct_seeds_give_distinct_planes(field):
 
 
 @pytest.mark.parametrize("shape", [(7,), (50, 6, 3)])
-def test_complex_draw_is_real_then_imaginary_bit_for_bit(shape):
+def test_complex_draw_is_interleaved_re_im_pairs_bit_for_bit(shape):
+    # Entry i takes normals 2i and 2i + 1 of the stream, as its real and imaginary parts.
     g = manifold._gaussian_matrix(shape, FieldKind.COMPLEX, np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pairs = np.random.default_rng(5).standard_normal((*shape, 2))
+    ref = pairs[..., 0] + 1j * pairs[..., 1]
     assert g.dtype == np.complex128 and g.shape == shape
     assert np.array_equal(g.view(float).view(np.uint64), ref.view(float).view(np.uint64))
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_block_fill_equals_the_whole_part_fill(field):
-    shape = (50_000, 6, 2)  # five blocks per part, the last one short
-    g = manifold._gaussian_matrix(shape, field, np.random.default_rng(6))
-    rng = np.random.default_rng(6)
-    ref = np.empty(shape, field.dtype)
-    if field is FieldKind.REAL:
-        ref[...] = rng.standard_normal(shape)
-    else:
-        ref.real = rng.standard_normal(shape)
-        ref.imag = rng.standard_normal(shape)
-    assert g.dtype == ref.dtype
-    assert np.array_equal(g.view(np.uint64), ref.view(np.uint64))
+def test_a_draw_split_at_any_row_equals_one_draw(field):
+    # Consecutive draws of rows, in uneven splits, give the bytes of one draw of all
+    # of them: no estimate depends on how its draw is chunked.
+    shape = (50_000, 6, 2)
+    whole = manifold._gaussian_matrix(shape, field, np.random.default_rng(6))
+    for cuts in ([1], [330, 331], [16_384, 32_768, 49_999]):
+        rng = np.random.default_rng(6)
+        parts = [manifold._gaussian_matrix((b - a, *shape[1:]), field, rng)
+                 for a, b in zip([0, *cuts], [*cuts, shape[0]])]
+        split = np.concatenate(parts)
+        assert split.dtype == whole.dtype
+        assert np.array_equal(split.view(np.uint64), whole.view(np.uint64))
 
 
 def test_complex_draw_holds_no_whole_real_part():
-    # The output and one block; a whole real part beside the output would read 1.5.
+    # The output alone; a whole real part beside the output would read 1.5.
     tracemalloc.start()
     try:
         g = manifold._gaussian_matrix((50_000, 6, 2), FieldKind.COMPLEX, np.random.default_rng(6))

@@ -298,7 +298,7 @@ def test_search_in_place_equals_search_of_a_copy(monkeypatch, n, p, q, beta):
         assert np.array_equal(best.view(np.uint64), best_copy.view(np.uint64))
     # Samples packed once, in chunks other than the walk's sample tiles, as
     # the Lloyd loop packs its training set: the same rows, the same search.
-    monkeypatch.setattr(qz, "_PACK_CHUNK", 64)
+    monkeypatch.setattr(qz, "_BLOCK_BYTES", 1 << 16)
     idx_pre, best_pre = qz._nearest(samples, cb.stacked_bases, packed_samples=qz._packed(samples))
     assert np.array_equal(idx, idx_pre)
     assert np.array_equal(best.view(np.uint64), best_pre.view(np.uint64))
@@ -831,6 +831,19 @@ def test_distortion_draws_its_sources_as_one_sample_isotropic_bases_draw():
     assert est.mean == pytest.approx(float(brute.mean()), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_distortion_estimate_does_not_depend_on_its_chunk(monkeypatch, beta):
+    # 1000 sources in one draw, or in draws of 330, 330, 330 and 10: the same
+    # sources, so the same estimate up to the order of its sums and kernel forms.
+    source, code = specs(4, 2, 1, beta)
+    cb = gq.random_codebook(source, code, 256, seed=15)
+    whole = gq.distortion_mc(cb, 1000, np.random.default_rng(16))
+    monkeypatch.setattr(volume, "_MC_CHUNK", 330)
+    chunked = gq.distortion_mc(cb, 1000, np.random.default_rng(16))
+    assert chunked.mean == pytest.approx(whole.mean, rel=1e-12)
+    assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-9)
+
+
 def test_distortion_chunks_may_take_different_kernel_forms(monkeypatch):
     # 1000 sources in chunks of 330: the walk asks the form rule for each
     # chunk, and the last chunk of 10 is too small to pay for packing.
@@ -1307,6 +1320,15 @@ def test_rate_bounds_where_c_leaves_float_range():
     lo, hi = gq.rdf_bounds_log2(n, p, q, beta, 0.5)
     assert math.log2(b.lower) == pytest.approx(lo, rel=1e-12)
     assert math.log2(b.upper) == pytest.approx(hi, rel=1e-12)
+
+
+def test_drf_bounds_take_sizes_beyond_float_range():
+    # 2^1024 converts to no float; its bounds come from log(size), and doubling the
+    # size scales each by 2^(-2/t), t = 12 at (6, 2, 3) complex.
+    big, half = gq.drf_bounds(6, 2, 3, 2, 2**1024), gq.drf_bounds(6, 2, 3, 2, 2**1023)
+    assert big.lower / half.lower == pytest.approx(2 ** (-2 / 12), rel=1e-12)
+    assert big.upper / half.upper == pytest.approx(2 ** (-2 / 12), rel=1e-12)
+    assert big.regime_ok
 
 
 def test_asymptotics():
